@@ -13,47 +13,6 @@ namespace net {
 
 namespace {
 
-/// Writes the whole buffer (admin sockets stay blocking).
-Status SendAll(int fd, const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Status::IOError("send: " + ErrnoMessage(errno));
-  }
-  return Status::OK();
-}
-
-/// Blocking frame read. Returns false on a clean EOF between frames;
-/// IOError on a mid-frame EOF or a transport failure.
-Result<bool> ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                       std::string* payload) {
-  char buf[16 * 1024];
-  while (true) {
-    ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder->Next(type, payload));
-    if (have) return true;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) {
-      if (decoder->buffered() > 0) {
-        return Status::IOError("connection closed mid-frame (" +
-                               std::to_string(decoder->buffered()) +
-                               " bytes buffered)");
-      }
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("recv: " + ErrnoMessage(errno));
-    }
-    decoder->Feed(buf, static_cast<size_t>(n));
-  }
-}
-
 /// The response "id" echoes the request's (or null when absent/bad).
 Json RequestId(const Json& request) {
   if (request.is_object() && request.Has("id")) {

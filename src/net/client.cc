@@ -1,10 +1,5 @@
 #include "net/client.h"
 
-#include <sys/socket.h>
-
-#include <cerrno>
-#include <cstring>
-
 namespace icewafl {
 namespace net {
 
@@ -15,19 +10,13 @@ std::string ContextOf(const std::string& session_id, const std::string& peer) {
   return "session '" + session_id + "' at " + peer;
 }
 
-/// Writes the whole buffer (the socket is blocking at this point).
-Status SendAll(int fd, const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Status::IOError("send: " + ErrnoMessage(errno));
-  }
+/// Blocks for one complete frame. A stream only ends with an End or
+/// Error frame, so even an EOF on a frame boundary is a disconnect.
+Status ReadStreamFrame(int fd, FrameDecoder* decoder, uint8_t* type,
+                       std::string* payload) {
+  ICEWAFL_ASSIGN_OR_RETURN(const bool have,
+                           ReadFrame(fd, decoder, type, payload));
+  if (!have) return Status::IOError("connection closed mid-stream");
   return Status::OK();
 }
 
@@ -35,26 +24,6 @@ Status SendAll(int fd, const std::string& bytes) {
 
 std::string StreamClient::Context() const {
   return ContextOf(session_id_, peer_);
-}
-
-Status StreamClient::ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                               std::string* payload) {
-  char buf[64 * 1024];
-  while (true) {
-    ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder->Next(type, payload));
-    if (have) return Status::OK();
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) {
-      return Status::IOError("connection closed mid-stream (" +
-                             std::to_string(decoder->buffered()) +
-                             " bytes of partial frame buffered)");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("recv: " + ErrnoMessage(errno));
-    }
-    decoder->Feed(buf, static_cast<size_t>(n));
-  }
 }
 
 Result<std::unique_ptr<StreamClient>> StreamClient::Connect(
@@ -71,7 +40,7 @@ Result<std::unique_ptr<StreamClient>> StreamClient::Connect(
   FrameDecoder decoder;
   uint8_t type = 0;
   std::string payload;
-  ICEWAFL_RETURN_NOT_OK(ReadFrame(fd.get(), &decoder, &type, &payload));
+  ICEWAFL_RETURN_NOT_OK(ReadStreamFrame(fd.get(), &decoder, &type, &payload));
   if (type == kFrameError) {
     return Status::IOError(context + ": server error during handshake: " +
                            payload);
@@ -102,7 +71,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
   while (true) {
     uint8_t type = 0;
     std::string payload;
-    Status read = ReadFrame(fd_.get(), &decoder_, &type, &payload);
+    Status read = ReadStreamFrame(fd_.get(), &decoder_, &type, &payload);
     if (!read.ok()) {
       // Attribute the failure: a bare "connection closed mid-stream" is
       // useless when one process tails many sessions.

@@ -66,10 +66,6 @@ class StreamClient : public Source {
         session_id_(std::move(session_id)),
         peer_(std::move(peer)) {}
 
-  /// Blocks until one complete frame is available (or the peer closes).
-  static Status ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                          std::string* payload);
-
   /// "session '<id>' at <host>:<port>" (or "peer <host>:<port>" when
   /// no session id was given) — the prefix of every error status.
   std::string Context() const;

@@ -920,17 +920,23 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn) {
     state = conn->state;
     send_latency = conn->send_latency;
   }
-  // Refill the write buffer from the frame queue.
-  QueuedFrame frame;
-  while (conn->outbuf.size() - conn->outpos < kMaxOutbufBytes &&
-         conn->queue->TryPop(&frame)) {
-    if (send_latency != nullptr) {
-      send_latency->Observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        frame.enqueued)
-              .count());
+  // Refill the write buffer from the frame queue: one bulk pop (one
+  // channel lock round-trip) per connection per cycle, stopping once
+  // the buffered bytes reach kMaxOutbufBytes.
+  const size_t buffered = conn->outbuf.size() - conn->outpos;
+  if (buffered < kMaxOutbufBytes &&
+      conn->queue->TryPopMany(
+          &refill_, kMaxOutbufBytes - buffered,
+          [](const QueuedFrame& f) { return f.bytes->size(); }) > 0) {
+    const auto now = std::chrono::steady_clock::now();
+    for (const QueuedFrame& frame : refill_) {
+      if (send_latency != nullptr) {
+        send_latency->Observe(
+            std::chrono::duration<double>(now - frame.enqueued).count());
+      }
+      conn->outbuf.append(*frame.bytes);
     }
-    conn->outbuf.append(*frame.bytes);
+    refill_.clear();
   }
   if (conn->outpos == conn->outbuf.size()) {
     conn->outbuf.clear();
@@ -1062,6 +1068,8 @@ void PollutionServer::ReactorLoop() {
         errno != EINTR) {
       break;  // poll itself failed; abort serving
     }
+    // Drain before anything below inspects shared state: a poke that
+    // found a wake already pending relies on this cycle's scan.
     if ((fds[0].revents & POLLIN) != 0) wake_.Drain();
 
     if (accepting && (fds[listen_index].revents & POLLIN) != 0) {

@@ -384,6 +384,9 @@ class PollutionServer {
   UniqueFd listen_fd_;
   WakePipe wake_;
   uint16_t port_ = 0;
+  /// Reactor-thread only: frames of one bulk refill, kept empty between
+  /// refills so its capacity is reused.
+  std::vector<QueuedFrame> refill_;
 
   /// First rank of the hierarchy; `cv_` waits are predicated only on
   /// fields this lock guards (plus session states, whose transitions

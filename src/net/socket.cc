@@ -134,6 +134,18 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port) {
   return fd;
 }
 
+WakePipe::WakePipe(WakePipe&& other) noexcept
+    : read_end(std::move(other.read_end)),
+      write_end(std::move(other.write_end)),
+      pending_(other.pending_.load()) {}
+
+WakePipe& WakePipe::operator=(WakePipe&& other) noexcept {
+  read_end = std::move(other.read_end);
+  write_end = std::move(other.write_end);
+  pending_.store(other.pending_.load());
+  return *this;
+}
+
 Result<WakePipe> WakePipe::Make() {
   int fds[2];
   if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) < 0) {
@@ -146,14 +158,57 @@ Result<WakePipe> WakePipe::Make() {
 }
 
 void WakePipe::Poke() const {
+  // Only the poke that raises the flag writes; the byte it writes keeps
+  // the read end readable until the poller's Drain() re-arms the flag.
+  if (pending_.exchange(true)) return;
   const char byte = 1;
-  // EAGAIN means a wake is already pending — exactly what we want.
   [[maybe_unused]] ssize_t n = ::write(write_end.get(), &byte, 1);
 }
 
 void WakePipe::Drain() const {
   char buf[256];
   while (::read(read_end.get(), buf, sizeof(buf)) > 0) {
+  }
+  // Only now re-arm: a poke that saw the flag still set published its
+  // state before this store, so the poller's scan after Drain() sees it.
+  pending_.store(false);
+}
+
+Status SendAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return Status::IOError("send: " + ErrnoMessage(errno));
+  }
+  return Status::OK();
+}
+
+Result<bool> ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
+                       std::string* payload) {
+  char buf[64 * 1024];
+  while (true) {
+    ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder->Next(type, payload));
+    if (have) return true;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) {
+      if (decoder->buffered() > 0) {
+        return Status::IOError("connection closed mid-frame (" +
+                               std::to_string(decoder->buffered()) +
+                               " bytes buffered)");
+      }
+      return false;
+    }
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("recv: " + ErrnoMessage(errno));
+    }
+    decoder->Feed(buf, static_cast<size_t>(n));
   }
 }
 

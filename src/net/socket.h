@@ -1,10 +1,12 @@
 #ifndef ICEWAFL_NET_SOCKET_H_
 #define ICEWAFL_NET_SOCKET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 
+#include "net/wire.h"
 #include "util/result.h"
 
 namespace icewafl {
@@ -15,7 +17,9 @@ namespace net {
 /// uses. Everything returns Status instead of errno, and every
 /// descriptor lives in a UniqueFd so error paths cannot leak fds (the
 /// ASan preset runs the whole server test suite; a leaked fd shows up
-/// as an exhausted descriptor table long before then).
+/// as an exhausted descriptor table long before then). The blocking
+/// frame helpers at the end are shared by the stream and admin clients
+/// and the admin server.
 
 /// \brief Owning file descriptor; closes on destruction.
 class UniqueFd {
@@ -71,17 +75,42 @@ Status SetNonBlocking(int fd);
 
 /// \brief A non-blocking pipe pair used to wake a poll() loop from
 /// other threads (the self-pipe trick).
+///
+/// Pokes coalesce: an atomic "wake pending" flag admits one byte into
+/// the pipe until the poller drains it, so a burst of pokes costs one
+/// write(2) and one wake-up. Protocol for the poller: poll the read end,
+/// Drain() when it is readable, *then* inspect the shared state the
+/// pokers published before poking. Drain() empties the pipe before it
+/// clears the flag; clearing first would let a fresh byte be swallowed
+/// with the flag left set, and every later Poke() would be skipped.
 struct WakePipe {
   UniqueFd read_end;
   UniqueFd write_end;
 
+  WakePipe() = default;
+  WakePipe(WakePipe&& other) noexcept;
+  WakePipe& operator=(WakePipe&& other) noexcept;
+
   static Result<WakePipe> Make();
 
-  /// \brief Wakes the poller; coalesces when the pipe is full.
+  /// \brief Wakes the poller; a no-op while a wake is already pending.
+  /// Safe on a default-constructed pipe (the write fails harmlessly).
   void Poke() const;
-  /// \brief Drains pending wake bytes.
+  /// \brief Reads the pipe empty, then re-arms Poke().
   void Drain() const;
+
+ private:
+  mutable std::atomic<bool> pending_{false};
 };
+
+/// \brief Writes all of `bytes` to the blocking socket `fd`.
+Status SendAll(int fd, const std::string& bytes);
+
+/// \brief Blocking read of the next frame from `fd` through `decoder`.
+/// \return true with `*type`/`*payload` filled; false on a clean EOF
+/// between frames; IOError on an EOF mid-frame or a transport failure.
+Result<bool> ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
+                       std::string* payload);
 
 }  // namespace net
 }  // namespace icewafl

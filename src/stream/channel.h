@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "stream/tuple.h"
 #include "util/sync.h"
@@ -128,6 +129,37 @@ class BoundedChannel {
     lock.Unlock();
     not_full_.NotifyOne();
     return true;
+  }
+
+  /// \brief Every item costs 1: a TryPopMany budget is an item count.
+  struct UnitCost {
+    size_t operator()(const T& /*item*/) const { return 1; }
+  };
+
+  /// \brief Non-blocking bulk dequeue: appends items to `*out` under one
+  /// lock acquisition while the summed `cost(item)` of the items taken
+  /// so far is below `budget`, and wakes producers blocked in Push when
+  /// it took anything. The budget is checked before each pop, so with a
+  /// weight such as a byte size the last item may overshoot it — the
+  /// bound a TryPop loop checking a running total gives.
+  /// \return the number of items taken; 0 when the channel is empty
+  /// (open, closed, or poisoned alike).
+  template <typename CostFn = UnitCost>
+  size_t TryPopMany(std::vector<T>* out, size_t budget, CostFn cost = {})
+      EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    size_t taken = 0;
+    size_t spent = 0;
+    while (spent < budget && !queue_.empty()) {
+      spent += cost(queue_.front());
+      out->push_back(std::move(queue_.front()));
+      queue_.pop_front();
+      ++taken;
+    }
+    stats_.pops += taken;
+    lock.Unlock();
+    if (taken > 0) not_full_.NotifyAll();
+    return taken;
   }
 
   /// \brief Dequeues into `*out`, blocking while the channel is empty and

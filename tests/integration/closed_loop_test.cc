@@ -41,22 +41,14 @@ TEST(ClosedLoopTest, SoftwareUpdateDeterministicFamiliesScoreHighF1) {
   EXPECT_GT(r.repair_accuracy, 0.0);
 
   // Re-validation: cleaning must strictly reduce windowed violations.
-  const int64_t before =
-      r.monitor_polluted.Get("series").ValueOrDie().size() > 0
-          ? [&] {
-              int64_t total = 0;
-              for (const Json& w :
-                   r.monitor_polluted.Get("series").ValueOrDie().items()) {
-                total += w.GetInt("violations", 0);
-              }
-              return total;
-            }()
-          : 0;
+  // The series are copied out first: a range-for over a member of the
+  // temporary Result would iterate freed storage.
+  const Json polluted = r.monitor_polluted.Get("series").ValueOrDie();
+  const Json cleaned = r.monitor_cleaned.Get("series").ValueOrDie();
+  int64_t before = 0;
+  for (const Json& w : polluted.items()) before += w.GetInt("violations", 0);
   int64_t after = 0;
-  for (const Json& w :
-       r.monitor_cleaned.Get("series").ValueOrDie().items()) {
-    after += w.GetInt("violations", 0);
-  }
+  for (const Json& w : cleaned.items()) after += w.GetInt("violations", 0);
   EXPECT_GT(before, 0);
   EXPECT_LT(after, before) << r.ToJson().DumpPretty();
 }

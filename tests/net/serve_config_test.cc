@@ -182,7 +182,8 @@ TEST(ServeConfig, SessionCleanerKeyParsesAndRoundTrips) {
   EXPECT_TRUE(c.sessions[1].cleaner.is_null());
 
   Json json = c.ToJson();
-  const Json::Array& entries = json.Get("sessions").ValueOrDie().items();
+  const Json sessions = json.Get("sessions").ValueOrDie();
+  const Json::Array& entries = sessions.items();
   EXPECT_TRUE(entries[0].Has("cleaner"));
   EXPECT_FALSE(entries[1].Has("cleaner"));
   auto back = ServeConfig::FromJson(json);

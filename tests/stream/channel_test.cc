@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 namespace icewafl {
 namespace {
@@ -269,6 +270,94 @@ TEST(ChannelTest, MpmcStressWithMidStreamPoison) {
   EXPECT_LE(popped.load(), pushed.load());
   EXPECT_LE(pushed.load() - popped.load(), ch.capacity());
   EXPECT_TRUE(ch.closed());
+}
+
+TEST(ChannelTest, BulkPopKeepsFifoAcrossBulkAndSinglePops) {
+  IntChannel ch(16);
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(ch.Push(i));
+  int v = -1;
+  ASSERT_TRUE(ch.TryPop(&v));
+  EXPECT_EQ(v, 0);
+  std::vector<int> out = {-7};  // bulk pops append, never overwrite
+  EXPECT_EQ(ch.TryPopMany(&out, 3), 3u);
+  EXPECT_EQ(out, (std::vector<int>{-7, 1, 2, 3}));
+  ASSERT_TRUE(ch.Pop(&v));
+  EXPECT_EQ(v, 4);
+  out.clear();
+  EXPECT_EQ(ch.TryPopMany(&out, 100), 5u);
+  EXPECT_EQ(out, (std::vector<int>{5, 6, 7, 8, 9}));
+  EXPECT_EQ(ch.size(), 0u);
+}
+
+TEST(ChannelTest, BulkPopHonorsItemAndWeightBudgets) {
+  IntChannel ch(16);
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(ch.Push(2));
+  std::vector<int> out;
+  // The default unit cost makes the budget a maximum item count.
+  EXPECT_EQ(ch.TryPopMany(&out, 0), 0u);
+  EXPECT_EQ(ch.TryPopMany(&out, 2), 2u);
+  EXPECT_EQ(ch.size(), 4u);
+  // A weight budget is checked before each pop: 2 + 2 < 5 admits a
+  // third item, which overshoots to 6, and then the take stops.
+  out.clear();
+  auto weight = [](const int& item) { return static_cast<size_t>(item); };
+  EXPECT_EQ(ch.TryPopMany(&out, 5, weight), 3u);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(ch.size(), 1u);
+  EXPECT_EQ(ch.TryPopMany(&out, 0, weight), 0u);
+  EXPECT_EQ(ch.size(), 1u);
+}
+
+TEST(ChannelTest, BulkPopCountsEveryItemInStats) {
+  IntChannel ch(8);
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(ch.Push(i));
+  std::vector<int> out;
+  EXPECT_EQ(ch.TryPopMany(&out, 4), 4u);
+  EXPECT_EQ(ch.TryPopMany(&out, 4), 3u);
+  EXPECT_EQ(ch.TryPopMany(&out, 4), 0u);
+  const ChannelStats stats = ch.stats();
+  EXPECT_EQ(stats.pushes, 7u);
+  EXPECT_EQ(stats.pops, 7u);
+  EXPECT_EQ(stats.blocked_pops, 0u);  // TryPopMany never parks
+}
+
+TEST(ChannelTest, BulkPopWakesBlockedProducer) {
+  IntChannel ch(2);
+  EXPECT_TRUE(ch.Push(1));
+  EXPECT_TRUE(ch.Push(2));
+  std::atomic<bool> third_pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(ch.Push(3));  // blocks: channel full
+    third_pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(third_pushed.load());
+  std::vector<int> out;
+  EXPECT_EQ(ch.TryPopMany(&out, 2), 2u);
+  producer.join();  // would hang if the bulk pop did not notify
+  EXPECT_TRUE(third_pushed.load());
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  EXPECT_EQ(ch.TryPopMany(&out, 2), 1u);
+  EXPECT_EQ(out.back(), 3);
+}
+
+TEST(ChannelTest, BulkPopReturnsZeroOnEmptyClosedOrPoisoned) {
+  std::vector<int> out;
+  IntChannel open(4);
+  EXPECT_EQ(open.TryPopMany(&out, 4), 0u);
+
+  IntChannel closed(4);
+  EXPECT_TRUE(closed.Push(1));
+  closed.Close();
+  EXPECT_EQ(closed.TryPopMany(&out, 4), 1u);  // queued items drain first
+  EXPECT_EQ(closed.TryPopMany(&out, 4), 0u);
+
+  IntChannel poisoned(4);
+  EXPECT_TRUE(poisoned.Push(1));
+  poisoned.Poison();
+  EXPECT_EQ(poisoned.TryPopMany(&out, 4), 0u);
+  EXPECT_EQ(out, (std::vector<int>{1}));
+  EXPECT_EQ(poisoned.stats().pops, 0u);
 }
 
 TEST(ChannelTest, BatchChannelMovesBatches) {

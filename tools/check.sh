@@ -20,16 +20,18 @@
 #                             # Schema::IndexOf, then build Release and
 #                             # smoke-run bench_micro_polluters (tiny
 #                             # iteration budget) so its built-in
-#                             # assertions break the build on regression
+#                             # assertions break the build on regression;
+#                             # finally the end-to-end benchmark's smoke
+#                             # (e2ebench/run.py --smoke), which checks
+#                             # every workload's served rows against the
+#                             # offline reference
 #   tools/check.sh net        # pollution-as-a-service smoke: serve a
 #                             # scenario on an ephemeral loopback port,
 #                             # tail it, and require the received CSV to
 #                             # be byte-identical to the offline run;
 #                             # then a two-named-session server tailed
 #                             # with --session, each stream compared to
-#                             # its per-session offline run, plus a
-#                             # bench_net_server fan-out smoke emitting
-#                             # BENCH_net.json
+#                             # its per-session offline run
 #   tools/check.sh admin      # live control-plane smoke: serve with
 #                             # --admin-port 0, drive the admin channel
 #                             # with icewafl_cli admin (list/get/swap/
@@ -326,6 +328,10 @@ EOF
   else
     grep -q '"stateful_overhead"' BENCH_clean.json
   fi
+  echo "=== bench: e2ebench smoke (served digests == offline reference) ==="
+  # Every workload at smoke size with all correctness checks on: a served
+  # row that differs from the offline reference fails the run.
+  python3 e2ebench/run.py --smoke
   echo "=== bench: OK ==="
 }
 
@@ -442,26 +448,6 @@ EOF
   cmp "${outdir}/beta_offline.csv" "${outdir}/beta_tail.csv"
   echo "net: per-session digest match (alpha, beta)"
 
-  echo "=== net: bench_net_server → BENCH_net.json ==="
-  cmake --build --preset default -j "${jobs}" --target bench_net_server
-  ./build/bench/bench_net_server --sessions 2 --subscribers 2 \
-    --tuples 5000 --out BENCH_net.json >/dev/null
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_net.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-for key in ("fanout_tuples_per_sec", "bytes_per_sec", "wall_seconds",
-            "tuples_fanned_out"):
-    assert report[key] > 0, key
-latency = report["send_latency_seconds"]
-assert latency["p50"] <= latency["p90"] <= latency["p99"], latency
-print(f"net: BENCH_net.json OK "
-      f"({report['fanout_tuples_per_sec']:.0f} tuples/s fan-out)")
-EOF
-  else
-    grep -q '"fanout_tuples_per_sec"' BENCH_net.json
-  fi
   echo "=== net: OK ==="
 }
 
