@@ -4,10 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,7 +19,6 @@
 #include "data/wearable.h"
 #include "stream/batch.h"
 #include "stream/bind.h"
-#include "util/json.h"
 
 namespace {
 
@@ -258,102 +255,46 @@ void BM_KeyedPolluter(benchmark::State& state) {
 BENCHMARK(BM_KeyedPolluter);
 
 // ---------------------------------------------------------------------------
-// Columnar batch execution (DESIGN.md section 13): the same bound
-// pipeline driven tuple-at-a-time vs. transposed into a Batch and run
-// as tight typed loops. The registered benches make the two paths
-// visible in benchmark output; ColumnarSpeedupReport below turns the
-// ratio into a CI artifact and a hard floor.
+// The bound per-tuple path over a whole pipeline, and the cost of
+// building the Batch wire frame (DESIGN.md section 13) from the same rows.
 
-/// A bound, seeded single-polluter pipeline over the wearable schema.
-PollutionPipeline SinglePipeline(const std::string& name,
-                                 ErrorFunctionPtr error,
-                                 ConditionPtr condition,
-                                 std::vector<std::string> attrs) {
-  PollutionPipeline pipeline(name);
+/// A bound, seeded single-polluter pipeline applied tuple by tuple, as
+/// PolluterOperator does.
+void BM_ScaleTuplePath(benchmark::State& state) {
+  const TupleVector& stream = WearableStream();
+  PollutionPipeline pipeline("scale");
   pipeline.Add(std::make_unique<StandardPolluter>(
-      name, std::move(error), std::move(condition), std::move(attrs)));
-  Status bound = pipeline.Bind(WearableStream().front().schema());
-  if (!bound.ok()) {
-    std::fprintf(stderr, "bench pipeline bind failed: %s\n",
-                 bound.ToString().c_str());
-    std::abort();
+      "scale", std::make_unique<ScaleError>(0.125),
+      std::make_unique<AlwaysCondition>(), std::vector<std::string>{"BPM"}));
+  if (Status bound = pipeline.Bind(stream.front().schema()); !bound.ok()) {
+    state.SkipWithError(bound.ToString().c_str());
+    return;
   }
   pipeline.Seed(7);
-  return pipeline;
-}
-
-/// One tuple-path pass: per-tuple copy + Apply, as the operator's
-/// fallback loop does.
-void TuplePass(const PollutionPipeline& pipeline, PollutionContext* ctx) {
-  for (const Tuple& original : WearableStream()) {
-    Tuple t = original;
-    t.set_event_time(t.GetTimestamp().ValueOrDie());
-    t.set_arrival_time(t.event_time());
-    ctx->tau = t.event_time();
-    ctx->severity = 1.0;
-    ctx->rng = nullptr;
-    Status st = pipeline.Apply(&t, ctx, nullptr);
-    if (!st.ok()) std::abort();
-    benchmark::DoNotOptimize(t);
-  }
-}
-
-/// The wearable stream transposed once — the batch-resident input the
-/// columnar engine executes over. Each pass restores pristine data by
-/// copying it (contiguous column memcpy), mirroring the per-tuple copy
-/// on the tuple path; the tuples↔batch transposition itself is a
-/// boundary cost measured separately (BM_BatchTranspose).
-const Batch& PristineBatch() {
-  static const Batch batch = [] {
-    auto transposed = Batch::FromTuples(WearableStream());
-    if (!transposed.ok()) std::abort();
-    return std::move(transposed).ValueOrDie();
-  }();
-  return batch;
-}
-
-/// One columnar pass: column copy + tight typed loops.
-void ColumnarPass(const PollutionPipeline& pipeline, PollutionContext* ctx,
-                  std::vector<uint8_t>* polluted) {
-  Batch batch = PristineBatch();
-  ctx->severity = 1.0;
-  ctx->rng = nullptr;
-  polluted->assign(batch.rows(), 0);
-  Status st = pipeline.ApplyColumnar(&batch, ctx, polluted->data());
-  if (!st.ok()) std::abort();
-  benchmark::DoNotOptimize(batch);
-}
-
-void BM_ScaleTuplePath(benchmark::State& state) {
-  PollutionPipeline pipeline = SinglePipeline(
-      "scale", std::make_unique<ScaleError>(0.125),
-      std::make_unique<AlwaysCondition>(), {"BPM"});
   PollutionContext ctx;
-  ctx.stream_start = WearableStream().front().GetTimestamp().ValueOrDie();
-  ctx.stream_end = WearableStream().back().GetTimestamp().ValueOrDie();
-  for (auto _ : state) TuplePass(pipeline, &ctx);
+  ctx.stream_start = stream.front().GetTimestamp().ValueOrDie();
+  ctx.stream_end = stream.back().GetTimestamp().ValueOrDie();
+  for (auto _ : state) {
+    for (const Tuple& original : stream) {
+      Tuple t = original;
+      t.set_event_time(t.GetTimestamp().ValueOrDie());
+      t.set_arrival_time(t.event_time());
+      ctx.tau = t.event_time();
+      ctx.severity = 1.0;
+      ctx.rng = nullptr;
+      Status st = pipeline.Apply(&t, &ctx, nullptr);
+      if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+      benchmark::DoNotOptimize(t);
+    }
+  }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(WearableStream().size()));
+                          static_cast<int64_t>(stream.size()));
 }
 BENCHMARK(BM_ScaleTuplePath);
 
-void BM_ScaleColumnarPath(benchmark::State& state) {
-  PollutionPipeline pipeline = SinglePipeline(
-      "scale", std::make_unique<ScaleError>(0.125),
-      std::make_unique<AlwaysCondition>(), {"BPM"});
-  PollutionContext ctx;
-  ctx.stream_start = WearableStream().front().GetTimestamp().ValueOrDie();
-  ctx.stream_end = WearableStream().back().GetTimestamp().ValueOrDie();
-  std::vector<uint8_t> polluted;
-  for (auto _ : state) ColumnarPass(pipeline, &ctx, &polluted);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(WearableStream().size()));
-}
-BENCHMARK(BM_ScaleColumnarPath);
-
 void BM_BatchTranspose(benchmark::State& state) {
-  // The tuples → Batch → tuples boundary the operator pays once per
-  // micro-batch, amortized over every polluter in the pipeline.
+  // The tuples → Batch → tuples round trip a Batch-frame subscriber
+  // costs: FanoutSink transposes to encode, StreamClient back on decode.
   for (auto _ : state) {
     auto transposed = Batch::FromTuples(WearableStream());
     if (!transposed.ok()) std::abort();
@@ -364,119 +305,6 @@ void BM_BatchTranspose(benchmark::State& state) {
                           static_cast<int64_t>(WearableStream().size()));
 }
 BENCHMARK(BM_BatchTranspose);
-
-/// Measures tuple-path vs columnar-path wall time for every
-/// columnar-eligible polluter family, writes the per-family ratios to
-/// `out` (BENCH_micro.json in CI), and fails the binary when the
-/// median speedup drops under 2x — the floor the columnar engine is
-/// specified to hold on batch-resident data. The transposition
-/// boundary is reported alongside (`transpose_seconds`), not folded
-/// into each family: the operator pays it once per micro-batch, the
-/// engine pays per polluter.
-bool ColumnarSpeedupReport(const std::string& out) {
-  struct Config {
-    const char* name;
-    PollutionPipeline pipeline;
-  };
-  std::vector<Config> configs;
-  configs.push_back({"scale", SinglePipeline(
-      "scale", std::make_unique<ScaleError>(0.125),
-      std::make_unique<AlwaysCondition>(), {"BPM"})});
-  configs.push_back({"offset", SinglePipeline(
-      "offset", std::make_unique<OffsetError>(3.0),
-      std::make_unique<AlwaysCondition>(), {"BPM"})});
-  configs.push_back({"round", SinglePipeline(
-      "round", std::make_unique<RoundError>(2),
-      std::make_unique<AlwaysCondition>(), {"CaloriesBurned"})});
-  configs.push_back({"sign_flip", SinglePipeline(
-      "sign_flip", std::make_unique<SignFlipError>(),
-      std::make_unique<AlwaysCondition>(), {"Distance"})});
-  configs.push_back({"set_constant", SinglePipeline(
-      "set_constant", std::make_unique<SetConstantError>(Value(60.0)),
-      std::make_unique<AlwaysCondition>(), {"BPM"})});
-  configs.push_back({"missing_value", SinglePipeline(
-      "missing_value", std::make_unique<MissingValueError>(),
-      std::make_unique<AlwaysCondition>(), {"BPM"})});
-  configs.push_back({"scale_value_cond", SinglePipeline(
-      "scale_value_cond", std::make_unique<ScaleError>(2.0),
-      std::make_unique<ValueCondition>("BPM", CompareOp::kGt, Value(100.0)),
-      {"BPM"})});
-
-  const auto best_of = [](auto&& pass) {
-    double best = 1e100;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      pass();
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() < best) best = elapsed.count();
-    }
-    return best;
-  };
-
-  PollutionContext ctx;
-  ctx.stream_start = WearableStream().front().GetTimestamp().ValueOrDie();
-  ctx.stream_end = WearableStream().back().GetTimestamp().ValueOrDie();
-  std::vector<uint8_t> polluted;
-  std::vector<double> ratios;
-  Json families = Json::MakeObject();
-  for (Config& config : configs) {
-    if (!config.pipeline.SupportsColumnar()) {
-      std::fprintf(stderr, "FAIL: pipeline '%s' lost columnar support\n",
-                   config.name);
-      return false;
-    }
-    const double tuple_s =
-        best_of([&] { TuplePass(config.pipeline, &ctx); });
-    const double columnar_s =
-        best_of([&] { ColumnarPass(config.pipeline, &ctx, &polluted); });
-    const double ratio = tuple_s / columnar_s;
-    ratios.push_back(ratio);
-    Json entry = Json::MakeObject();
-    entry.Set("tuple_seconds", Json(tuple_s));
-    entry.Set("columnar_seconds", Json(columnar_s));
-    entry.Set("speedup", Json(ratio));
-    families.Set(config.name, std::move(entry));
-    std::fprintf(stderr,
-                 "columnar-speedup %-18s tuple=%.3fms columnar=%.3fms "
-                 "%.2fx\n",
-                 config.name, tuple_s * 1e3, columnar_s * 1e3, ratio);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  const double median = ratios[ratios.size() / 2];
-  const double transpose_s = best_of([&] {
-    auto transposed = Batch::FromTuples(WearableStream());
-    if (!transposed.ok()) std::abort();
-    TupleVector back = transposed.ValueOrDie().ToTuples();
-    benchmark::DoNotOptimize(back);
-  });
-
-  Json report = Json::MakeObject();
-  report.Set("bench", Json(std::string("micro_polluters_columnar")));
-  report.Set("rows", Json(static_cast<int64_t>(WearableStream().size())));
-  report.Set("transpose_seconds", Json(transpose_s));
-  report.Set("families", std::move(families));
-  report.Set("median_columnar_speedup", Json(median));
-  report.Set("floor", Json(2.0));
-  const std::string text = report.DumpPretty() + "\n";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return false;
-  }
-  std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  std::fprintf(stderr, "columnar-speedup median %.2fx (floor 2x) → %s\n",
-               median, out.c_str());
-  if (median < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: columnar execution is only %.2fx the tuple path "
-                 "(floor 2x) — the typed loops regressed\n",
-                 median);
-    return false;
-  }
-  return true;
-}
 
 /// Throughput assertion for the keyed path: keying must cost no more
 /// than one transparent-hash probe plus id assignment per tuple, so a
@@ -545,20 +373,9 @@ bool KeyedOverheadWithinBudget() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our own --out flag before google-benchmark sees the args.
-  std::string out = "BENCH_micro.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   if (!KeyedOverheadWithinBudget()) return 2;
-  if (!ColumnarSpeedupReport(out)) return 3;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -8,11 +8,6 @@ bool AlwaysCondition::Evaluate(const Tuple&, PollutionContext*) noexcept {
   return true;
 }
 
-void AlwaysCondition::RefineMask(const Batch&, PollutionContext*,
-                                 uint8_t*) noexcept {
-  // Fires for every row: every pending row stays pending.
-}
-
 Json AlwaysCondition::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "always");
@@ -25,11 +20,6 @@ ConditionPtr AlwaysCondition::Clone() const {
 
 bool NeverCondition::Evaluate(const Tuple&, PollutionContext*) noexcept {
   return false;
-}
-
-void NeverCondition::RefineMask(const Batch& batch, PollutionContext*,
-                                uint8_t* mask) noexcept {
-  for (size_t r = 0; r < batch.rows(); ++r) mask[r] = 0;
 }
 
 Json NeverCondition::ToJson() const {
@@ -50,20 +40,6 @@ bool RandomCondition::Evaluate(const Tuple&, PollutionContext* ctx) noexcept {
   // one there is no reproducible draw to make, so stay silent.
   if (ctx->rng == nullptr) return false;
   return ctx->rng->Bernoulli(p_);
-}
-
-void RandomCondition::RefineMask(const Batch& batch, PollutionContext* ctx,
-                                 uint8_t* mask) noexcept {
-  const size_t rows = batch.rows();
-  if (ctx->rng == nullptr) {
-    for (size_t r = 0; r < rows; ++r) mask[r] = 0;
-    return;
-  }
-  // One draw per *pending* row, in row order — exactly the draws the
-  // tuple path would make when short-circuiting reaches this node.
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] != 0 && !ctx->rng->Bernoulli(p_)) mask[r] = 0;
-  }
 }
 
 Json RandomCondition::ToJson() const {
@@ -145,10 +121,7 @@ Status ValueCondition::Bind(BindContext& ctx) {
 bool ValueCondition::Evaluate(const Tuple& tuple,
                               PollutionContext*) noexcept {
   if (!bound_) return false;
-  return Decide(accessor_.at(tuple));
-}
-
-bool ValueCondition::Decide(const Value& v) const noexcept {
+  const Value& v = accessor_.at(tuple);
   switch (op_) {
     case CompareOp::kIsNull:
       return v.is_null();
@@ -185,56 +158,6 @@ bool ValueCondition::Decide(const Value& v) const noexcept {
       return !(v < operand_);
     default:
       return false;  // unreachable: null ops handled above
-  }
-}
-
-void ValueCondition::RefineMask(const Batch& batch, PollutionContext*,
-                                uint8_t* mask) noexcept {
-  const size_t rows = batch.rows();
-  if (!bound_) {
-    for (size_t r = 0; r < rows; ++r) mask[r] = 0;
-    return;
-  }
-  const Column& col = accessor_.column(batch);
-  const ValueType declared = col.declared_type();
-  const bool comparison =
-      op_ != CompareOp::kIsNull && op_ != CompareOp::kNotNull;
-  if (comparison && operand_.is_numeric() &&
-      (declared == ValueType::kDouble || declared == ValueType::kInt64) &&
-      col.divergent().empty()) {
-    // Tight span loop: with no divergent entries, every row of a numeric
-    // column is either in the typed buffer or NULL, and numeric-numeric
-    // comparison is a plain double compare (Value::operator<).
-    const double od = operand_.ToDouble().ValueOrDie();
-    const double* doubles =
-        declared == ValueType::kDouble ? col.doubles() : nullptr;
-    const int64_t* int64s =
-        declared == ValueType::kInt64 ? col.int64s() : nullptr;
-    for (size_t r = 0; r < rows; ++r) {
-      if (mask[r] == 0) continue;
-      if (!col.IsValid(r)) {
-        // NULL vs a non-null operand: only != fires.
-        if (op_ != CompareOp::kNe) mask[r] = 0;
-        continue;
-      }
-      const double v =
-          doubles != nullptr ? doubles[r] : static_cast<double>(int64s[r]);
-      bool fired = false;
-      switch (op_) {
-        case CompareOp::kEq: fired = v == od; break;
-        case CompareOp::kNe: fired = v != od; break;
-        case CompareOp::kLt: fired = v < od; break;
-        case CompareOp::kLe: fired = v <= od; break;
-        case CompareOp::kGt: fired = v > od; break;
-        case CompareOp::kGe: fired = v >= od; break;
-        default: break;  // unreachable: null ops excluded above
-      }
-      if (!fired) mask[r] = 0;
-    }
-    return;
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] != 0 && !Decide(col.At(r))) mask[r] = 0;
   }
 }
 
@@ -281,14 +204,6 @@ bool TimeWindowCondition::Evaluate(const Tuple&,
   return ctx->tau >= start_ && ctx->tau < end_;
 }
 
-void TimeWindowCondition::RefineMask(const Batch& batch, PollutionContext*,
-                                     uint8_t* mask) noexcept {
-  const Timestamp* tau = batch.event_times();
-  for (size_t r = 0; r < batch.rows(); ++r) {
-    if (mask[r] != 0 && !(tau[r] >= start_ && tau[r] < end_)) mask[r] = 0;
-  }
-}
-
 Json TimeWindowCondition::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "time_window");
@@ -317,19 +232,6 @@ bool DailyWindowCondition::Evaluate(const Tuple&,
   return minute >= start_minute_ || minute <= end_minute_;
 }
 
-void DailyWindowCondition::RefineMask(const Batch& batch, PollutionContext*,
-                                      uint8_t* mask) noexcept {
-  const Timestamp* tau = batch.event_times();
-  for (size_t r = 0; r < batch.rows(); ++r) {
-    if (mask[r] == 0) continue;
-    const int minute = MinuteOfDay(tau[r]);
-    const bool fired = start_minute_ <= end_minute_
-                           ? minute >= start_minute_ && minute <= end_minute_
-                           : minute >= start_minute_ || minute <= end_minute_;
-    if (!fired) mask[r] = 0;
-  }
-}
-
 Json DailyWindowCondition::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "daily_window");
@@ -350,24 +252,6 @@ bool ProfileProbabilityCondition::Evaluate(const Tuple&,
                                            PollutionContext* ctx) noexcept {
   if (ctx->rng == nullptr) return false;
   return ctx->rng->Bernoulli(profile_->Evaluate(*ctx));
-}
-
-void ProfileProbabilityCondition::RefineMask(const Batch& batch,
-                                             PollutionContext* ctx,
-                                             uint8_t* mask) noexcept {
-  const size_t rows = batch.rows();
-  if (ctx->rng == nullptr) {
-    for (size_t r = 0; r < rows; ++r) mask[r] = 0;
-    return;
-  }
-  const Timestamp* tau = batch.event_times();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] == 0) continue;
-    // Profiles read the event time through the context; the RefineMask
-    // contract lets us clobber ctx->tau row by row.
-    ctx->tau = tau[r];
-    if (!ctx->rng->Bernoulli(profile_->Evaluate(*ctx))) mask[r] = 0;
-  }
 }
 
 Json ProfileProbabilityCondition::ToJson() const {
@@ -399,26 +283,6 @@ bool AndCondition::Evaluate(const Tuple& tuple,
     if (!child->Evaluate(tuple, ctx)) return false;
   }
   return true;
-}
-
-ColumnarSpec AndCondition::Columnar() const {
-  ColumnarSpec spec{true, 0};
-  for (const ConditionPtr& child : children_) {
-    const ColumnarSpec c = child->Columnar();
-    if (!c.supported) return {};
-    spec.rng_consumers += c.rng_consumers;
-  }
-  return spec;
-}
-
-void AndCondition::RefineMask(const Batch& batch, PollutionContext* ctx,
-                              uint8_t* mask) noexcept {
-  // Sequential refinement replays short-circuit evaluation exactly: a
-  // child only sees (and only draws for) the rows every earlier child
-  // fired for.
-  for (const ConditionPtr& child : children_) {
-    child->RefineMask(batch, ctx, mask);
-  }
 }
 
 Json AndCondition::ToJson() const {
@@ -455,40 +319,6 @@ bool OrCondition::Evaluate(const Tuple& tuple,
     if (child->Evaluate(tuple, ctx)) return true;
   }
   return false;
-}
-
-ColumnarSpec OrCondition::Columnar() const {
-  ColumnarSpec spec{true, 0};
-  for (const ConditionPtr& child : children_) {
-    const ColumnarSpec c = child->Columnar();
-    if (!c.supported) return {};
-    spec.rng_consumers += c.rng_consumers;
-  }
-  return spec;
-}
-
-void OrCondition::RefineMask(const Batch& batch, PollutionContext* ctx,
-                             uint8_t* mask) noexcept {
-  // Disjunction with short-circuiting: a child is only consulted for
-  // rows no earlier child fired for. `pending` tracks those; `mask`
-  // accumulates the fired rows.
-  const size_t rows = batch.rows();
-  std::vector<uint8_t> pending(mask, mask + rows);
-  std::vector<uint8_t> scratch(rows);
-  for (size_t r = 0; r < rows; ++r) mask[r] = 0;
-  for (const ConditionPtr& child : children_) {
-    bool any_pending = false;
-    for (size_t r = 0; r < rows; ++r) any_pending |= pending[r] != 0;
-    if (!any_pending) break;
-    scratch.assign(pending.begin(), pending.end());
-    child->RefineMask(batch, ctx, scratch.data());
-    for (size_t r = 0; r < rows; ++r) {
-      if (scratch[r] != 0) {
-        mask[r] = 1;
-        pending[r] = 0;
-      }
-    }
-  }
 }
 
 Json OrCondition::ToJson() const {
@@ -687,19 +517,6 @@ Status NotCondition::Bind(BindContext& ctx) {
 bool NotCondition::Evaluate(const Tuple& tuple,
                             PollutionContext* ctx) noexcept {
   return !child_->Evaluate(tuple, ctx);
-}
-
-ColumnarSpec NotCondition::Columnar() const { return child_->Columnar(); }
-
-void NotCondition::RefineMask(const Batch& batch, PollutionContext* ctx,
-                              uint8_t* mask) noexcept {
-  const size_t rows = batch.rows();
-  std::vector<uint8_t> scratch(mask, mask + rows);
-  child_->RefineMask(batch, ctx, scratch.data());
-  // A pending row survives iff the child did NOT fire for it.
-  for (size_t r = 0; r < rows; ++r) {
-    if (scratch[r] != 0) mask[r] = 0;
-  }
 }
 
 Json NotCondition::ToJson() const {

@@ -9,28 +9,12 @@
 
 #include "core/context.h"
 #include "core/time_profile.h"
-#include "stream/batch.h"
 #include "stream/bind.h"
 #include "stream/tuple.h"
 #include "util/json.h"
 #include "util/result.h"
 
 namespace icewafl {
-
-/// \brief Columnar capability of a condition subtree (DESIGN.md §13).
-///
-/// `supported` says whether RefineMask is implemented for the whole
-/// subtree. `rng_consumers` counts the probabilistic nodes inside it:
-/// the columnar driver stages condition evaluation before error
-/// application, which preserves the tuple path's RNG draw order only
-/// while the polluter has at most one RNG consumer in total (condition
-/// tree plus error function) — more than one, and the interleaved
-/// per-tuple draws cannot be replayed stage-by-stage, so the polluter
-/// falls back to the tuple path.
-struct ColumnarSpec {
-  bool supported = false;
-  int rng_consumers = 0;
-};
 
 /// \brief A pollution condition c(t, tau) (Section 2.2).
 ///
@@ -63,25 +47,6 @@ class Condition {
   virtual bool Evaluate(const Tuple& tuple,
                         PollutionContext* ctx) noexcept = 0;
 
-  /// \brief Columnar capability of this subtree. Default: unsupported
-  /// (stateful conditions like window aggregates and holds depend on
-  /// tuple-at-a-time evaluation order across batches).
-  virtual ColumnarSpec Columnar() const { return {}; }
-
-  /// \brief Columnar twin of Evaluate: refines `mask` (one byte per
-  /// batch row; non-zero = still pending) in place, clearing the byte of
-  /// every pending row the condition does not fire for. Contract
-  /// (byte-identity with the tuple path): pending rows are visited in
-  /// ascending order, exactly the RNG draws Evaluate would make are
-  /// made, and `ctx->tau` may be clobbered (the driver re-derives it).
-  /// Only called when Columnar().supported; the default conservatively
-  /// clears everything, mirroring Evaluate's unbound false.
-  virtual void RefineMask(const Batch& batch, PollutionContext* ctx,
-                          uint8_t* mask) noexcept {
-    (void)ctx;
-    for (size_t r = 0; r < batch.rows(); ++r) mask[r] = 0;
-  }
-
   virtual std::string name() const = 0;
   virtual Json ToJson() const = 0;
   virtual std::unique_ptr<Condition> Clone() const = 0;
@@ -93,9 +58,6 @@ using ConditionPtr = std::unique_ptr<Condition>;
 class AlwaysCondition : public Condition {
  public:
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 0}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "always"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -105,9 +67,6 @@ class AlwaysCondition : public Condition {
 class NeverCondition : public Condition {
  public:
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 0}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "never"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -118,9 +77,6 @@ class RandomCondition : public Condition {
  public:
   explicit RandomCondition(double p);
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 1}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "random"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -160,18 +116,11 @@ class ValueCondition : public Condition {
   Status Bind(BindContext& ctx) override;
 
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 0}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "value"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
 
  private:
-  /// Post-bind comparison of one stored value against the operand; the
-  /// single source of truth shared by Evaluate and RefineMask.
-  bool Decide(const Value& v) const noexcept;
-
   std::string attribute_;
   CompareOp op_;
   Value operand_;
@@ -191,9 +140,6 @@ class TimeWindowCondition : public Condition {
   static ConditionPtr After(Timestamp start);
 
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 0}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "time_window"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -210,9 +156,6 @@ class DailyWindowCondition : public Condition {
  public:
   DailyWindowCondition(int start_minute, int end_minute);
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 0}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "daily_window"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -229,9 +172,6 @@ class ProfileProbabilityCondition : public Condition {
  public:
   explicit ProfileProbabilityCondition(TimeProfilePtr profile);
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override { return {true, 1}; }
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "profile_probability"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -247,9 +187,6 @@ class AndCondition : public Condition {
   explicit AndCondition(std::vector<ConditionPtr> children);
   Status Bind(BindContext& ctx) override;
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override;
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "and"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -264,9 +201,6 @@ class OrCondition : public Condition {
   explicit OrCondition(std::vector<ConditionPtr> children);
   Status Bind(BindContext& ctx) override;
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override;
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "or"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
@@ -354,9 +288,6 @@ class NotCondition : public Condition {
   explicit NotCondition(ConditionPtr child);
   Status Bind(BindContext& ctx) override;
   bool Evaluate(const Tuple& tuple, PollutionContext* ctx) noexcept override;
-  ColumnarSpec Columnar() const override;
-  void RefineMask(const Batch& batch, PollutionContext* ctx,
-                  uint8_t* mask) noexcept override;
   std::string name() const override { return "not"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;

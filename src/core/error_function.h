@@ -86,24 +86,6 @@ class ErrorFunction {
     (void)attrs;
   }
 
-  /// \brief True when ApplyColumnar is implemented (DESIGN.md §13).
-  /// Columnar errors must be stateless per tuple: a no-op Observe and an
-  /// Apply that factors into independent per-row work.
-  virtual bool SupportsColumnar() const { return false; }
-
-  /// \brief Columnar twin of Apply: for every row with mask[row] != 0,
-  /// in ascending row order, transforms the batch's target columns,
-  /// making exactly the RNG draws Apply would make for that tuple (the
-  /// byte-identity contract with the tuple path). Only called when
-  /// SupportsColumnar(); the default is a no-op.
-  virtual void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                             const uint8_t* mask, PollutionContext* ctx) {
-    (void)batch;
-    (void)attrs;
-    (void)mask;
-    (void)ctx;
-  }
-
   /// \brief Stable identifier used in configs and logs.
   virtual std::string name() const = 0;
 

@@ -39,75 +39,6 @@ bool SeverityGate(PollutionContext* ctx) {
   return ctx->rng->Bernoulli(ctx->severity);
 }
 
-/// Per-row columnar twin of TransformNumeric: rewrites the targeted
-/// columns of one batch row. Valid slots are transformed in place in
-/// the typed buffers; divergent values are transformed only when
-/// numeric, preserving their runtime type, so a row round-trips to
-/// exactly the bytes the tuple path would produce.
-template <typename Fn>
-void TransformNumericRow(Batch* batch, const std::vector<size_t>& attrs,
-                         size_t row, Fn&& fn) {
-  for (size_t idx : attrs) {
-    if (idx >= batch->num_columns()) continue;
-    Column& col = batch->column(idx);
-    if (col.IsValid(row)) {
-      if (col.declared_type() == ValueType::kDouble) {
-        double* slot = col.doubles() + row;
-        *slot = fn(*slot);
-      } else if (col.declared_type() == ValueType::kInt64) {
-        int64_t* slot = col.int64s() + row;
-        *slot = static_cast<int64_t>(
-            std::llround(fn(static_cast<double>(*slot))));
-      }
-      continue;
-    }
-    Value* dv = col.DivergentAt(row);
-    if (dv == nullptr || !dv->is_numeric()) continue;
-    const double in =
-        dv->is_double() ? dv->AsDouble() : static_cast<double>(dv->AsInt64());
-    const double out = fn(in);
-    *dv = dv->is_int64() ? Value(static_cast<int64_t>(std::llround(out)))
-                         : Value(out);
-  }
-}
-
-/// Column-major twin for draw-free transforms (scale/offset, or gated
-/// errors running at severity 1.0 where the gate never draws): tight
-/// loops over the typed buffers for masked valid rows, then the
-/// divergent tail. Must not be used when fn draws from the RNG — the
-/// column-major order would permute the tuple path's row-major draws.
-template <typename Fn>
-void TransformNumericColumns(Batch* batch, const std::vector<size_t>& attrs,
-                             const uint8_t* mask, Fn&& fn) {
-  const size_t rows = batch->rows();
-  for (size_t idx : attrs) {
-    if (idx >= batch->num_columns()) continue;
-    Column& col = batch->column(idx);
-    if (col.declared_type() == ValueType::kDouble) {
-      double* values = col.doubles();
-      for (size_t r = 0; r < rows; ++r) {
-        if (mask[r] != 0 && col.IsValid(r)) values[r] = fn(values[r]);
-      }
-    } else if (col.declared_type() == ValueType::kInt64) {
-      int64_t* values = col.int64s();
-      for (size_t r = 0; r < rows; ++r) {
-        if (mask[r] != 0 && col.IsValid(r)) {
-          values[r] = static_cast<int64_t>(
-              std::llround(fn(static_cast<double>(values[r]))));
-        }
-      }
-    }
-    for (auto& [row, dv] : col.mutable_divergent()) {
-      if (mask[row] == 0 || !dv.is_numeric()) continue;
-      const double in =
-          dv.is_double() ? dv.AsDouble() : static_cast<double>(dv.AsInt64());
-      const double out = fn(in);
-      dv = dv.is_int64() ? Value(static_cast<int64_t>(std::llround(out)))
-                         : Value(out);
-    }
-  }
-}
-
 }  // namespace
 
 GaussianNoiseError::GaussianNoiseError(double stddev, bool multiplicative)
@@ -122,22 +53,6 @@ void GaussianNoiseError::Apply(Tuple* tuple,
                                              : 0.0;
     return multiplicative_ ? v * (1.0 + noise) : v + noise;
   });
-}
-
-void GaussianNoiseError::ApplyColumnar(Batch* batch,
-                                       const std::vector<size_t>& attrs,
-                                       const uint8_t* mask,
-                                       PollutionContext* ctx) {
-  const double sigma = stddev_ * ctx->severity;
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] == 0) continue;
-    TransformNumericRow(batch, attrs, r, [&](double v) {
-      const double noise =
-          ctx->rng != nullptr ? ctx->rng->Gaussian(0.0, sigma) : 0.0;
-      return multiplicative_ ? v * (1.0 + noise) : v + noise;
-    });
-  }
 }
 
 Json GaussianNoiseError::ToJson() const {
@@ -167,24 +82,6 @@ void UniformNoiseError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
   });
 }
 
-void UniformNoiseError::ApplyColumnar(Batch* batch,
-                                      const std::vector<size_t>& attrs,
-                                      const uint8_t* mask,
-                                      PollutionContext* ctx) {
-  const double lo = lo_ * ctx->severity;
-  const double hi = hi_ * ctx->severity;
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] == 0) continue;
-    TransformNumericRow(batch, attrs, r, [&](double v) {
-      if (ctx->rng == nullptr) return v;
-      const double f = ctx->rng->Uniform(lo, hi);
-      const bool increase = ctx->rng->Bernoulli(0.5);
-      return increase ? v * (1.0 + f) : v * (1.0 - f);
-    });
-  }
-}
-
 Json UniformNoiseError::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "uniform_noise");
@@ -203,13 +100,6 @@ void ScaleError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
                        PollutionContext* ctx) {
   const double factor = 1.0 + (factor_ - 1.0) * ctx->severity;
   TransformNumeric(tuple, attrs, [&](double v) { return v * factor; });
-}
-
-void ScaleError::ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                               const uint8_t* mask, PollutionContext* ctx) {
-  const double factor = 1.0 + (factor_ - 1.0) * ctx->severity;
-  TransformNumericColumns(batch, attrs, mask,
-                          [&](double v) { return v * factor; });
 }
 
 Json ScaleError::ToJson() const {
@@ -231,13 +121,6 @@ void OffsetError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
   TransformNumeric(tuple, attrs, [&](double v) { return v + delta; });
 }
 
-void OffsetError::ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                                const uint8_t* mask, PollutionContext* ctx) {
-  const double delta = delta_ * ctx->severity;
-  TransformNumericColumns(batch, attrs, mask,
-                          [&](double v) { return v + delta; });
-}
-
 Json OffsetError::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "offset");
@@ -257,23 +140,6 @@ void RoundError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
   const double scale = std::pow(10.0, precision_);
   TransformNumeric(tuple, attrs,
                    [&](double v) { return std::round(v * scale) / scale; });
-}
-
-void RoundError::ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                               const uint8_t* mask, PollutionContext* ctx) {
-  const double scale = std::pow(10.0, precision_);
-  auto fn = [&](double v) { return std::round(v * scale) / scale; };
-  if (ctx->severity >= 1.0) {
-    // Gate always passes without drawing; column-major is draw-free.
-    TransformNumericColumns(batch, attrs, mask, fn);
-    return;
-  }
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] != 0 && SeverityGate(ctx)) {
-      TransformNumericRow(batch, attrs, r, fn);
-    }
-  }
 }
 
 Json RoundError::ToJson() const {
@@ -300,23 +166,6 @@ void UnitConversionError::Apply(Tuple* tuple,
   TransformNumeric(tuple, attrs, [&](double v) { return v * factor_; });
 }
 
-void UnitConversionError::ApplyColumnar(Batch* batch,
-                                        const std::vector<size_t>& attrs,
-                                        const uint8_t* mask,
-                                        PollutionContext* ctx) {
-  auto fn = [&](double v) { return v * factor_; };
-  if (ctx->severity >= 1.0) {
-    TransformNumericColumns(batch, attrs, mask, fn);
-    return;
-  }
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] != 0 && SeverityGate(ctx)) {
-      TransformNumericRow(batch, attrs, r, fn);
-    }
-  }
-}
-
 Json UnitConversionError::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "unit_conversion");
@@ -341,20 +190,6 @@ void OutlierError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
     const double f = ctx->rng->Uniform(min_factor_, max_factor_);
     return ctx->rng->Bernoulli(0.5) ? v * f : v / f;
   });
-}
-
-void OutlierError::ApplyColumnar(Batch* batch,
-                                 const std::vector<size_t>& attrs,
-                                 const uint8_t* mask, PollutionContext* ctx) {
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] == 0 || !SeverityGate(ctx)) continue;
-    TransformNumericRow(batch, attrs, r, [&](double v) {
-      if (ctx->rng == nullptr) return v * max_factor_;
-      const double f = ctx->rng->Uniform(min_factor_, max_factor_);
-      return ctx->rng->Bernoulli(0.5) ? v * f : v / f;
-    });
-  }
 }
 
 Json OutlierError::ToJson() const {
@@ -417,22 +252,6 @@ void SignFlipError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
                           PollutionContext* ctx) {
   if (!SeverityGate(ctx)) return;
   TransformNumeric(tuple, attrs, [](double v) { return -v; });
-}
-
-void SignFlipError::ApplyColumnar(Batch* batch,
-                                  const std::vector<size_t>& attrs,
-                                  const uint8_t* mask, PollutionContext* ctx) {
-  auto fn = [](double v) { return -v; };
-  if (ctx->severity >= 1.0) {
-    TransformNumericColumns(batch, attrs, mask, fn);
-    return;
-  }
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] != 0 && SeverityGate(ctx)) {
-      TransformNumericRow(batch, attrs, r, fn);
-    }
-  }
 }
 
 Json SignFlipError::ToJson() const {

@@ -17,9 +17,6 @@ class GaussianNoiseError : public ErrorFunction {
   explicit GaussianNoiseError(double stddev, bool multiplicative = false);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "gaussian_noise"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric, .uses_rng = true};
@@ -41,9 +38,6 @@ class UniformNoiseError : public ErrorFunction {
   UniformNoiseError(double lo, double hi);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "uniform_noise"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric, .uses_rng = true};
@@ -62,9 +56,6 @@ class ScaleError : public ErrorFunction {
   explicit ScaleError(double factor);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "scale"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric};
@@ -83,9 +74,6 @@ class OffsetError : public ErrorFunction {
   explicit OffsetError(double delta);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "offset"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric};
@@ -105,9 +93,6 @@ class RoundError : public ErrorFunction {
   explicit RoundError(int precision);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "round"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric};
@@ -128,9 +113,6 @@ class UnitConversionError : public ErrorFunction {
                       std::string to_unit);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "unit_conversion"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric};
@@ -151,9 +133,6 @@ class OutlierError : public ErrorFunction {
   OutlierError(double min_factor, double max_factor);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "outlier"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric, .uses_rng = true};
@@ -190,9 +169,6 @@ class SignFlipError : public ErrorFunction {
   SignFlipError() = default;
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "sign_flip"; }
   ErrorTraits Describe() const override {
     return {.domain = ErrorDomain::kNumeric};

@@ -30,19 +30,6 @@ void MissingValueError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
   }
 }
 
-void MissingValueError::ApplyColumnar(Batch* batch,
-                                      const std::vector<size_t>& attrs,
-                                      const uint8_t* mask,
-                                      PollutionContext* ctx) {
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] == 0 || !SeverityGate(ctx)) continue;
-    for (size_t idx : attrs) {
-      if (idx < batch->num_columns()) batch->column(idx).SetNull(r);
-    }
-  }
-}
-
 Json MissingValueError::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "missing_value");
@@ -60,19 +47,6 @@ void SetConstantError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
   if (!SeverityGate(ctx)) return;
   for (size_t idx : attrs) {
     if (InRange(*tuple, idx)) tuple->set_value(idx, value_);
-  }
-}
-
-void SetConstantError::ApplyColumnar(Batch* batch,
-                                     const std::vector<size_t>& attrs,
-                                     const uint8_t* mask,
-                                     PollutionContext* ctx) {
-  const size_t rows = batch->rows();
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask[r] == 0 || !SeverityGate(ctx)) continue;
-    for (size_t idx : attrs) {
-      if (idx < batch->num_columns()) batch->column(idx).Set(r, value_);
-    }
   }
 }
 

@@ -15,9 +15,6 @@ class MissingValueError : public ErrorFunction {
   MissingValueError() = default;
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "missing_value"; }
   ErrorTraits Describe() const override {
     return {};
@@ -33,9 +30,6 @@ class SetConstantError : public ErrorFunction {
   explicit SetConstantError(Value value);
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
-  bool SupportsColumnar() const override { return true; }
-  void ApplyColumnar(Batch* batch, const std::vector<size_t>& attrs,
-                     const uint8_t* mask, PollutionContext* ctx) override;
   std::string name() const override { return "set_constant"; }
   ErrorTraits Describe() const override {
     return {};

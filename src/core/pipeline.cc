@@ -79,21 +79,6 @@ Status PollutionPipeline::Apply(Tuple* tuple, PollutionContext* ctx,
   return Status::OK();
 }
 
-bool PollutionPipeline::SupportsColumnar() const {
-  for (const PolluterPtr& p : polluters_) {
-    if (!p->SupportsColumnar()) return false;
-  }
-  return true;
-}
-
-Status PollutionPipeline::ApplyColumnar(Batch* batch, PollutionContext* ctx,
-                                        uint8_t* polluted) const {
-  for (const PolluterPtr& p : polluters_) {
-    ICEWAFL_RETURN_NOT_OK(p->PolluteColumnar(batch, ctx, polluted));
-  }
-  return Status::OK();
-}
-
 void PollutionPipeline::ResetStats() {
   for (const PolluterPtr& p : polluters_) p->ResetStats();
 }

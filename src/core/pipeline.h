@@ -52,18 +52,6 @@ class PollutionPipeline {
   /// \brief Runs the tuple through all polluters in order.
   Status Apply(Tuple* tuple, PollutionContext* ctx, PollutionLog* log) const;
 
-  /// \brief True when every polluter supports columnar execution, so
-  /// the whole pipeline can run over a Batch (DESIGN.md §13).
-  bool SupportsColumnar() const;
-
-  /// \brief Columnar twin of Apply: runs every polluter's
-  /// PolluteColumnar over the batch in order. `polluted` must hold
-  /// batch->rows() zero-initialized bytes; rows touched by any polluter
-  /// are set to 1. Byte-identical to the tuple path when
-  /// ctx->severity == 1.0; only call when SupportsColumnar().
-  Status ApplyColumnar(Batch* batch, PollutionContext* ctx,
-                       uint8_t* polluted) const;
-
   /// \brief Clears the applied counters of all polluters.
   void ResetStats();
 

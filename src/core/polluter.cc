@@ -63,37 +63,6 @@ Status StandardPolluter::Pollute(Tuple* tuple, PollutionContext* ctx,
 
 void StandardPolluter::Seed(Rng* parent) { rng_ = parent->Fork(); }
 
-bool StandardPolluter::SupportsColumnar() const {
-  const ColumnarSpec cond = condition_->Columnar();
-  if (!cond.supported || !error_->SupportsColumnar()) return false;
-  // Staged execution (all condition draws, then all error draws) only
-  // replays the tuple path's interleaved order with <= 1 RNG consumer.
-  const int consumers =
-      cond.rng_consumers + (error_->Describe().uses_rng ? 1 : 0);
-  return consumers <= 1;
-}
-
-Status StandardPolluter::PolluteColumnar(Batch* batch, PollutionContext* ctx,
-                                         uint8_t* polluted) {
-  ICEWAFL_RETURN_NOT_OK(EnsureBoundSchema(batch->schema()));
-  const size_t rows = batch->rows();
-  Rng* const outer_rng = ctx->rng;
-  ctx->rng = &rng_;
-  // Columnar errors have a no-op Observe (the SupportsColumnar
-  // contract), so the per-tuple Observe pass is skipped entirely.
-  mask_.assign(rows, 1);
-  condition_->RefineMask(*batch, ctx, mask_.data());
-  error_->ApplyColumnar(batch, attr_indices_, mask_.data(), ctx);
-  for (size_t r = 0; r < rows; ++r) {
-    if (mask_[r] != 0) {
-      ++applied_count_;
-      polluted[r] = 1;
-    }
-  }
-  ctx->rng = outer_rng;
-  return Status::OK();
-}
-
 Json StandardPolluter::ToJson() const {
   Json j = Json::MakeObject();
   j.Set("type", "standard");

@@ -49,30 +49,6 @@ class Polluter {
   /// Deterministic: the same parent state yields the same child streams.
   virtual void Seed(Rng* parent) = 0;
 
-  /// \brief True when this polluter can execute over a columnar Batch
-  /// (DESIGN.md §13): the condition tree supports mask refinement, the
-  /// error implements ApplyColumnar, and at most one of the two draws
-  /// from the random stream — staged whole-batch execution (all
-  /// condition draws, then all error draws) replays the tuple path's
-  /// interleaved draw order only when a single consumer exists.
-  virtual bool SupportsColumnar() const { return false; }
-
-  /// \brief Columnar twin of Pollute: refines a condition mask over the
-  /// whole batch, then applies the error to the fired rows in one pass.
-  /// Sets polluted[row] = 1 for every row that fired; rows that did not
-  /// fire are left untouched so pipelines can OR across polluters.
-  /// Byte-identical to per-tuple Pollute when ctx->severity == 1.0 (the
-  /// streaming operator's invariant — derived temporal errors are not
-  /// columnarized). Only called when SupportsColumnar().
-  virtual Status PolluteColumnar(Batch* batch, PollutionContext* ctx,
-                                 uint8_t* polluted) {
-    (void)batch;
-    (void)ctx;
-    (void)polluted;
-    return Status::Internal("polluter '" + label_ +
-                            "': no columnar support");
-  }
-
   /// \brief Unique label within a pipeline, used in logs and configs.
   const std::string& label() const { return label_; }
 
@@ -93,18 +69,6 @@ class Polluter {
                               "': tuple has no schema");
     }
     BindContext ctx(*tuple.schema());
-    return Bind(ctx);
-  }
-
-  /// \brief Batch twin of EnsureBound: re-binds when the batch's schema
-  /// differs (by identity) from the bound one.
-  Status EnsureBoundSchema(const SchemaPtr& schema) {
-    if (bound_schema_ == schema.get()) return Status::OK();
-    if (schema == nullptr) {
-      return Status::Internal("polluter '" + label_ +
-                              "': batch has no schema");
-    }
-    BindContext ctx(*schema);
     return Bind(ctx);
   }
 
@@ -129,9 +93,6 @@ class StandardPolluter : public Polluter {
   Status Pollute(Tuple* tuple, PollutionContext* ctx,
                  PollutionLog* log) override;
   void Seed(Rng* parent) override;
-  bool SupportsColumnar() const override;
-  Status PolluteColumnar(Batch* batch, PollutionContext* ctx,
-                         uint8_t* polluted) override;
   Json ToJson() const override;
   PolluterPtr Clone() const override;
 
@@ -147,8 +108,6 @@ class StandardPolluter : public Polluter {
 
   // Target attribute indices, resolved by Bind.
   std::vector<size_t> attr_indices_;
-  // Condition-mask scratch reused across PolluteColumnar calls.
-  std::vector<uint8_t> mask_;
 };
 
 }  // namespace icewafl

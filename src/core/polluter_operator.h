@@ -2,11 +2,9 @@
 #define ICEWAFL_CORE_POLLUTER_OPERATOR_H_
 
 #include <utility>
-#include <vector>
 
 #include "core/pipeline.h"
 #include "obs/metrics.h"
-#include "stream/batch.h"
 #include "stream/operator.h"
 
 namespace icewafl {
@@ -27,8 +25,7 @@ class PolluterOperator : public Operator {
       : pipeline_(std::move(pipeline)),
         stream_start_(stream_start),
         stream_end_(stream_end),
-        log_(log),
-        columnar_(pipeline_.SupportsColumnar()) {
+        log_(log) {
     pipeline_.Seed(seed);
   }
 
@@ -61,78 +58,22 @@ class PolluterOperator : public Operator {
   }
 
   Status Process(Tuple tuple, Emitter* out) override {
-    ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
     PollutionContext ctx;
     ctx.stream_start = stream_start_;
     ctx.stream_end = stream_end_;
-    ctx.tau = tuple.event_time();
-    const uint64_t applied_before =
-        tuples_seen_ != nullptr ? pipeline_.TotalAppliedCount() : 0;
-    ICEWAFL_RETURN_NOT_OK(pipeline_.Apply(&tuple, &ctx, log_));
-    if (tuples_seen_ != nullptr) {
-      tuples_seen_->Increment();
-      if (pipeline_.TotalAppliedCount() > applied_before) {
-        tuples_polluted_->Increment();
-      }
-    }
+    ICEWAFL_RETURN_NOT_OK(PolluteOne(&tuple, &ctx));
     return out->Emit(std::move(tuple));
   }
 
   /// \brief Batched fast path: the context (with its fixed stream
   /// bounds) is set up once per batch instead of once per tuple, and the
-  /// pipeline is applied in a tight loop. When every polluter supports
-  /// columnar execution (and no pollution log is attached), the batch is
-  /// transposed to a columnar Batch and the pipeline runs over typed
-  /// column buffers instead of per-value variant dispatch (DESIGN.md
-  /// §13) — output is byte-identical either way.
+  /// pipeline is applied in a tight loop.
   Status ProcessBatch(TupleVector* batch, Emitter* out) override {
     PollutionContext ctx;
     ctx.stream_start = stream_start_;
     ctx.stream_end = stream_end_;
-    const bool instrumented = tuples_seen_ != nullptr;
-    if (columnar_ && log_ == nullptr && !batch->empty()) {
-      for (Tuple& tuple : *batch) {
-        ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
-      }
-      // Mixed schemas or missing ones fall through to the tuple path.
-      Result<Batch> transposed = Batch::FromTuples(*batch);
-      if (transposed.ok()) {
-        Batch columnar = std::move(transposed).ValueOrDie();
-        ctx.severity = 1.0;
-        ctx.rng = nullptr;
-        polluted_.assign(columnar.rows(), 0);
-        // Seen is counted before Apply so a mid-batch failure can never
-        // leave polluted_total > tuples_total.
-        if (instrumented) tuples_seen_->Increment(columnar.rows());
-        ICEWAFL_RETURN_NOT_OK(
-            pipeline_.ApplyColumnar(&columnar, &ctx, polluted_.data()));
-        if (instrumented) {
-          uint64_t hit = 0;
-          for (uint8_t p : polluted_) hit += p;
-          if (hit > 0) tuples_polluted_->Increment(hit);
-        }
-        TupleVector result = columnar.ToTuples();
-        for (Tuple& tuple : result) {
-          ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
-        }
-        batch->clear();
-        return Status::OK();
-      }
-    }
     for (Tuple& tuple : *batch) {
-      ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
-      ctx.tau = tuple.event_time();
-      ctx.severity = 1.0;
-      ctx.rng = nullptr;
-      const uint64_t applied_before =
-          instrumented ? pipeline_.TotalAppliedCount() : 0;
-      // Seen is counted before Apply so a mid-batch failure can never
-      // leave polluted_total > tuples_total.
-      if (instrumented) tuples_seen_->Increment();
-      ICEWAFL_RETURN_NOT_OK(pipeline_.Apply(&tuple, &ctx, log_));
-      if (instrumented && pipeline_.TotalAppliedCount() > applied_before) {
-        tuples_polluted_->Increment();
-      }
+      ICEWAFL_RETURN_NOT_OK(PolluteOne(&tuple, &ctx));
       ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
     }
     batch->clear();
@@ -151,13 +92,29 @@ class PolluterOperator : public Operator {
   const PollutionPipeline& pipeline() const { return pipeline_; }
 
  private:
-  /// Assigns id and event-time replica if the upstream has not done so.
-  Status Prepare(Tuple* tuple) {
-    if (tuple->id() != kInvalidTupleId) return Status::OK();
-    tuple->set_id(next_id_++);
-    ICEWAFL_ASSIGN_OR_RETURN(Timestamp ts, tuple->GetTimestamp());
-    tuple->set_event_time(ts);
-    tuple->set_arrival_time(ts);
+  /// Prepares `*tuple` (id and event-time replica, if the upstream has
+  /// not done so), resets the per-tuple fields of `*ctx` and applies the
+  /// pipeline, counting the tuple as seen and, if any top-level polluter
+  /// fired, as polluted.
+  Status PolluteOne(Tuple* tuple, PollutionContext* ctx) {
+    if (tuple->id() == kInvalidTupleId) {
+      tuple->set_id(next_id_++);
+      ICEWAFL_ASSIGN_OR_RETURN(Timestamp ts, tuple->GetTimestamp());
+      tuple->set_event_time(ts);
+      tuple->set_arrival_time(ts);
+    }
+    ctx->tau = tuple->event_time();
+    ctx->severity = 1.0;
+    ctx->rng = nullptr;
+    if (tuples_seen_ == nullptr) return pipeline_.Apply(tuple, ctx, log_);
+    const uint64_t applied_before = pipeline_.TotalAppliedCount();
+    // Seen is counted before Apply so a failure can never leave
+    // polluted_total > tuples_total.
+    tuples_seen_->Increment();
+    ICEWAFL_RETURN_NOT_OK(pipeline_.Apply(tuple, ctx, log_));
+    if (pipeline_.TotalAppliedCount() > applied_before) {
+      tuples_polluted_->Increment();
+    }
     return Status::OK();
   }
 
@@ -169,11 +126,6 @@ class PolluterOperator : public Operator {
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Counter* tuples_seen_ = nullptr;
   obs::Counter* tuples_polluted_ = nullptr;
-  // Whether every polluter supports columnar execution (fixed at
-  // construction; the polluter set never changes afterwards).
-  const bool columnar_;
-  // Per-batch polluted-row scratch reused across ProcessBatch calls.
-  std::vector<uint8_t> polluted_;
 };
 
 }  // namespace icewafl

@@ -212,10 +212,18 @@ Result<ResolvedScenario> ResolveScenario(const std::string& name,
   if (scenario.clean.empty()) {
     return Status::Internal("scenario '" + name + "' generated no tuples");
   }
-  ICEWAFL_ASSIGN_OR_RETURN(scenario.stream_start,
-                           scenario.clean.front().GetTimestamp());
-  ICEWAFL_ASSIGN_OR_RETURN(scenario.stream_end,
-                           scenario.clean.back().GetTimestamp());
+  // Prepare once (Algorithm 1, lines 1-3): id = row index, event and
+  // arrival time = timestamp. Left to PolluterOperator, every parallel
+  // worker and every plan segment would number its tuples from 0.
+  for (size_t i = 0; i < scenario.clean.size(); ++i) {
+    Tuple& t = scenario.clean[i];
+    t.set_id(i);
+    ICEWAFL_ASSIGN_OR_RETURN(Timestamp ts, t.GetTimestamp());
+    t.set_event_time(ts);
+    t.set_arrival_time(ts);
+  }
+  scenario.stream_start = scenario.clean.front().event_time();
+  scenario.stream_end = scenario.clean.back().event_time();
   return scenario;
 }
 

@@ -115,7 +115,8 @@ struct ResolvedScenario {
 const std::vector<std::string>& ScenarioNames();
 
 /// \brief Resolves `name` (one of ScenarioNames()) with the dataset
-/// generated from `seed` (0 keeps the dataset default).
+/// generated from `seed` (0 keeps the dataset default). The clean rows
+/// come prepared: id = row index, event and arrival time = timestamp.
 /// InvalidArgument for an unknown name.
 Result<ResolvedScenario> ResolveScenario(const std::string& name,
                                          uint64_t seed);

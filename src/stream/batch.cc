@@ -4,20 +4,6 @@
 
 namespace icewafl {
 
-namespace {
-
-/// lower_bound over the sorted exception list.
-std::vector<std::pair<uint32_t, Value>>::iterator FindDivergent(
-    std::vector<std::pair<uint32_t, Value>>& list, uint32_t row) {
-  return std::lower_bound(
-      list.begin(), list.end(), row,
-      [](const std::pair<uint32_t, Value>& e, uint32_t r) {
-        return e.first < r;
-      });
-}
-
-}  // namespace
-
 void Column::Reserve(size_t rows) {
   switch (declared_) {
     case ValueType::kDouble: doubles_.reserve(rows); break;
@@ -27,16 +13,6 @@ void Column::Reserve(size_t rows) {
     case ValueType::kNull: break;
   }
   valid_.reserve((rows + 63) / 64);
-}
-
-void Column::ZeroSlot(size_t row) {
-  switch (declared_) {
-    case ValueType::kDouble: doubles_[row] = 0.0; break;
-    case ValueType::kInt64: int64s_[row] = 0; break;
-    case ValueType::kBool: bools_[row] = 0; break;
-    case ValueType::kString: strings_[row].clear(); break;
-    case ValueType::kNull: break;
-  }
 }
 
 void Column::Append(const Value& v) {
@@ -87,53 +63,13 @@ Value Column::At(size_t row) const {
       case ValueType::kNull: break;  // unreachable: kNull rows are never valid
     }
   }
-  const Value* dv = DivergentAt(row);
-  return dv != nullptr ? *dv : Value::Null();
-}
-
-void Column::Set(size_t row, Value v) {
-  if (v.is_null()) {
-    SetNull(row);
-    return;
-  }
-  if (v.type() == declared_) {
-    switch (declared_) {
-      case ValueType::kDouble: doubles_[row] = v.AsDouble(); break;
-      case ValueType::kInt64: int64s_[row] = v.AsInt64(); break;
-      case ValueType::kBool: bools_[row] = v.AsBool() ? 1 : 0; break;
-      case ValueType::kString: strings_[row] = std::move(v).AsString(); break;
-      case ValueType::kNull: break;  // unreachable: null handled above
-    }
-    valid_[row >> 6] |= uint64_t{1} << (row & 63);
-    auto it = FindDivergent(divergent_, static_cast<uint32_t>(row));
-    if (it != divergent_.end() && it->first == row) divergent_.erase(it);
-    return;
-  }
-  valid_[row >> 6] &= ~(uint64_t{1} << (row & 63));
-  ZeroSlot(row);
-  auto it = FindDivergent(divergent_, static_cast<uint32_t>(row));
-  if (it != divergent_.end() && it->first == row) {
-    it->second = std::move(v);
-  } else {
-    divergent_.emplace(it, static_cast<uint32_t>(row), std::move(v));
-  }
-}
-
-void Column::SetNull(size_t row) {
-  valid_[row >> 6] &= ~(uint64_t{1} << (row & 63));
-  ZeroSlot(row);
-  auto it = FindDivergent(divergent_, static_cast<uint32_t>(row));
-  if (it != divergent_.end() && it->first == row) divergent_.erase(it);
-}
-
-Value* Column::DivergentAt(size_t row) {
-  auto it = FindDivergent(divergent_, static_cast<uint32_t>(row));
-  if (it != divergent_.end() && it->first == row) return &it->second;
-  return nullptr;
-}
-
-const Value* Column::DivergentAt(size_t row) const {
-  return const_cast<Column*>(this)->DivergentAt(row);
+  auto it = std::lower_bound(
+      divergent_.begin(), divergent_.end(), row,
+      [](const std::pair<uint32_t, Value>& e, size_t r) {
+        return e.first < r;
+      });
+  return it != divergent_.end() && it->first == row ? it->second
+                                                    : Value::Null();
 }
 
 Result<Batch> Batch::FromTuples(const TupleVector& tuples) {

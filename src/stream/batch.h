@@ -49,16 +49,8 @@ class Column {
   /// \brief Materializes the value at `row` (generic slow path).
   Value At(size_t row) const;
 
-  /// \brief Stores `v`, routing to the typed buffer or the exception list.
-  void Set(size_t row, Value v);
-
-  /// \brief Clears `row` to NULL: validity bit cleared, typed slot zeroed,
-  /// exception entry (if any) dropped.
-  void SetNull(size_t row);
-
-  // Typed spans — hot path; meaningful only for the matching declared
-  // type. Writing through them never changes validity: kernels may only
-  // rewrite rows that IsValid() already reports.
+  // Typed spans; meaningful only for the matching declared type. The
+  // mutable overloads are the wire decoder's fill targets.
   double* doubles() { return doubles_.data(); }
   const double* doubles() const { return doubles_.data(); }
   int64_t* int64s() { return int64s_.data(); }
@@ -71,15 +63,9 @@ class Column {
   /// \brief Validity bitmap words, LSB-first within each word.
   const uint64_t* validity() const { return valid_.data(); }
   uint64_t* mutable_validity() { return valid_.data(); }
-  size_t validity_words() const { return valid_.size(); }
-
-  /// \brief Mutable pointer to the divergent (runtime type != declared,
-  /// non-null) value at `row`, or nullptr when the row has none.
-  Value* DivergentAt(size_t row);
-  const Value* DivergentAt(size_t row) const;
 
   /// \brief Exception list, sorted by row ascending. The mutable overload
-  /// may rewrite values in place but must preserve the sort order and the
+  /// (the wire decoder's fill target) must preserve the sort order and the
   /// "runtime type differs from declared, never null" invariant.
   const std::vector<std::pair<uint32_t, Value>>& divergent() const {
     return divergent_;
@@ -89,8 +75,6 @@ class Column {
   }
 
  private:
-  void ZeroSlot(size_t row);
-
   ValueType declared_;
   size_t rows_ = 0;
   // Exactly one of these is populated, per declared_ (kNull declares a
@@ -109,15 +93,14 @@ class Column {
 /// arrays (id, event-time replica tau, arrival time, sub-stream). The
 /// TupleVector ↔ Batch conversion is lossless — including NaN payloads,
 /// denormals, NULLs and type-divergent values — which is what lets the
-/// columnar execution path and the v2 Batch wire frame stay byte-identical
-/// with the tuple path (golden digests).
+/// v2 Batch wire frame carry exactly the rows the tuple frames would.
 class Batch {
  public:
   Batch() = default;
 
-  /// \brief Columnarizes `tuples`. Errors (caller falls back to the tuple
-  /// path) when the vector is empty, a tuple's schema pointer differs from
-  /// the first tuple's, or a tuple's arity does not match the schema.
+  /// \brief Columnarizes `tuples`. Errors when the vector is empty, a
+  /// tuple's schema pointer differs from the first tuple's, or a tuple's
+  /// arity does not match the schema.
   static Result<Batch> FromTuples(const TupleVector& tuples);
 
   /// \brief An empty batch shaped after `schema` (wire decode target).

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "stream/batch.h"
 #include "stream/schema.h"
 #include "stream/tuple.h"
 #include "util/result.h"
@@ -88,16 +87,6 @@ class BoundAccessor {
   const std::string* StringAt(const Tuple& tuple) const noexcept {
     const Value& v = tuple.value(index_);
     return v.is_string() ? &v.AsString() : nullptr;
-  }
-
-  /// \brief Column view: the bound column inside a columnar Batch — the
-  /// SoA twin of at()/set(). Same bind contract: the batch must share
-  /// the schema the accessor was bound against.
-  const Column& column(const Batch& batch) const noexcept {
-    return batch.column(index_);
-  }
-  Column* column(Batch* batch) const noexcept {
-    return &batch->column(index_);
   }
 
  private:

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "test_helpers.h"
 
@@ -65,17 +67,40 @@ TEST(GaussianNoiseErrorTest, SeverityScalesStddev) {
   EXPECT_NEAR(std::sqrt(sum2 / n), 2.0, 0.1);  // 10 * 0.2
 }
 
+/// One instance of every numeric error family that rewrites values in
+/// place, for the per-family edge cases below.
+std::vector<ErrorFunctionPtr> NumericFamilies() {
+  std::vector<ErrorFunctionPtr> families;
+  families.push_back(std::make_unique<GaussianNoiseError>(5.0));
+  families.push_back(std::make_unique<UniformNoiseError>(0.2, 0.5));
+  families.push_back(std::make_unique<ScaleError>(2.5));
+  families.push_back(std::make_unique<OffsetError>(3.5));
+  families.push_back(std::make_unique<RoundError>(1));
+  families.push_back(
+      std::make_unique<UnitConversionError>(100000.0, "km", "cm"));
+  families.push_back(std::make_unique<OutlierError>(2.0, 5.0));
+  families.push_back(std::make_unique<SignFlipError>());
+  return families;
+}
+
 TEST(GaussianNoiseErrorTest, NullSkippedNonNumericRejected) {
   SchemaPtr schema = SensorSchema();
   Rng rng(4);
-  GaussianNoiseError error(1.0);
-  Tuple t = SensorTuple(schema, 10);
-  t.set_value(1, Value::Null());
-  auto ctx = ContextFor(t, &rng);
-  error.Apply(&t, {1}, &ctx);
-  EXPECT_TRUE(t.value(1).is_null());  // nothing to pollute
+  // Every numeric family leaves a NULL target and a target whose runtime
+  // type diverged from the column's (a string in a double column) alone.
+  for (const ErrorFunctionPtr& error : NumericFamilies()) {
+    for (const Value& target : {Value::Null(), Value("diverged")}) {
+      Tuple t = SensorTuple(schema, 10);
+      t.set_value(1, target);
+      auto ctx = ContextFor(t, &rng);
+      error->Apply(&t, {1}, &ctx);
+      EXPECT_TRUE(t.value(1) == target) << error->name();
+      EXPECT_EQ(t.value(1).type(), target.type()) << error->name();
+    }
+  }
   // Targeting the string attribute is a configuration error, caught at
   // bind time with the attribute's name in the message.
+  GaussianNoiseError error(1.0);
   BindContext bind_ctx(*schema);
   const Status status = error.Bind(bind_ctx, {3});
   EXPECT_EQ(status.code(), StatusCode::kTypeError);
@@ -85,11 +110,12 @@ TEST(GaussianNoiseErrorTest, NullSkippedNonNumericRejected) {
 TEST(GaussianNoiseErrorTest, IntegerAttributeStaysInteger) {
   SchemaPtr schema = SensorSchema();
   Rng rng(5);
-  GaussianNoiseError error(5.0);
-  Tuple t = SensorTuple(schema, 10, 20.0, 100);
-  auto ctx = ContextFor(t, &rng);
-  error.Apply(&t, {2}, &ctx);
-  EXPECT_TRUE(t.value(2).is_int64());
+  for (const ErrorFunctionPtr& error : NumericFamilies()) {
+    Tuple t = SensorTuple(schema, 10, 20.0, 100);
+    auto ctx = ContextFor(t, &rng);
+    error->Apply(&t, {2}, &ctx);
+    EXPECT_TRUE(t.value(2).is_int64()) << error->name();
+  }
 }
 
 TEST(GaussianNoiseErrorTest, OutOfRangeIndexSkipped) {

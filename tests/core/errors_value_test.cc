@@ -62,6 +62,34 @@ TEST(SetConstantErrorTest, CanSetNullAndString) {
   EXPECT_EQ(t.value(3).AsString(), "broken");
 }
 
+// The value families overwrite whatever the target holds: a NULL, a
+// value whose runtime type diverged from the column's, and an int64
+// all become the family's output, typed as that output.
+TEST(SetConstantErrorTest, OverwritesNullDivergedAndIntegerTargets) {
+  SchemaPtr schema = SensorSchema();
+  Rng rng(5);
+  struct Family {
+    ErrorFunctionPtr error;
+    Value expected;
+  };
+  Family families[] = {
+      {std::make_unique<MissingValueError>(), Value::Null()},
+      {std::make_unique<SetConstantError>(Value(60.0)), Value(60.0)},
+  };
+  for (const Family& family : families) {
+    for (const Value& target :
+         {Value::Null(), Value("diverged"), Value(int64_t{100})}) {
+      Tuple t = SensorTuple(schema, 10);
+      t.set_value(1, target);
+      auto ctx = ContextFor(t, &rng);
+      family.error->Apply(&t, {1}, &ctx);
+      EXPECT_TRUE(t.value(1) == family.expected) << family.error->name();
+      EXPECT_EQ(t.value(1).type(), family.expected.type())
+          << family.error->name();
+    }
+  }
+}
+
 TEST(IncorrectCategoryErrorTest, AlwaysProducesDifferentCategory) {
   SchemaPtr schema = SensorSchema();
   Rng rng(5);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -131,6 +132,39 @@ TEST(PlanSwap, MidRunCutoverIsByteIdenticalToSegmentConcatenation) {
   EXPECT_NE(prom.find("icewafl_server_plan_swaps_total{session=\"live\"} 1"),
             std::string::npos)
       << prom;
+}
+
+// Tuple ids travel in every tuple frame, so they must name the clean row
+// a tuple came from: unique across parallel workers, and continuing (not
+// restarting at 0) in a segment that starts mid-stream.
+TEST(PlanSwap, SegmentTupleIdsAreCleanRowIndices) {
+  auto built = scenarios::BuildScenarioPlan("temporal_noise", 42,
+                                            /*parallelism=*/2, 0.0);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const PlanSnapshot& plan = *built.ValueOrDie();
+  const size_t rows = plan.clean->size();
+
+  auto full = scenarios::RunPlanSegmentOffline(plan, 0, rows);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full.ValueOrDie().size(), rows);
+  std::vector<int> seen(rows, 0);
+  for (const Tuple& t : full.ValueOrDie()) {
+    ASSERT_LT(t.id(), rows);
+    ++seen[t.id()];
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(seen[i], 1) << "row " << i;
+  }
+
+  auto part = scenarios::RunPlanSegmentOffline(plan, 1000, 1010);
+  ASSERT_TRUE(part.ok()) << part.status().ToString();
+  // Workers interleave their outputs, so only the first id is fixed.
+  ASSERT_EQ(part.ValueOrDie().size(), 10u);
+  EXPECT_EQ(part.ValueOrDie().front().id(), 1000u);
+  std::vector<TupleId> ids;
+  for (const Tuple& t : part.ValueOrDie()) ids.push_back(t.id());
+  std::sort(ids.begin(), ids.end());
+  for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], 1000 + i);
 }
 
 // ---------------------------------------------------------------------

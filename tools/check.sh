@@ -243,35 +243,25 @@ run_bench() {
   echo "=== bench: smoke run ==="
   # The tiny time budget keeps this a compile-and-assert smoke, not a
   # measurement; the binaries' built-in ratio assertions (keyed
-  # overhead, columnar speedup floor, batch-frame encode floor) still
-  # run at full strength and emit BENCH_micro.json / BENCH_wire.json.
-  ./build-rel/bench/bench_micro_polluters --benchmark_min_time=0.01 \
-    --out BENCH_micro.json
+  # overhead, batch-frame encode floor) still run at full strength, and
+  # bench_net_wire emits BENCH_wire.json.
+  ./build-rel/bench/bench_micro_polluters --benchmark_min_time=0.01
   ./build-rel/bench/bench_net_wire --benchmark_min_time=0.01 \
     --out BENCH_wire.json
   if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_micro.json BENCH_wire.json <<'EOF'
+    python3 - BENCH_wire.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    micro = json.load(f)
-assert micro["median_columnar_speedup"] >= micro["floor"] == 2.0, micro
-assert micro["families"], "no columnar families measured"
-for name, entry in micro["families"].items():
-    assert entry["tuple_seconds"] > 0 and entry["columnar_seconds"] > 0, name
-with open(sys.argv[2]) as f:
     wire = json.load(f)
 for key in ("tuple_encode_seconds", "batch_encode_seconds",
             "tuple_decode_seconds", "batch_decode_seconds",
             "tuple_wire_bytes", "batch_wire_bytes"):
     assert wire[key] > 0, key
 assert wire["encode_speedup"] >= 1.0, wire["encode_speedup"]
-print(f"bench: BENCH_micro.json OK "
-      f"(columnar median {micro['median_columnar_speedup']:.2f}x), "
-      f"BENCH_wire.json OK "
+print(f"bench: BENCH_wire.json OK "
       f"(batch encode {wire['encode_speedup']:.2f}x)")
 EOF
   else
-    grep -q '"median_columnar_speedup"' BENCH_micro.json
     grep -q '"encode_speedup"' BENCH_wire.json
   fi
   echo "=== bench: bench_runtime_pipeline → BENCH_runtime.json ==="
