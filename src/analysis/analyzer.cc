@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "clean/config.h"
 #include "core/config.h"
 #include "core/error_function.h"
 #include "core/time_profile.h"
@@ -922,276 +923,23 @@ bool LooksLikeServeConfig(const Json& json) {
          !json.Has("polluters") && !json.Has("expectations");
 }
 
-namespace {
-
-/// Per-session checks shared by both document shapes. `prefix` is ""
-/// for the legacy top-level form or "/sessions/<i>" for an array
-/// entry; `max_runs_key` is "max_sessions" (legacy) or "max_runs".
-void AnalyzeSessionEntry(const Json& entry, const std::string& prefix,
-                         const char* max_runs_key,
-                         const ServeAnalyzeOptions& options,
-                         std::set<std::string>* seen_names,
-                         Diagnostics* diags) {
-  // IW605: the scenario is the one mandatory per-session field.
-  std::string scenario;
-  if (!entry.Has("scenario") ||
-      !entry.Get("scenario").ValueOrDie().is_string() ||
-      entry.GetString("scenario", "").empty()) {
-    diags->AddError("IW605", prefix + "/scenario", "missing scenario name",
-                    JoinHint("one of: ", options.known_scenarios));
-  } else {
-    scenario = entry.GetString("scenario", "");
-    if (!options.known_scenarios.empty()) {
-      bool known = false;
-      for (const std::string& candidate : options.known_scenarios) {
-        if (candidate == scenario) known = true;
-      }
-      if (!known) {
-        diags->AddError("IW605", prefix + "/scenario",
-                        "unknown scenario '" + scenario + "'",
-                        JoinHint("one of: ", options.known_scenarios));
-      }
+bool LooksLikeCleanerRules(const Json& json) {
+  if (!json.is_object() || !json.Has("rules")) return false;
+  if (json.Has("polluters") || json.Has("expectations") ||
+      json.Has("sessions") || json.Has("scenario")) {
+    return false;
+  }
+  const Json rules = json.Get("rules").ValueOrDie();
+  if (!rules.is_array()) return false;
+  // Pipeline/suite rule arrays do not exist; a cleaner rule names a
+  // repair. An empty array still routes here (the loader then reports
+  // the IW701 warning rather than a pipeline parse error).
+  for (const Json& entry : rules.items()) {
+    if (entry.is_object() && (entry.Has("repair") || entry.Has("detect"))) {
+      return true;
     }
   }
-
-  // IW607: the session name clients subscribe with (defaults to the
-  // scenario). Must be a usable wire id and unique across entries.
-  std::string name = scenario;
-  if (entry.Has("name")) {
-    const Json value = entry.Get("name").ValueOrDie();
-    if (!value.is_string()) {
-      diags->AddError("IW607", prefix + "/name",
-                      "session name must be a string");
-      name.clear();
-    } else if (value.AsString().empty()) {
-      diags->AddError("IW607", prefix + "/name",
-                      "session name must not be empty");
-      name.clear();
-    } else if (value.AsString().size() > 256) {
-      diags->AddError("IW607", prefix + "/name",
-                      "session name of " +
-                          std::to_string(value.AsString().size()) +
-                          " bytes exceeds the 256-byte wire limit");
-      name.clear();
-    } else {
-      name = value.AsString();
-      // IW615: control characters would corrupt metric labels, log
-      // lines, and the admin channel's JSON frames.
-      for (char c : name) {
-        const auto byte = static_cast<unsigned char>(c);
-        if (byte < 0x20 || byte == 0x7f) {
-          diags->AddError("IW615", prefix + "/name",
-                          "session name contains control characters",
-                          "names appear in wire frames and metric labels; "
-                          "use printable characters");
-          name.clear();
-          break;
-        }
-      }
-    }
-  }
-  if (!name.empty() && !seen_names->insert(name).second) {
-    diags->AddError("IW607", prefix + "/name",
-                    "duplicate session name '" + name + "'",
-                    "session names must be unique across entries");
-  }
-
-  // IW606: sign/minimum constraints on the per-session numerics.
-  struct Bound {
-    const char* key;
-    int64_t minimum;
-  };
-  for (const Bound& bound : {Bound{"seed", 0}, Bound{"parallelism", 1},
-                             Bound{"min_subscribers", 1},
-                             Bound{max_runs_key, 0}}) {
-    if (!entry.Has(bound.key)) continue;
-    const Json value = entry.Get(bound.key).ValueOrDie();
-    const std::string path = prefix + "/" + bound.key;
-    if (!value.is_number()) {
-      diags->AddError("IW606", path,
-                      std::string(bound.key) + " must be a number");
-    } else if (value.AsInt64() < bound.minimum) {
-      diags->AddError("IW606", path,
-                      std::string(bound.key) + " must be >= " +
-                          std::to_string(bound.minimum) + " (got " +
-                          std::to_string(value.AsInt64()) + ")");
-    }
-  }
-
-  // An embedded cleaning document gets the full IW70x analysis, rooted
-  // at this entry (no schema here — the serve path binds it later).
-  // A null cleaner means "no cleaner" — ServeConfig::FromJson parity.
-  if (entry.Has("cleaner") &&
-      !entry.Get("cleaner").ValueOrDie().is_null()) {
-    CleanerAnalyzeOptions cleaner_options;
-    cleaner_options.path_root = prefix + "/cleaner";
-    diags->Merge(AnalyzeCleanerRules(entry.Get("cleaner").ValueOrDie(),
-                                     cleaner_options));
-  }
-}
-
-}  // namespace
-
-Diagnostics AnalyzeServeConfig(const Json& serve_json,
-                               const ServeAnalyzeOptions& options) {
-  Diagnostics diags;
-  if (!serve_json.is_object()) {
-    diags.AddError("IW605", "", "serve config must be a JSON object");
-    return diags;
-  }
-
-  const bool has_scenario = serve_json.Has("scenario");
-  const bool has_sessions = serve_json.Has("sessions");
-  // IW608: the two document shapes are mutually exclusive.
-  if (has_scenario && has_sessions) {
-    diags.AddError("IW608", "/sessions",
-                   "use either a top-level \"scenario\" or a \"sessions\" "
-                   "array, not both");
-  }
-
-  std::set<std::string> seen_names;
-  if (has_sessions) {
-    const Json sessions = serve_json.Get("sessions").ValueOrDie();
-    if (!sessions.is_array() || sessions.items().empty()) {
-      diags.AddError("IW608", "/sessions",
-                     "\"sessions\" must be a non-empty array");
-    } else {
-      static const char* kSessionKeys[] = {"name",        "scenario",
-                                           "seed",        "parallelism",
-                                           "min_subscribers", "max_runs",
-                                           "cleaner"};
-      for (size_t i = 0; i < sessions.items().size(); ++i) {
-        const Json& entry = sessions.items()[i];
-        const std::string prefix = "/sessions/" + std::to_string(i);
-        if (!entry.is_object()) {
-          diags.AddError("IW608", prefix, "session entry must be an object");
-          continue;
-        }
-        AnalyzeSessionEntry(entry, prefix, "max_runs", options, &seen_names,
-                            &diags);
-        for (const auto& field : entry.fields()) {
-          bool known = false;
-          for (const char* key : kSessionKeys) {
-            if (field.first == key) known = true;
-          }
-          if (!known) {
-            diags.AddWarning("IW604", prefix + "/" + field.first,
-                             "unknown session key '" + field.first + "'");
-          }
-        }
-      }
-    }
-  } else {
-    AnalyzeSessionEntry(serve_json, "", "max_sessions", options, &seen_names,
-                        &diags);
-  }
-
-  // IW601: TCP port range — for the streaming port and (when the
-  // control plane is enabled) the admin port alike.
-  for (const char* key : {"port", "admin_port"}) {
-    if (!serve_json.Has(key)) continue;
-    const Json port = serve_json.Get(key).ValueOrDie();
-    const std::string path = std::string("/") + key;
-    if (!port.is_number()) {
-      diags.AddError("IW601", path, std::string(key) + " must be a number");
-    } else if (port.AsInt64() < 0 || port.AsInt64() > 65535) {
-      diags.AddError("IW601", path,
-                     std::string(key) + " " + std::to_string(port.AsInt64()) +
-                         " outside [0, 65535]",
-                     "0 binds an ephemeral port");
-    }
-  }
-
-  // IW602: slow-consumer policy vocabulary.
-  if (serve_json.Has("slow_consumer")) {
-    const Json policy = serve_json.Get("slow_consumer").ValueOrDie();
-    if (!policy.is_string()) {
-      diags.AddError("IW602", "/slow_consumer",
-                     "slow_consumer must be a string",
-                     JoinHint("one of: ", options.known_policies));
-    } else if (!options.known_policies.empty()) {
-      bool known = false;
-      for (const std::string& candidate : options.known_policies) {
-        if (candidate == policy.AsString()) known = true;
-      }
-      if (!known) {
-        diags.AddError("IW602", "/slow_consumer",
-                       "unknown slow-consumer policy '" + policy.AsString() +
-                           "'",
-                       JoinHint("one of: ", options.known_policies));
-      }
-    }
-  }
-
-  // IW603: a zero-capacity queue can never deliver a frame.
-  if (serve_json.Has("queue_capacity")) {
-    const Json capacity = serve_json.Get("queue_capacity").ValueOrDie();
-    if (!capacity.is_number()) {
-      diags.AddError("IW603", "/queue_capacity",
-                     "queue_capacity must be a number");
-    } else if (capacity.AsInt64() < 1) {
-      diags.AddError("IW603", "/queue_capacity",
-                     "queue_capacity must be >= 1 (got " +
-                         std::to_string(capacity.AsInt64()) + ")");
-    }
-  }
-
-  // IW609: the server-wide worker pool must be a positive integer. A
-  // fractional count would truncate silently, zero can never drive a
-  // session, and a value past the int range would overflow the pool
-  // size on load.
-  if (serve_json.Has("workers")) {
-    const Json workers = serve_json.Get("workers").ValueOrDie();
-    if (!workers.is_number()) {
-      diags.AddError("IW609", "/workers",
-                     "workers must be a positive integer");
-    } else {
-      const double value = workers.AsDouble();
-      if (value != std::floor(value)) {
-        diags.AddError("IW609", "/workers",
-                       "workers must be a positive integer (got " +
-                           FormatDouble(value) + ", which would truncate)");
-      } else if (value < 1.0) {
-        diags.AddError("IW609", "/workers",
-                       "workers must be >= 1 (got " +
-                           FormatDouble(value) + ")");
-      } else if (value > 2147483647.0) {
-        diags.AddError("IW609", "/workers",
-                       "workers must fit a 32-bit integer (got " +
-                           FormatDouble(value) + ")");
-      }
-    }
-  }
-
-  // IW604: unknown keys are warnings — likely typos of the above. The
-  // per-session knobs are top-level keys only in the legacy shape.
-  static const char* kServerKeys[] = {"sessions",       "host",
-                                      "port",           "admin_port",
-                                      "workers",        "queue_capacity",
-                                      "slow_consumer"};
-  static const char* kLegacyKeys[] = {"scenario", "name", "seed",
-                                      "parallelism", "min_subscribers",
-                                      "max_sessions", "cleaner"};
-  for (const auto& entry : serve_json.fields()) {
-    bool known = false;
-    for (const char* key : kServerKeys) {
-      if (entry.first == key) known = true;
-    }
-    if (!has_sessions) {
-      for (const char* key : kLegacyKeys) {
-        if (entry.first == key) known = true;
-      }
-    }
-    if (!known) {
-      diags.AddWarning("IW604", "/" + entry.first,
-                       "unknown serve config key '" + entry.first + "'");
-    }
-  }
-  if (serve_json.Has("host") &&
-      !serve_json.Get("host").ValueOrDie().is_string()) {
-    diags.AddError("IW606", "/host", "host must be a string");
-  }
-  return diags;
+  return rules.items().empty();
 }
 
 Diagnostics AnalyzeAdminRequest(const Json& request_json,
@@ -1305,8 +1053,9 @@ Diagnostics AnalyzeAdminRequest(const Json& request_json,
   }
 
   // IW616: set_cleaner's payload — a cleaning document installs, null
-  // removes. A document object gets the full IW70x analysis (no schema
-  // here; the server binds against the session's schema on apply).
+  // removes. A document object goes through the cleaner loader (no
+  // schema here; the server binds against the session's schema on
+  // apply).
   if (method == "set_cleaner") {
     if (!params.Has("rules")) {
       diags.AddError("IW616", "/params/rules",
@@ -1316,9 +1065,9 @@ Diagnostics AnalyzeAdminRequest(const Json& request_json,
     } else {
       const Json rules = params.Get("rules").ValueOrDie();
       if (rules.is_object()) {
-        CleanerAnalyzeOptions cleaner_options;
-        cleaner_options.path_root = "/params/rules";
-        diags.Merge(AnalyzeCleanerRules(rules, cleaner_options));
+        Diagnostics found;
+        (void)clean::RulesFromJson(rules, nullptr, &found);
+        diags.Merge(found, "/params/rules");
       } else if (!rules.is_null()) {
         diags.AddError("IW616", "/params/rules",
                        "\"rules\" must be a cleaning document object or "

@@ -37,6 +37,11 @@ namespace analysis {
 ///  - suite cross-checks: unknown columns, empty ranges, injected error
 ///    classes no expectation can detect (IW501..IW503).
 ///
+/// Serve configs (IW601..IW609, IW615) and cleaning documents
+/// (IW701..IW707) have no analyzer pass: their loaders,
+/// net::ServeConfig::FromJson and clean::RulesFromJson, report every
+/// finding as they parse, so lint and load cannot disagree.
+///
 /// A literal {"type": "never"} condition is the documented way to switch
 /// a polluter off in place, so it is deliberately *not* reported as
 /// unsatisfiable; only derived contradictions are.
@@ -69,79 +74,6 @@ Diagnostics AnalyzeArtifacts(const Json& pipeline_json,
                              const Json* suite_json,
                              const AnalyzeOptions& options = {});
 
-/// \brief Context for serve-config analysis. Both vocabularies are
-/// passed in (rather than linked in) so the analyzer stays free of
-/// scenario and network dependencies; an empty vector skips the
-/// corresponding membership check.
-struct ServeAnalyzeOptions {
-  std::vector<std::string> known_scenarios;
-  std::vector<std::string> known_policies;
-};
-
-/// \brief Analyzes a serve document — the config surface of
-/// `icewafl_cli serve` (net::ServeConfig), in either shape: a
-/// multi-session {"sessions": [{"name": ..., "scenario": ...}, ...]}
-/// array or the legacy single-session {"scenario": ..., "port": ...}.
-/// Codes:
-///  - IW601 (error): port outside [0, 65535] or not a number;
-///  - IW602 (error): unknown slow_consumer policy (hint lists the
-///    valid names when provided);
-///  - IW603 (error): queue_capacity < 1 or not a number;
-///  - IW604 (warning): unknown key (likely a typo);
-///  - IW605 (error): missing or unknown scenario (per session entry);
-///  - IW606 (error): negative seed / max_runs (max_sessions in the
-///    legacy shape), parallelism / min_subscribers < 1, or a
-///    non-string host;
-///  - IW607 (error): session name empty, oversized, non-string, or
-///    duplicated across entries;
-///  - IW608 (error): malformed sessions shape — "sessions" not a
-///    non-empty array, an entry not an object, or a document mixing a
-///    top-level "scenario" with a "sessions" array;
-///  - IW609 (error): workers not a positive integer (non-numeric,
-///    fractional, < 1, or past the 32-bit int range);
-///  - IW615 (error): session name containing ASCII control characters
-///    (names travel in wire frames and metric labels).
-/// The optional "admin_port" key is range-checked like "port" (IW601).
-/// A session entry's optional "cleaner" key (a cleaning-rules document
-/// applied to that session's served stream) is analyzed in place with
-/// the IW70x cleaner checks, findings rooted at the entry's path.
-Diagnostics AnalyzeServeConfig(const Json& serve_json,
-                               const ServeAnalyzeOptions& options = {});
-
-/// \brief Context for cleaner-document analysis. Without a schema the
-/// column checks (IW703) are skipped; `path_root` prefixes every
-/// finding's JSON pointer (used when a cleaner document is embedded in
-/// a larger document, e.g. a serve-config session entry).
-struct CleanerAnalyzeOptions {
-  SchemaPtr schema;
-  std::string path_root;
-};
-
-/// \brief Analyzes a cleaning-rules document (clean::RulesFromJson's
-/// input shape: {"name": ..., "key": ..., "history": N,
-/// "rules": [...]}) without binding or running it. Codes:
-///  - IW701 (error): malformed document shape — not an object, missing
-///    or non-array "rules", bad "name"/"key"/"history" types (an empty
-///    rules array is a warning: the cleaner never repairs anything);
-///  - IW702 (error): malformed rule entry — missing or mistyped
-///    label / column / detect / repair / when / guard fields;
-///  - IW703 (error): a column the schema lacks, or a string-typed
-///    column in a position that binds numerically (range / cross_field
-///    / rate_of_change / stuck_at columns, cross_field "other", every
-///    guard column);
-///  - IW704 (error): bad detect parameters — unknown detect type,
-///    repair, compare op, or value type; range min > max; an invalid
-///    regex pattern; max_change <= 0; min_repeats < 2;
-///  - IW705 (error): a repair incompatible with its detect (clamp
-///    without a range detect to take bounds from);
-///  - IW706 (warning): duplicate rule label (metrics and repair-log
-///    series merge);
-///  - IW707 (warning): a windowed detect that can never fire as
-///    written (stuck_at min_repeats exceeding the history window);
-///  - IW604 (warning): unknown document or rule key.
-Diagnostics AnalyzeCleanerRules(const Json& rules_json,
-                                const CleanerAnalyzeOptions& options = {});
-
 /// \brief Heuristic: a JSON object with a "rules" array whose entries
 /// carry "detect"/"repair" (and no pipeline/suite/serve markers) is a
 /// cleaning document (used by the lint CLI to route documents).
@@ -173,16 +105,17 @@ struct AdminAnalyzeOptions {
 ///  - IW614 (error): set_rate "tuples_per_sec" missing, non-numeric,
 ///    negative, or not finite (0 serves unpaced);
 ///  - IW616 (error): set_cleaner params missing "rules", or "rules"
-///    neither a cleaning document object (checked with the IW70x
-///    analysis, rooted at /params/rules) nor null (which removes the
-///    session's cleaner);
+///    neither a cleaning document object (checked by the cleaner loader,
+///    clean::RulesFromJson, its findings rooted at /params/rules) nor
+///    null (which removes the session's cleaner);
 ///  - IW604 (warning): unknown params key for the method.
 Diagnostics AnalyzeAdminRequest(const Json& request_json,
                                 const AdminAnalyzeOptions& options = {});
 
-/// \brief Heuristic: a JSON object that names a scenario (or a sessions
-/// array) but declares no polluters is a serve config, not a pipeline
-/// (used by the lint CLI to route documents).
+/// \brief Heuristic: a JSON object with a sessions array (or a legacy
+/// top-level scenario, which the serve loader then rejects with IW608)
+/// but no polluters is a serve config, not a pipeline (used by the lint
+/// CLI to route documents).
 bool LooksLikeServeConfig(const Json& json);
 
 /// \brief Gate form: OK when the pipeline has no error-severity

@@ -142,7 +142,9 @@ Json RuleGuard::ToJson() const {
 Status CleanRule::Bind(BindContext& ctx) {
   {
     BindContext::Scope scope(ctx, "column");
-    ICEWAFL_ASSIGN_OR_RETURN(accessor_, ctx.ResolveNumeric(column_));
+    ICEWAFL_ASSIGN_OR_RETURN(accessor_, reads_any_type()
+                                            ? ctx.Resolve(column_)
+                                            : ctx.ResolveNumeric(column_));
   }
   for (size_t i = 0; i < guards_.size(); ++i) {
     BindContext::Scope scope(ctx, "when/" + std::to_string(i) + "/column");
@@ -208,19 +210,6 @@ std::unique_ptr<CleanRule> RangeRule::Clone() const {
       std::make_unique<RangeRule>(label_, column_, min_, max_, repair_), *this);
 }
 
-Status NotNullRule::Bind(BindContext& ctx) {
-  {
-    BindContext::Scope scope(ctx, "column");
-    ICEWAFL_ASSIGN_OR_RETURN(accessor_, ctx.Resolve(column_));
-  }
-  for (size_t i = 0; i < guards_.size(); ++i) {
-    BindContext::Scope scope(ctx, "when/" + std::to_string(i) + "/column");
-    ICEWAFL_ASSIGN_OR_RETURN(guards_[i].accessor,
-                             ctx.ResolveNumeric(guards_[i].column));
-  }
-  return Status::OK();
-}
-
 bool NotNullRule::Violates(const Tuple& tuple, const ValueHistory*) const {
   return accessor_.at(tuple).is_null();
 }
@@ -234,29 +223,6 @@ Json NotNullRule::DetectJson() const {
 std::unique_ptr<CleanRule> NotNullRule::Clone() const {
   return FinishClone(std::make_unique<NotNullRule>(label_, column_, repair_),
                      *this);
-}
-
-Status RegexRule::Bind(BindContext& ctx) {
-  {
-    BindContext::Scope scope(ctx, "column");
-    ICEWAFL_ASSIGN_OR_RETURN(accessor_, ctx.Resolve(column_));
-  }
-  {
-    BindContext::Scope scope(ctx, "detect/pattern");
-    try {
-      regex_ = std::regex(pattern_, std::regex::ECMAScript);
-    } catch (const std::regex_error& e) {
-      return ctx.Error(StatusCode::kInvalidArgument,
-                       "invalid regex pattern '" + pattern_ +
-                           "': " + e.what());
-    }
-  }
-  for (size_t i = 0; i < guards_.size(); ++i) {
-    BindContext::Scope scope(ctx, "when/" + std::to_string(i) + "/column");
-    ICEWAFL_ASSIGN_OR_RETURN(guards_[i].accessor,
-                             ctx.ResolveNumeric(guards_[i].column));
-  }
-  return Status::OK();
 }
 
 bool RegexRule::Violates(const Tuple& tuple, const ValueHistory*) const {
@@ -275,21 +241,7 @@ Json RegexRule::DetectJson() const {
 }
 
 std::unique_ptr<CleanRule> RegexRule::Clone() const {
-  return FinishClone(
-      std::make_unique<RegexRule>(label_, column_, pattern_, repair_), *this);
-}
-
-Status TypeRule::Bind(BindContext& ctx) {
-  {
-    BindContext::Scope scope(ctx, "column");
-    ICEWAFL_ASSIGN_OR_RETURN(accessor_, ctx.Resolve(column_));
-  }
-  for (size_t i = 0; i < guards_.size(); ++i) {
-    BindContext::Scope scope(ctx, "when/" + std::to_string(i) + "/column");
-    ICEWAFL_ASSIGN_OR_RETURN(guards_[i].accessor,
-                             ctx.ResolveNumeric(guards_[i].column));
-  }
-  return Status::OK();
+  return std::make_unique<RegexRule>(*this);
 }
 
 bool TypeRule::Violates(const Tuple& tuple, const ValueHistory*) const {

@@ -121,9 +121,13 @@ class CleanRule {
   /// (windowed detection or history-consuming repair).
   bool stateful() const { return windowed() || RepairNeedsHistory(repair_); }
 
-  /// \brief Resolves the rule's column references against the schema.
-  /// The default resolves `column()` numerically; subclasses override
-  /// for other requirements. Also binds the guards.
+  /// \brief True if the detect reads any column type (not_null, regex,
+  /// type); every other detect reads its column numerically.
+  virtual bool reads_any_type() const { return false; }
+
+  /// \brief Resolves the rule's column references against the schema:
+  /// `column()` (numerically unless reads_any_type()) and every guard
+  /// column (numerically). Subclasses with more references chain up.
   virtual Status Bind(BindContext& ctx);
 
   /// \brief Detect predicate: does this tuple's value violate the rule?
@@ -157,8 +161,8 @@ class CleanRule {
   /// \brief True once every guard admits the tuple.
   bool GuardsPass(const Tuple& tuple) const;
 
-  /// \brief Copies bind-produced state (accessors, guards, compiled
-  /// patterns) from `from` onto this rule — Clone() support, so a clone
+  /// \brief Copies bind-produced state (accessors, guards) from `from`
+  /// onto this rule — Clone() support, so a clone
   /// of a bound rule is itself bound. `from` must be the same concrete
   /// type. Subclasses with extra bind state override and chain up.
   virtual void CopyBindState(const CleanRule& from) {
@@ -213,7 +217,7 @@ class NotNullRule : public CleanRule {
       : CleanRule(std::move(label), std::move(column), repair) {}
 
   const char* type() const override { return "not_null"; }
-  Status Bind(BindContext& ctx) override;
+  bool reads_any_type() const override { return true; }
   bool Violates(const Tuple& tuple, const ValueHistory*) const override;
   std::unique_ptr<CleanRule> Clone() const override;
 
@@ -223,25 +227,24 @@ class NotNullRule : public CleanRule {
 
 /// \brief Rendered value must match the anchored pattern (same
 /// rendering as CSV/suite output, so the pattern vocabulary carries
-/// over from ExpectColumnValuesToMatchRegex). NULLs are skipped.
+/// over from ExpectColumnValuesToMatchRegex). NULLs are skipped. The
+/// pattern compiles once, in the constructor, which throws
+/// std::regex_error for an invalid one (the loader reports it as
+/// IW704); clones copy the compiled form.
 class RegexRule : public CleanRule {
  public:
   RegexRule(std::string label, std::string column, std::string pattern,
             RepairAction repair)
       : CleanRule(std::move(label), std::move(column), repair),
-        pattern_(std::move(pattern)) {}
+        pattern_(std::move(pattern)),
+        regex_(pattern_, std::regex::ECMAScript) {}
 
   const char* type() const override { return "regex"; }
-  Status Bind(BindContext& ctx) override;
+  bool reads_any_type() const override { return true; }
   bool Violates(const Tuple& tuple, const ValueHistory*) const override;
   std::unique_ptr<CleanRule> Clone() const override;
 
   const std::string& pattern() const { return pattern_; }
-
-  void CopyBindState(const CleanRule& from) override {
-    CleanRule::CopyBindState(from);
-    regex_ = static_cast<const RegexRule&>(from).regex_;
-  }
 
  protected:
   Json DetectJson() const override;
@@ -262,7 +265,7 @@ class TypeRule : public CleanRule {
         expected_(expected) {}
 
   const char* type() const override { return "type"; }
-  Status Bind(BindContext& ctx) override;
+  bool reads_any_type() const override { return true; }
   bool Violates(const Tuple& tuple, const ValueHistory*) const override;
   std::unique_ptr<CleanRule> Clone() const override;
 

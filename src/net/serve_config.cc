@@ -1,7 +1,9 @@
 #include "net/serve_config.h"
 
-#include <cmath>
+#include <algorithm>
+#include <set>
 
+#include "clean/config.h"
 #include "net/wire.h"
 #include "util/strings.h"
 
@@ -10,97 +12,194 @@ namespace net {
 
 namespace {
 
-/// A present key of the wrong JSON type must fail loudly, not fall back
-/// to the default — the lint flags it, so the parser must refuse it.
-Status RequireType(const Json& json, const std::string& key, bool want_string,
-                   const std::string& where) {
-  if (!json.Has(key)) return Status::OK();
-  ICEWAFL_ASSIGN_OR_RETURN(Json field, json.Get(key));
-  const bool ok = want_string ? field.is_string() : field.is_number();
-  if (!ok) {
-    return Status::InvalidArgument("serve config: " + where + "\"" + key +
-                                   "\" must be a " +
-                                   (want_string ? "string" : "number"));
-  }
-  return Status::OK();
+/// "one of: a, b, c", or "" when the vocabulary is empty.
+std::string OneOf(const std::vector<std::string>& names) {
+  return names.empty() ? "" : "one of: " + Join(names, ", ");
 }
 
-/// Parses one session entry. `where` is "" (legacy top-level form) or
-/// "sessions[i]: " for error attribution; `max_runs_key` differs
-/// between the two shapes ("max_sessions" legacy, "max_runs" v2).
-Result<SessionConfig> ParseSession(const Json& json, const std::string& where,
-                                   const std::string& max_runs_key) {
-  for (const char* key : {"name", "scenario"}) {
-    ICEWAFL_RETURN_NOT_OK(RequireType(json, key, /*want_string=*/true, where));
+bool HasControlCharacter(const std::string& text) {
+  return std::any_of(text.begin(), text.end(), [](char c) {
+    const auto byte = static_cast<unsigned char>(c);
+    return byte < 0x20 || byte == 0x7f;
+  });
+}
+
+/// The session name (IW607 / IW615); "" after reporting, so a broken
+/// name is never also reported as a duplicate.
+std::string SessionName(const Json& entry, const std::string& at,
+                        const std::string& scenario, Diagnostics* d) {
+  if (!entry.Has("name")) return scenario;
+  const Json name = entry.Get("name").ValueOrDie();
+  const std::string path = at + "/name";
+  if (!name.is_string()) {
+    d->AddError("IW607", path, "session name must be a string");
+  } else if (name.AsString().empty()) {
+    d->AddError("IW607", path, "session name must not be empty");
+  } else if (name.AsString().size() > kMaxSessionIdBytes) {
+    d->AddError("IW607", path,
+                "session name of " + std::to_string(name.AsString().size()) +
+                    " bytes exceeds the " +
+                    std::to_string(kMaxSessionIdBytes) +
+                    "-byte wire limit");
+  } else if (HasControlCharacter(name.AsString())) {
+    // Names travel in wire frames, metric labels, and log lines.
+    d->AddError("IW615", path, "session name contains control characters",
+                "names appear in wire frames and metric labels; use "
+                "printable characters");
+  } else {
+    return name.AsString();
   }
-  for (const std::string& key :
-       {std::string("seed"), std::string("parallelism"),
-        std::string("min_subscribers"), max_runs_key}) {
-    ICEWAFL_RETURN_NOT_OK(RequireType(json, key, /*want_string=*/false, where));
-  }
+  return "";
+}
+
+/// One sessions[] entry at `at`.
+SessionConfig ParseSession(const Json& entry, const std::string& at,
+                           const std::vector<std::string>& known_scenarios,
+                           std::set<std::string>* names, Diagnostics* d) {
   SessionConfig session;
-  session.scenario = json.GetString("scenario", "");
-  if (session.scenario.empty()) {
-    return Status::InvalidArgument("serve config: " + where +
-                                   "missing \"scenario\"");
-  }
-  session.name = json.GetString("name", session.scenario);
-  if (session.name.empty()) {
-    return Status::InvalidArgument("serve config: " + where +
-                                   "\"name\" must not be empty");
-  }
-  if (session.name.size() > kMaxSessionIdBytes) {
-    return Status::InvalidArgument(
-        "serve config: " + where + "\"name\" of " +
-        std::to_string(session.name.size()) + " bytes exceeds the limit of " +
-        std::to_string(kMaxSessionIdBytes));
-  }
-  // Mirrors lint code IW615: names travel in wire frames and metric
-  // labels, so control characters are refused outright.
-  for (const char ch : session.name) {
-    const unsigned char byte = static_cast<unsigned char>(ch);
-    if (byte < 0x20 || byte == 0x7f) {
-      return Status::InvalidArgument(
-          "serve config: " + where +
-          "\"name\" must not contain control characters");
+  const Json scenario =
+      entry.Has("scenario") ? entry.Get("scenario").ValueOrDie() : Json();
+  if (!scenario.is_string() || scenario.AsString().empty()) {
+    d->AddError("IW605", at + "/scenario",
+                entry.Has("scenario") ? "scenario must be a non-empty string"
+                                      : "missing scenario name",
+                OneOf(known_scenarios));
+  } else {
+    session.scenario = scenario.AsString();
+    if (!known_scenarios.empty() &&
+        std::find(known_scenarios.begin(), known_scenarios.end(),
+                  session.scenario) == known_scenarios.end()) {
+      d->AddError("IW605", at + "/scenario",
+                  "unknown scenario '" + session.scenario + "'",
+                  OneOf(known_scenarios));
     }
   }
-  const int64_t seed =
-      json.GetInt("seed", static_cast<int64_t>(session.seed));
-  if (seed < 0) {
-    return Status::InvalidArgument("serve config: " + where +
-                                   "seed must be >= 0");
+  session.name = SessionName(entry, at, session.scenario, d);
+  if (!session.name.empty() && !names->insert(session.name).second) {
+    d->AddError("IW607", at + "/name",
+                "duplicate session name '" + session.name + "'",
+                "session names must be unique across entries");
   }
-  session.seed = static_cast<uint64_t>(seed);
-  session.parallelism =
-      static_cast<int>(json.GetInt("parallelism", session.parallelism));
-  if (session.parallelism < 1) {
-    return Status::InvalidArgument("serve config: " + where +
-                                   "parallelism must be >= 1");
-  }
-  session.min_subscribers = static_cast<int>(
-      json.GetInt("min_subscribers", session.min_subscribers));
-  if (session.min_subscribers < 1) {
-    return Status::InvalidArgument("serve config: " + where +
-                                   "min_subscribers must be >= 1");
-  }
-  const int64_t max_runs =
-      json.GetInt(max_runs_key, static_cast<int64_t>(session.max_runs));
-  if (max_runs < 0) {
-    return Status::InvalidArgument("serve config: " + where + max_runs_key +
-                                   " must be >= 0");
-  }
-  session.max_runs = static_cast<uint64_t>(max_runs);
-  if (json.Has("cleaner")) {
-    ICEWAFL_ASSIGN_OR_RETURN(Json cleaner, json.Get("cleaner"));
-    if (!cleaner.is_object() && !cleaner.is_null()) {
-      return Status::InvalidArgument(
-          "serve config: " + where +
-          "\"cleaner\" must be a cleaning document object");
+  ReadIntField<uint64_t>(entry, "seed", at, "IW606", 0, &session.seed, d);
+  ReadIntField<int>(entry, "parallelism", at, "IW606", 1, &session.parallelism,
+                    d);
+  ReadIntField<int>(entry, "min_subscribers", at, "IW606", 1,
+                    &session.min_subscribers, d);
+  ReadIntField<uint64_t>(entry, "max_runs", at, "IW606", 0, &session.max_runs,
+                         d);
+  // A null cleaner means "no cleaner"; anything else is a cleaning
+  // document, checked by its own loader (no schema here: the plan
+  // builder binds it against the scenario's schema).
+  if (entry.Has("cleaner")) {
+    session.cleaner = entry.Get("cleaner").ValueOrDie();
+    if (!session.cleaner.is_null()) {
+      Diagnostics found;
+      (void)clean::RulesFromJson(session.cleaner, nullptr, &found);
+      d->Merge(found, at + "/cleaner");
     }
-    session.cleaner = std::move(cleaner);
+  }
+  for (const auto& field : entry.fields()) {
+    static const char* const kSessionKeys[] = {
+        "name",        "scenario", "seed", "parallelism", "min_subscribers",
+        "max_runs",    "cleaner"};
+    if (std::find(std::begin(kSessionKeys), std::end(kSessionKeys),
+                  field.first) == std::end(kSessionKeys)) {
+      d->AddWarning("IW604", at + "/" + field.first,
+                    "unknown session key '" + field.first + "'");
+    }
   }
   return session;
+}
+
+const char kSessionsShape[] =
+    "{\"sessions\": [{\"name\": ..., \"scenario\": ...}], \"port\": ...}";
+
+void LoadServeConfig(const Json& json,
+                     const std::vector<std::string>& known_scenarios,
+                     ServeConfig* config, Diagnostics* d) {
+  if (!json.is_object()) {
+    d->AddError("IW608", "", "serve config must be a JSON object",
+                std::string("expected ") + kSessionsShape);
+    return;
+  }
+  if (json.Has("scenario")) {
+    const Json scenario = json.Get("scenario").ValueOrDie();
+    const std::string name =
+        scenario.is_string() ? scenario.AsString() : "<name>";
+    d->AddError("IW608", "/scenario",
+                "a top-level \"scenario\" is the retired single-session "
+                "shape",
+                "use {\"sessions\": [{\"scenario\": \"" + name +
+                    "\"}]}; seed, parallelism, min_subscribers and "
+                    "max_runs go in the entry");
+  }
+  if (!json.Has("sessions")) {
+    // A retired-shape document already carries its one IW608 above.
+    if (!json.Has("scenario")) {
+      d->AddError("IW608", "/sessions", "missing \"sessions\" array",
+                  std::string("expected ") + kSessionsShape);
+    }
+  } else if (const Json sessions = json.Get("sessions").ValueOrDie();
+             !sessions.is_array() || sessions.items().empty()) {
+    d->AddError("IW608", "/sessions",
+                "\"sessions\" must be a non-empty array");
+  } else {
+    std::set<std::string> names;
+    for (size_t i = 0; i < sessions.items().size(); ++i) {
+      const Json& entry = sessions.items()[i];
+      const std::string at = "/sessions/" + std::to_string(i);
+      if (!entry.is_object()) {
+        d->AddError("IW608", at, "session entry must be an object");
+        continue;
+      }
+      config->sessions.push_back(
+          ParseSession(entry, at, known_scenarios, &names, d));
+    }
+  }
+
+  ReadIntField<uint16_t>(json, "port", "", "IW601", 0, &config->port, d);
+  uint16_t admin_port = 0;
+  if (json.Has("admin_port") &&
+      ReadIntField<uint16_t>(json, "admin_port", "", "IW601", 0, &admin_port,
+                             d)) {
+    config->admin_port = admin_port;
+  }
+  ReadIntField<int>(json, "workers", "", "IW609", 1, &config->workers, d);
+  ReadIntField<size_t>(json, "queue_capacity", "", "IW603", 1,
+                       &config->queue_capacity, d);
+  if (json.Has("slow_consumer")) {
+    const Json policy = json.Get("slow_consumer").ValueOrDie();
+    const std::string hint = OneOf(SlowConsumerPolicyNames());
+    if (!policy.is_string()) {
+      d->AddError("IW602", "/slow_consumer", "slow_consumer must be a string",
+                  hint);
+    } else if (auto parsed = SlowConsumerPolicyFromName(policy.AsString());
+               !parsed.ok()) {
+      d->AddError("IW602", "/slow_consumer", parsed.status().message(), hint);
+    } else {
+      config->slow_consumer = parsed.ValueOrDie();
+    }
+  }
+  if (json.Has("host")) {
+    const Json host = json.Get("host").ValueOrDie();
+    if (host.is_string()) {
+      config->host = host.AsString();
+    } else {
+      d->AddError("IW606", "/host", "host must be a string");
+    }
+  }
+  // IW604: unknown keys are likely typos — including the per-session
+  // knobs, which belong inside the entries.
+  for (const auto& field : json.fields()) {
+    static const char* const kServerKeys[] = {
+        "sessions", "scenario",       "host",         "port",
+        "admin_port", "workers",      "queue_capacity", "slow_consumer"};
+    if (std::find(std::begin(kServerKeys), std::end(kServerKeys),
+                  field.first) == std::end(kServerKeys)) {
+      d->AddWarning("IW604", "/" + field.first,
+                    "unknown serve config key '" + field.first + "'");
+    }
+  }
 }
 
 }  // namespace
@@ -112,105 +211,17 @@ SessionOptions SessionConfig::ToSessionOptions() const {
   return options;
 }
 
-Result<ServeConfig> ServeConfig::FromJson(const Json& json) {
-  if (!json.is_object()) {
-    return Status::ParseError("serve config must be a JSON object");
-  }
-  const bool has_scenario = json.Has("scenario");
-  const bool has_sessions = json.Has("sessions");
-  if (has_scenario && has_sessions) {
-    return Status::InvalidArgument(
-        "serve config: use either a top-level \"scenario\" or a "
-        "\"sessions\" array, not both");
-  }
-  if (!has_scenario && !has_sessions) {
-    return Status::InvalidArgument(
-        "serve config: missing \"scenario\" (or a \"sessions\" array)");
-  }
-  for (const char* key : {"host", "slow_consumer"}) {
-    ICEWAFL_RETURN_NOT_OK(RequireType(json, key, /*want_string=*/true, ""));
-  }
-  for (const char* key : {"port", "admin_port", "workers", "queue_capacity"}) {
-    ICEWAFL_RETURN_NOT_OK(RequireType(json, key, /*want_string=*/false, ""));
-  }
+Result<ServeConfig> ServeConfig::FromJson(
+    const Json& json, const std::vector<std::string>& known_scenarios,
+    Diagnostics* diags) {
+  Diagnostics found;
   ServeConfig config;
-  if (has_sessions) {
-    ICEWAFL_ASSIGN_OR_RETURN(Json sessions, json.Get("sessions"));
-    if (!sessions.is_array() || sessions.items().empty()) {
-      return Status::InvalidArgument(
-          "serve config: \"sessions\" must be a non-empty array");
-    }
-    for (size_t i = 0; i < sessions.items().size(); ++i) {
-      const Json& entry = sessions.items()[i];
-      const std::string where = "sessions[" + std::to_string(i) + "]: ";
-      if (!entry.is_object()) {
-        return Status::InvalidArgument("serve config: " + where +
-                                       "entry must be an object");
-      }
-      ICEWAFL_ASSIGN_OR_RETURN(SessionConfig session,
-                               ParseSession(entry, where, "max_runs"));
-      for (const SessionConfig& prior : config.sessions) {
-        if (prior.name == session.name) {
-          return Status::InvalidArgument("serve config: " + where +
-                                         "duplicate session name '" +
-                                         session.name + "'");
-        }
-      }
-      config.sessions.push_back(std::move(session));
-    }
-  } else {
-    ICEWAFL_ASSIGN_OR_RETURN(SessionConfig session,
-                             ParseSession(json, "", "max_sessions"));
-    config.sessions.push_back(std::move(session));
+  LoadServeConfig(json, known_scenarios, &config, &found);
+  if (diags != nullptr) diags->Merge(found);
+  if (found.HasErrors()) {
+    return Status::InvalidArgument("serve config rejected:\n" +
+                                   found.ToReport());
   }
-  config.host = json.GetString("host", config.host);
-  const int64_t port = json.GetInt("port", 0);
-  if (port < 0 || port > 65535) {
-    return Status::InvalidArgument("serve config: port " +
-                                   std::to_string(port) +
-                                   " outside [0, 65535]");
-  }
-  config.port = static_cast<uint16_t>(port);
-  if (json.Has("admin_port")) {
-    const int64_t admin_port = json.GetInt("admin_port", -1);
-    if (admin_port < 0 || admin_port > 65535) {
-      return Status::InvalidArgument("serve config: admin_port " +
-                                     std::to_string(admin_port) +
-                                     " outside [0, 65535]");
-    }
-    config.admin_port = static_cast<int>(admin_port);
-  }
-  // Mirrors lint code IW609: a positive integer, rejected (not silently
-  // truncated) when fractional, and bounded by the int pool size.
-  if (json.Has("workers")) {
-    ICEWAFL_ASSIGN_OR_RETURN(Json workers, json.Get("workers"));
-    const double value = workers.AsDouble();
-    if (value != std::floor(value)) {
-      return Status::InvalidArgument(
-          "serve config: workers must be a positive integer (got " +
-          FormatDouble(value) + ", which would truncate)");
-    }
-    if (value < 1.0) {
-      return Status::InvalidArgument("serve config: workers must be >= 1");
-    }
-    if (value > 2147483647.0) {
-      return Status::InvalidArgument(
-          "serve config: workers must fit a 32-bit integer (got " +
-          FormatDouble(value) + ")");
-    }
-    config.workers = static_cast<int>(workers.AsInt64());
-  }
-  const int64_t capacity = json.GetInt(
-      "queue_capacity", static_cast<int64_t>(config.queue_capacity));
-  if (capacity < 1) {
-    return Status::InvalidArgument(
-        "serve config: queue_capacity must be >= 1");
-  }
-  config.queue_capacity = static_cast<size_t>(capacity);
-  const std::string policy = json.GetString(
-      "slow_consumer", SlowConsumerPolicyName(config.slow_consumer));
-  ICEWAFL_ASSIGN_OR_RETURN(config.slow_consumer,
-                           SlowConsumerPolicyFromName(policy));
   return config;
 }
 
@@ -221,11 +232,11 @@ Json ServeConfig::ToJson() const {
     Json entry = Json::MakeObject();
     entry.Set("name", Json(session.name));
     entry.Set("scenario", Json(session.scenario));
-    entry.Set("seed", Json(static_cast<int64_t>(session.seed)));
+    entry.Set("seed", Json(static_cast<double>(session.seed)));
     entry.Set("parallelism", Json(static_cast<int64_t>(session.parallelism)));
     entry.Set("min_subscribers",
               Json(static_cast<int64_t>(session.min_subscribers)));
-    entry.Set("max_runs", Json(static_cast<int64_t>(session.max_runs)));
+    entry.Set("max_runs", Json(static_cast<double>(session.max_runs)));
     if (!session.cleaner.is_null()) entry.Set("cleaner", session.cleaner);
     entries.Append(std::move(entry));
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/server.h"
+#include "util/diag.h"
 #include "util/json.h"
 #include "util/result.h"
 
@@ -25,8 +26,8 @@ struct SessionConfig {
   uint64_t max_runs = 0;
   /// Optional cleaning-rules document applied to this session's served
   /// stream (scenarios::BuildPlanWithCleaner); null serves raw polluted
-  /// output. Kept as raw JSON so the net layer stays free of the
-  /// cleaning library — the CLI compiles and lint-gates it.
+  /// output. Checked schemaless by the cleaner loader at load; bound
+  /// against the scenario's schema when the session's plan is built.
   Json cleaner;
 
   /// \brief Per-session server options for this entry.
@@ -35,17 +36,14 @@ struct SessionConfig {
 
 /// \brief Declarative configuration of `icewafl_cli serve` — one JSON
 /// document (or the equivalent flag set) naming the sessions to host
-/// and how to serve them. The same document is what
-/// `analysis::AnalyzeServeConfig` lints (IW601..IW608), so a config
-/// rejected by `icewafl_cli lint` is exactly one `serve` would refuse.
-///
-/// Two document shapes parse:
-///  - multi-session: a `sessions` array of named scenario entries
-///    (canonical — ToJson() always emits this form);
-///  - legacy single-session: a top-level `scenario` plus the per-
-///    session knobs (`seed`, `parallelism`, `min_subscribers`,
-///    `max_sessions` — the pre-v2 name of `max_runs`).
-/// A document using both shapes at once is rejected.
+/// and how to serve them:
+/// \code{.json}
+/// {"sessions": [{"name": "alpha", "scenario": "random_temporal",
+///                "seed": 42, "parallelism": 1, "min_subscribers": 1,
+///                "max_runs": 0, "cleaner": {...}}],
+///  "host": "127.0.0.1", "port": 0, "admin_port": -1, "workers": 2,
+///  "queue_capacity": 256, "slow_consumer": "block"}
+/// \endcode
 struct ServeConfig {
   std::vector<SessionConfig> sessions;
   std::string host = "127.0.0.1";
@@ -59,12 +57,34 @@ struct ServeConfig {
   size_t queue_capacity = 256;
   SlowConsumerPolicy slow_consumer = SlowConsumerPolicy::kBlock;
 
-  /// \brief Parses and validates a serve document. The checks mirror the
-  /// analyzer's IW6xx error codes — this is the enforcing twin of the
-  /// advisory lint.
-  static Result<ServeConfig> FromJson(const Json& json);
+  /// \brief Parses a serve document — the one checker of its rules, so
+  /// `icewafl_cli lint`, `serve`, and `admin create_session` agree by
+  /// construction. Every finding goes into `diags` (when non-null) with
+  /// a JSON pointer (full table in DESIGN.md section 6):
+  ///  - IW601 (error): port / admin_port not an integer in [0, 65535];
+  ///  - IW602 (error): slow_consumer not a policy name;
+  ///  - IW603 (error): queue_capacity not an integer >= 1;
+  ///  - IW604 (warning): unknown key (likely a typo);
+  ///  - IW605 (error): a session's scenario missing, or not in
+  ///    `known_scenarios` (an empty vector skips the membership check);
+  ///  - IW606 (error): seed / max_runs not an integer >= 0, parallelism
+  ///    / min_subscribers not an integer >= 1, a non-string host;
+  ///  - IW607 (error): session name empty, longer than
+  ///    kMaxSessionIdBytes, non-string, or duplicated across entries;
+  ///  - IW608 (error): malformed shape — not an object, "sessions" not a
+  ///    non-empty array, an entry not an object, or a top-level
+  ///    "scenario" (the retired single-session shape);
+  ///  - IW609 (error): workers not an integer >= 1;
+  ///  - IW615 (error): session name containing ASCII control characters.
+  /// Integer keys past their field's C++ type are rejected, never
+  /// truncated. An entry's "cleaner" goes through clean::RulesFromJson,
+  /// its findings rooted at /sessions/<i>/cleaner. Fails — carrying the
+  /// report — only if an error was reported.
+  static Result<ServeConfig> FromJson(
+      const Json& json, const std::vector<std::string>& known_scenarios = {},
+      Diagnostics* diags = nullptr);
 
-  /// \brief Canonical JSON form (always the `sessions` array shape).
+/// \brief Canonical JSON form (always the `sessions` array shape).
   Json ToJson() const;
 
   /// \brief Server-wide options for this config; `metrics` may be null.

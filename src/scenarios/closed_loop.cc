@@ -390,7 +390,7 @@ Result<ClosedLoopReport> RunClosedLoop(const std::string& scenario,
 }
 
 Result<std::shared_ptr<PlanSnapshot>> BuildPlanWithCleaner(
-    const PlanSnapshot& base, const Json& rules_json) {
+    const PlanSnapshot& base, const Json& rules_json, Diagnostics* diags) {
   std::shared_ptr<PlanSnapshot> next = ClonePlan(base);
   if (rules_json.is_null()) {
     next->cleaner = Json();
@@ -399,7 +399,7 @@ Result<std::shared_ptr<PlanSnapshot>> BuildPlanWithCleaner(
   // Compile against the session schema so a broken document is rejected
   // with JSON-pointer diagnostics before a snapshot exists to publish.
   ICEWAFL_RETURN_NOT_OK(
-      clean::RulesFromJson(rules_json, base.schema).status());
+      clean::RulesFromJson(rules_json, base.schema, diags).status());
   next->cleaner = rules_json;
   return next;
 }

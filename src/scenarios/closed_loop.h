@@ -11,6 +11,7 @@
 #include "dq/monitor.h"
 #include "obs/metrics.h"
 #include "scenarios/scenarios.h"
+#include "util/diag.h"
 #include "util/json.h"
 
 namespace icewafl {
@@ -123,10 +124,12 @@ Result<ClosedLoopReport> RunClosedLoop(const std::string& scenario,
 
 /// \brief Clones `base` and installs (or, with a null `rules_json`,
 /// removes) the cleaner document, validating it against the plan schema
-/// first — a statically broken document never reaches a published
-/// snapshot. The admin `set_cleaner` hook compiles through this.
+/// first (clean::RulesFromJson, findings into `diags` when non-null) —
+/// a broken document never reaches a published snapshot. The admin
+/// `set_cleaner` hook compiles through this.
 Result<std::shared_ptr<PlanSnapshot>> BuildPlanWithCleaner(
-    const PlanSnapshot& base, const Json& rules_json);
+    const PlanSnapshot& base, const Json& rules_json,
+    Diagnostics* diags = nullptr);
 
 }  // namespace scenarios
 }  // namespace icewafl

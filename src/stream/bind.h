@@ -134,11 +134,18 @@ class BindContext {
   };
 
   /// \brief An error Status carrying the current JSON-pointer path.
+  /// The path and message are also kept (error_path / error_message)
+  /// for callers that report bind failures as Diagnostics.
   Status Error(StatusCode code, const std::string& message) const {
+    error_path_ = path_;
+    error_message_ = message;
     return Status(code,
                   "at " + (path_.empty() ? std::string("/") : path_) + ": " +
                       message);
   }
+
+  const std::string& error_path() const { return error_path_; }
+  const std::string& error_message() const { return error_message_; }
 
   /// \brief Resolves an attribute name to a BoundAccessor; NotFound
   /// (with the JSON-pointer path) when the schema lacks it.
@@ -187,6 +194,8 @@ class BindContext {
 
   const Schema* schema_;
   std::string path_;
+  mutable std::string error_path_;
+  mutable std::string error_message_;
 };
 
 }  // namespace icewafl

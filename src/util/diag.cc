@@ -1,5 +1,7 @@
 #include "util/diag.h"
 
+#include "util/strings.h"
+
 namespace icewafl {
 
 const char* DiagSeverityName(DiagSeverity severity) {
@@ -58,9 +60,12 @@ void Diagnostics::AddNote(std::string code, std::string path,
        std::move(message), std::move(hint)});
 }
 
-void Diagnostics::Merge(const Diagnostics& other) {
-  diagnostics_.insert(diagnostics_.end(), other.diagnostics_.begin(),
-                      other.diagnostics_.end());
+void Diagnostics::Merge(const Diagnostics& other,
+                        const std::string& path_prefix) {
+  for (Diagnostic diagnostic : other.diagnostics_) {
+    diagnostic.path.insert(0, path_prefix);
+    diagnostics_.push_back(std::move(diagnostic));
+  }
 }
 
 size_t Diagnostics::ErrorCount() const {
@@ -110,4 +115,31 @@ Json Diagnostics::ToJson() const {
   return j;
 }
 
+namespace internal {
+
+bool CheckIntField(const Json& value, const std::string& key,
+                   const std::string& path, const char* code, double min,
+                   double limit, const std::string& max_text,
+                   Diagnostics* diags) {
+  const std::string name = "\"" + key + "\"";
+  if (!value.is_number()) {
+    diags->AddError(code, path, name + " must be an integer");
+    return false;
+  }
+  const double v = value.AsDouble();
+  const std::string got = " (got " + FormatDouble(v) + ")";
+  if (!std::isfinite(v) || v != std::floor(v)) {
+    diags->AddError(code, path, name + " must be an integer" + got);
+  } else if (v < min) {
+    diags->AddError(code, path,
+                    name + " must be >= " + FormatDouble(min) + got);
+  } else if (v >= limit) {
+    diags->AddError(code, path, name + " must be <= " + max_text + got);
+  } else {
+    return true;
+  }
+  return false;
+}
+
+}  // namespace internal
 }  // namespace icewafl

@@ -1,6 +1,8 @@
 #ifndef ICEWAFL_UTIL_DIAG_H_
 #define ICEWAFL_UTIL_DIAG_H_
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -58,8 +60,10 @@ class Diagnostics {
   void AddNote(std::string code, std::string path, std::string message,
                std::string hint = "");
 
-  /// \brief Appends all diagnostics of `other`.
-  void Merge(const Diagnostics& other);
+  /// \brief Appends all diagnostics of `other`, prefixing each path
+  /// with `path_prefix` (the pointer of the node `other` was reported
+  /// against, when that node is embedded in a larger document).
+  void Merge(const Diagnostics& other, const std::string& path_prefix = "");
 
   const std::vector<Diagnostic>& items() const { return diagnostics_; }
   size_t size() const { return diagnostics_.size(); }
@@ -83,6 +87,40 @@ class Diagnostics {
  private:
   std::vector<Diagnostic> diagnostics_;
 };
+
+namespace internal {
+
+/// \brief Range check behind ReadIntField: true when `value` is a whole
+/// number in [min, limit); otherwise reports `code` at `path` and
+/// returns false.
+bool CheckIntField(const Json& value, const std::string& key,
+                   const std::string& path, const char* code, double min,
+                   double limit, const std::string& max_text,
+                   Diagnostics* diags);
+
+}  // namespace internal
+
+/// \brief Reads the optional integer field `key` of the object `json`
+/// into `*out`; an absent key leaves `*out` unchanged. A value that is
+/// not a number, has a fractional part, is below `min`, or lies past
+/// the range of T is reported as error `code` at `parent + "/" + key`,
+/// also leaving `*out` unchanged, and returns false. Every integer key
+/// of the config loaders goes through here, so none truncates silently.
+template <typename T>
+bool ReadIntField(const Json& json, const std::string& key,
+                  const std::string& parent, const char* code, T min, T* out,
+                  Diagnostics* diags) {
+  if (!json.Has(key)) return true;
+  const Json value = json.Get(key).ValueOrDie();
+  if (!internal::CheckIntField(
+          value, key, parent + "/" + key, code, static_cast<double>(min),
+          std::ldexp(1.0, std::numeric_limits<T>::digits),
+          std::to_string(std::numeric_limits<T>::max()), diags)) {
+    return false;
+  }
+  *out = static_cast<T>(value.AsDouble());
+  return true;
+}
 
 }  // namespace icewafl
 

@@ -260,8 +260,8 @@ TEST(CloneTest, CloneOfBoundRuleIsBound) {
                  RepairAction::kSetNull);
   ASSERT_TRUE(BindRule(&rule, schema).ok());
   std::unique_ptr<CleanRule> clone = rule.Clone();
-  // The clone detects without a re-bind: compiled regex and accessor
-  // travel through CopyBindState.
+  // The clone detects without a re-bind: the compiled regex and the
+  // accessor travel with the copy.
   EXPECT_FALSE(clone->Violates(Row(schema, 0, Value(70.0), 0, Value(1.2345)),
                                nullptr));
   EXPECT_TRUE(clone->Violates(Row(schema, 1, Value(70.0), 0, Value(1.25)),

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/analyzer.h"
 #include "clean/config.h"
 #include "core/config.h"
 #include "core/process.h"
@@ -15,6 +14,7 @@
 #include "data/wearable.h"
 #include "dq/config.h"
 #include "io/schema_json.h"
+#include "net/serve_config.h"
 #include "scenarios/closed_loop.h"
 #include "scenarios/scenarios.h"
 
@@ -68,18 +68,48 @@ TEST(ShippedConfigsTest, CleanerMatchesStockScenarioCleaner) {
       << "configs/software_update_clean.json drifted from the builder in "
          "src/scenarios/closed_loop.cc";
 
-  // The shipped document lints clean against the wearable schema and
-  // binds (the lint soundness contract: no diagnostics => it runs).
-  analysis::CleanerAnalyzeOptions options;
-  options.schema = data::WearableSchema();
-  Diagnostics diags =
-      analysis::AnalyzeCleanerRules(json.ValueOrDie(), options);
-  EXPECT_EQ(diags.ErrorCount(), 0u) << diags.ToReport();
-  EXPECT_EQ(diags.WarningCount(), 0u) << diags.ToReport();
-  auto rules =
-      clean::RulesFromJson(json.ValueOrDie(), data::WearableSchema());
+  // The shipped document loads and binds against the wearable schema
+  // without a single finding.
+  Diagnostics diags;
+  auto rules = clean::RulesFromJson(json.ValueOrDie(), data::WearableSchema(),
+                                    &diags);
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  EXPECT_TRUE(diags.empty()) << diags.ToReport();
   EXPECT_EQ(rules.ValueOrDie().rules.size(), 5u);
+}
+
+TEST(ShippedConfigsTest, ServeSessionsLoadAndBuildPlans) {
+  std::ifstream in(ConfigPath("serve_sessions.json"));
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto json = Json::Parse(text.str());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+
+  Diagnostics diags;
+  auto config = net::ServeConfig::FromJson(
+      json.ValueOrDie(), scenarios::ScenarioNames(), &diags);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_TRUE(diags.empty()) << diags.ToReport();
+  ASSERT_EQ(config.ValueOrDie().sessions.size(), 2u);
+  EXPECT_EQ(config.ValueOrDie().ToJson(), json.ValueOrDie())
+      << "configs/serve_sessions.json is not in canonical form";
+
+  // Every session compiles into a servable plan; the embedded cleaner
+  // binds against its scenario's schema.
+  size_t cleaned = 0;
+  for (const net::SessionConfig& session : config.ValueOrDie().sessions) {
+    auto plan = scenarios::BuildScenarioPlan(session.scenario, session.seed,
+                                             session.parallelism);
+    ASSERT_TRUE(plan.ok()) << session.name << ": "
+                           << plan.status().ToString();
+    if (session.cleaner.is_null()) continue;
+    auto with_cleaner =
+        scenarios::BuildPlanWithCleaner(*plan.ValueOrDie(), session.cleaner);
+    ASSERT_TRUE(with_cleaner.ok())
+        << session.name << ": " << with_cleaner.status().ToString();
+    ++cleaned;
+  }
+  EXPECT_EQ(cleaned, 1u);
 }
 
 TEST(ShippedConfigsTest, SuiteLoadsAndDetectsSoftwareUpdateErrors) {

@@ -29,7 +29,7 @@ std::shared_ptr<PlanSnapshot> ScenarioPlan(const std::string& name) {
 
 /// The same mutation hooks `icewafl_cli serve` installs: compile through
 /// the scenarios layer, lint pipeline documents against the session's
-/// schema first.
+/// schema first, load cleaning documents bound to it.
 AdminHooks TestHooks(PollutionServer* server) {
   AdminHooks hooks;
   hooks.known_scenarios = scenarios::ScenarioNames();
@@ -58,16 +58,10 @@ AdminHooks TestHooks(PollutionServer* server) {
       -> Result<std::shared_ptr<PlanSnapshot>> {
     Json rules;
     if (params.Has("rules")) rules = params.Get("rules").ValueOrDie();
-    if (!rules.is_null()) {
-      analysis::CleanerAnalyzeOptions options;
-      options.schema = current.schema;
-      Diagnostics diags = analysis::AnalyzeCleanerRules(rules, options);
-      if (diags.HasErrors()) {
-        *diagnostics = diags.ToJson();
-        return Status::InvalidArgument(diags.ToReport());
-      }
-    }
-    return scenarios::BuildPlanWithCleaner(current, rules);
+    Diagnostics diags;
+    auto next = scenarios::BuildPlanWithCleaner(current, rules, &diags);
+    if (!next.ok()) *diagnostics = diags.ToJson();
+    return next;
   };
   hooks.create_session = [server](const Json& params, Json*) -> Status {
     auto entry = params.Get("session");

@@ -96,7 +96,7 @@ TEST(CliExitCodes, MalformedIntegerFlagIsUsageError) {
 TEST(CliExitCodes, ServeRefusesConfigTheLintRejects) {
   const std::string path = WriteTempConfig(
       "bad_serve.json",
-      R"({"scenario": "random_temporal", "port": 70000})");
+      R"({"sessions": [{"scenario": "random_temporal"}], "port": 70000})");
   CliRun run = RunCli("serve --config " + path);
   EXPECT_EQ(run.exit_code, 2);
   EXPECT_NE(run.output.find("IW601"), std::string::npos) << run.output;
@@ -115,9 +115,19 @@ TEST(CliExitCodes, TailFailsFastWhenNothingListens) {
 
 TEST(CliExitCodes, LintRoutesServeConfigs) {
   const std::string path = WriteTempConfig(
-      "good_serve.json", R"({"scenario": "random_temporal", "port": 0})");
+      "good_serve.json",
+      R"({"sessions": [{"scenario": "random_temporal"}], "port": 0})");
   CliRun run = RunCli("lint " + path);
   EXPECT_EQ(run.exit_code, 0) << run.output;
+
+  // The retired single-session shape still routes to the serve loader
+  // and fails there with IW608, not with a pipeline parse error.
+  const std::string legacy = WriteTempConfig(
+      "legacy_serve.json", R"({"scenario": "random_temporal", "port": 0})");
+  CliRun rejected = RunCli("lint " + legacy);
+  EXPECT_EQ(rejected.exit_code, 1) << rejected.output;
+  EXPECT_NE(rejected.output.find("IW608"), std::string::npos)
+      << rejected.output;
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace icewafl {
 namespace {
 
@@ -60,6 +62,40 @@ TEST(DiagTest, ToJsonCarriesCounts) {
   EXPECT_EQ(items.items()[0].GetString("code", ""), "IW101");
   EXPECT_EQ(items.items()[0].GetString("severity", ""), "error");
   EXPECT_EQ(items.items()[0].GetString("hint", ""), "fix it");
+}
+
+TEST(DiagTest, ReadIntFieldRejectsFractionsAndOverflowInsteadOfTruncating) {
+  const Json doc = Json::Parse(
+      R"({"max_int": 2147483647, "past_int": 2147483648, "fraction": 2.5,
+          "port": 65535, "past_port": 65536, "negative": -1, "huge": 1e300,
+          "text": "7"})").ValueOrDie();
+  Diagnostics diags;
+  int i = -7;
+  EXPECT_TRUE(ReadIntField<int>(doc, "absent", "", "IW1", 0, &i, &diags));
+  EXPECT_EQ(i, -7);
+  EXPECT_TRUE(ReadIntField<int>(doc, "max_int", "", "IW1", 0, &i, &diags));
+  EXPECT_EQ(i, 2147483647);
+  uint16_t port = 0;
+  EXPECT_TRUE(
+      ReadIntField<uint16_t>(doc, "port", "", "IW1", 0, &port, &diags));
+  EXPECT_EQ(port, 65535);
+  EXPECT_TRUE(diags.empty()) << diags.ToReport();
+
+  i = -7;
+  EXPECT_FALSE(ReadIntField<int>(doc, "past_int", "/x", "IW2", 0, &i, &diags));
+  EXPECT_FALSE(ReadIntField<int>(doc, "fraction", "/x", "IW2", 0, &i, &diags));
+  EXPECT_FALSE(ReadIntField<int>(doc, "negative", "/x", "IW2", 0, &i, &diags));
+  EXPECT_FALSE(ReadIntField<int>(doc, "text", "/x", "IW2", 0, &i, &diags));
+  EXPECT_EQ(i, -7);
+  uint64_t seed = 3;
+  EXPECT_FALSE(
+      ReadIntField<uint64_t>(doc, "huge", "/x", "IW2", 0, &seed, &diags));
+  EXPECT_FALSE(
+      ReadIntField<uint16_t>(doc, "past_port", "/x", "IW2", 0, &port, &diags));
+  EXPECT_EQ(seed, 3u);
+  ASSERT_EQ(diags.ErrorCount(), 6u) << diags.ToReport();
+  EXPECT_EQ(diags.items()[0].path, "/x/past_int");
+  EXPECT_EQ(diags.items()[0].code, "IW2");
 }
 
 }  // namespace

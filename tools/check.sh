@@ -12,6 +12,7 @@
 #                             # analysis rejects a seeded GUARDED_BY
 #                             # violation; skips when clang is absent
 #   tools/check.sh lint       # icewafl_cli lint over configs/*.json
+#                             # (pipelines, cleaner, serve sessions)
 #   tools/check.sh obs        # end-to-end observability smoke: run a
 #                             # scenario with --metrics-out/--trace-out
 #                             # and validate both exports parse
@@ -147,6 +148,8 @@ run_lint() {
   echo "--- configs/software_update_clean.json (IW70x cleaner surface)"
   "${cli}" lint configs/software_update_clean.json \
     --schema configs/wearable_schema.json || status=$?
+  echo "--- configs/serve_sessions.json (IW6xx serve surface)"
+  "${cli}" lint configs/serve_sessions.json || status=$?
   if [ "${status}" -ne 0 ]; then
     echo "=== lint: FAILED ==="
     return "${status}"

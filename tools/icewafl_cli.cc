@@ -26,7 +26,7 @@
 //   clean     --rules R.json --schema s.json --input in.csv
 //             [--output out.csv] [--log repairs.json] [--parallelism P]
 //             [--metrics-out F.prom] [--null-repr STR]
-//             (rule-based stream repair: lints the cleaning document —
+//             (rule-based stream repair: loads the cleaning document —
 //              IW70x — against the schema, then detects and repairs;
 //              output is byte-identical at every --parallelism)
 //             OR
@@ -46,7 +46,9 @@
 //              or more named sessions — a --config document may carry a
 //              "sessions" array — streaming each session's polluted
 //              runs to its subscribers over a shared worker pool; the
-//              config is linted — IW6xx — before the socket opens.
+//              config is checked — IW6xx — before the socket opens.
+//              The flags build a one-entry "sessions" document;
+//              --max-sessions sets that session's max_runs.
 //              Every session runs a versioned plan snapshot; with
 //              --admin-port the live control plane is exposed on its
 //              own port for `icewafl_cli admin`)
@@ -57,7 +59,7 @@
 //              list_sessions, get_config, swap_pipeline, set_rate,
 //              stop_session, create_session, get_metrics, set_cleaner.
 //              set_cleaner installs --rules R.json as the session's
-//              live cleaner — lint-gated IW70x against the session's
+//              live cleaner — checked IW70x against the session's
 //              schema — or removes it with `--rules null`. Requests are
 //              linted client-side — IW61x — before the connection, and
 //              again server-side; swapped pipeline documents pass the
@@ -421,18 +423,15 @@ int RunLint(const std::string& config_path,
 
   Diagnostics diags;
   if (analysis::LooksLikeServeConfig(pipeline_json.ValueOrDie())) {
-    // A serve document (scenario, no polluters) gets the IW6xx surface.
-    analysis::ServeAnalyzeOptions serve_options;
-    serve_options.known_scenarios = scenarios::ScenarioNames();
-    serve_options.known_policies = net::SlowConsumerPolicyNames();
-    diags = analysis::AnalyzeServeConfig(pipeline_json.ValueOrDie(),
-                                         serve_options);
+    // A serve document (sessions, no polluters): its loader reports the
+    // IW6xx surface.
+    (void)net::ServeConfig::FromJson(pipeline_json.ValueOrDie(),
+                                     scenarios::ScenarioNames(), &diags);
   } else if (analysis::LooksLikeCleanerRules(pipeline_json.ValueOrDie())) {
-    // A cleaning document (rules with repairs) gets the IW70x surface.
-    analysis::CleanerAnalyzeOptions cleaner_options;
-    cleaner_options.schema = options.schema;
-    diags = analysis::AnalyzeCleanerRules(pipeline_json.ValueOrDie(),
-                                          cleaner_options);
+    // A cleaning document (rules with repairs): its loader reports the
+    // IW70x surface, bound against --schema when given.
+    (void)clean::RulesFromJson(pipeline_json.ValueOrDie(), options.schema,
+                               &diags);
   } else if (flags.count("suite")) {
     auto suite_json = ReadJsonFile(flags.at("suite"));
     if (!suite_json.ok()) return Fail(suite_json.status());
@@ -614,18 +613,13 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   auto rules_json = ReadJsonFile(flags.at("rules"));
   if (!rules_json.ok()) return Fail(rules_json.status());
 
-  // The lint gate: a statically broken document exits 1 with the
-  // report before any tuple is read.
-  analysis::CleanerAnalyzeOptions lint;
-  lint.schema = schema.ValueOrDie();
-  Diagnostics diags =
-      analysis::AnalyzeCleanerRules(rules_json.ValueOrDie(), lint);
+  // A broken document exits 1 with the loader's report before any
+  // tuple is read.
+  Diagnostics diags;
+  auto rules = clean::RulesFromJson(rules_json.ValueOrDie(),
+                                    schema.ValueOrDie(), &diags);
   if (!diags.empty()) std::fprintf(stderr, "%s", diags.ToReport().c_str());
-  if (diags.HasErrors()) return 1;
-
-  auto rules =
-      clean::RulesFromJson(rules_json.ValueOrDie(), schema.ValueOrDie());
-  if (!rules.ok()) return Fail(rules.status());
+  if (!rules.ok()) return 1;
   auto tuples = ReadCsvFile(schema.ValueOrDie(), flags.at("input"), csv);
   if (!tuples.ok()) return Fail(tuples.status());
 
@@ -680,8 +674,9 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// Builds the serve JSON document from --config (file) or the flag set,
-/// so both paths go through the same IW6xx lint and ServeConfig parse.
+/// Builds the serve JSON document from --config (file) or the flag set
+/// (a one-entry "sessions" document), so both paths go through the same
+/// ServeConfig loader.
 int BuildServeJson(const std::map<std::string, std::string>& flags,
                    Json* out) {
   if (flags.count("config")) {
@@ -691,19 +686,23 @@ int BuildServeJson(const std::map<std::string, std::string>& flags,
     return 0;
   }
   Json doc = Json::MakeObject();
-  if (flags.count("scenario")) doc.Set("scenario", flags.at("scenario"));
+  Json session = Json::MakeObject();
+  session.Set("scenario", flags.at("scenario"));
   if (flags.count("host")) doc.Set("host", flags.at("host"));
   struct IntFlag {
     const char* flag;
     const char* key;
+    bool per_session;
   };
   for (const IntFlag& f :
-       {IntFlag{"port", "port"}, IntFlag{"admin-port", "admin_port"},
-        IntFlag{"seed", "seed"}, IntFlag{"parallelism", "parallelism"},
-        IntFlag{"min-subscribers", "min_subscribers"},
-        IntFlag{"max-sessions", "max_sessions"},
-        IntFlag{"queue-capacity", "queue_capacity"},
-        IntFlag{"workers", "workers"}}) {
+       {IntFlag{"port", "port", false},
+        IntFlag{"admin-port", "admin_port", false},
+        IntFlag{"seed", "seed", true},
+        IntFlag{"parallelism", "parallelism", true},
+        IntFlag{"min-subscribers", "min_subscribers", true},
+        IntFlag{"max-sessions", "max_runs", true},
+        IntFlag{"queue-capacity", "queue_capacity", false},
+        IntFlag{"workers", "workers", false}}) {
     if (!flags.count(f.flag)) continue;
     int64_t value = 0;
     if (!ParseInt64Flag(flags.at(f.flag), &value)) {
@@ -711,11 +710,14 @@ int BuildServeJson(const std::map<std::string, std::string>& flags,
                    flags.at(f.flag).c_str());
       return 2;
     }
-    doc.Set(f.key, Json(value));
+    (f.per_session ? session : doc).Set(f.key, Json(value));
   }
   if (flags.count("slow-consumer")) {
     doc.Set("slow_consumer", flags.at("slow-consumer"));
   }
+  Json sessions = Json::MakeArray();
+  sessions.Append(std::move(session));
+  doc.Set("sessions", std::move(sessions));
   *out = std::move(doc);
   return 0;
 }
@@ -778,41 +780,30 @@ net::AdminHooks MakeAdminHooks(net::PollutionServer* server) {
       -> Result<std::shared_ptr<PlanSnapshot>> {
     Json rules;
     if (params.Has("rules")) rules = params.Get("rules").ValueOrDie();
-    if (!rules.is_null()) {
-      // Schema-sharpened re-lint: the envelope gate already ran the
-      // schemaless IW70x pass; this one catches unknown columns.
-      analysis::CleanerAnalyzeOptions options;
-      options.schema = current.schema;
-      Diagnostics diags = analysis::AnalyzeCleanerRules(rules, options);
-      if (diags.HasErrors()) {
-        *diagnostics = diags.ToJson();
-        return Status::InvalidArgument("cleaner rejected by lint:\n" +
-                                       diags.ToReport());
-      }
-    }
-    return scenarios::BuildPlanWithCleaner(current, rules);
+    // The envelope gate already ran the schemaless load; binding
+    // against the session's schema catches unknown columns (IW703).
+    Diagnostics diags;
+    auto next = scenarios::BuildPlanWithCleaner(current, rules, &diags);
+    if (!next.ok()) *diagnostics = diags.ToJson();
+    return next;
   };
   hooks.create_session = [server](const Json& params,
                                   Json* diagnostics) -> Status {
     auto entry_json = params.Get("session");
     if (!entry_json.ok()) return entry_json.status();
-    // Route the entry through the same IW6xx lint and ServeConfig parse
-    // a --config sessions[] entry gets.
+    // Route the entry through the same loader a --config sessions[]
+    // entry gets.
     Json doc = Json::MakeObject();
     Json sessions = Json::MakeArray();
     sessions.Append(entry_json.ValueOrDie());
     doc.Set("sessions", std::move(sessions));
-    analysis::ServeAnalyzeOptions serve_options;
-    serve_options.known_scenarios = scenarios::ScenarioNames();
-    serve_options.known_policies = net::SlowConsumerPolicyNames();
-    Diagnostics diags = analysis::AnalyzeServeConfig(doc, serve_options);
-    if (diags.HasErrors()) {
+    Diagnostics diags;
+    auto config =
+        net::ServeConfig::FromJson(doc, scenarios::ScenarioNames(), &diags);
+    if (!config.ok()) {
       *diagnostics = diags.ToJson();
-      return Status::InvalidArgument("session entry rejected by lint:\n" +
-                                     diags.ToReport());
+      return config.status();
     }
-    auto config = net::ServeConfig::FromJson(doc);
-    if (!config.ok()) return config.status();
     return AddPlanSession(server, config.ValueOrDie().sessions[0]);
   };
   return hooks;
@@ -826,17 +817,13 @@ int RunServe(const std::map<std::string, std::string>& flags) {
   Json doc;
   if (const int rc = BuildServeJson(flags, &doc); rc != 0) return rc;
 
-  // Static gate before the socket opens: the same IW6xx analysis
-  // `icewafl_cli lint` applies to a serve document.
-  analysis::ServeAnalyzeOptions serve_options;
-  serve_options.known_scenarios = scenarios::ScenarioNames();
-  serve_options.known_policies = net::SlowConsumerPolicyNames();
-  Diagnostics diags = analysis::AnalyzeServeConfig(doc, serve_options);
+  // Checked before the socket opens, by the same loader `icewafl_cli
+  // lint` runs on a serve document.
+  Diagnostics diags;
+  auto config =
+      net::ServeConfig::FromJson(doc, scenarios::ScenarioNames(), &diags);
   if (!diags.empty()) std::fprintf(stderr, "%s", diags.ToReport().c_str());
-  if (diags.HasErrors()) return 2;
-
-  auto config = net::ServeConfig::FromJson(doc);
-  if (!config.ok()) return Fail(config.status());
+  if (!config.ok()) return 2;
   const net::ServeConfig& serve = config.ValueOrDie();
 
   // The admin channel reports metrics (get_metrics, plan_version), so
