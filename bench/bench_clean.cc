@@ -8,7 +8,7 @@
 // Alongside the human-readable table it emits a machine-readable JSON
 // report (BENCH_clean.json in CI, validated by tools/check.sh bench) so
 // the cleaning perf trajectory lives in a tracked artifact next to
-// BENCH_wire.json / BENCH_runtime.json.
+// BENCH_wire.json.
 //
 // Built-in assertions (exit 1 on violation, so CI turns a regression
 // into a red build instead of a silently worse number):

@@ -1,7 +1,7 @@
 // Ablation A2: scaling behaviour of the pollution process. Sweeps the
-// pipeline length l, the number of sub-streams m, and sequential vs
-// parallel sub-stream execution — the dimensions of the complexity bound
-// O(n * m * (1/m + l + log(n*m))) given in Section 2.3.
+// pipeline length l and the number of sub-streams m — the dimensions of
+// the complexity bound O(n * m * (1/m + l + log(n*m))) given in Section
+// 2.3 — and the pipelined runtime's worker parallelism.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "core/keyed_polluter_operator.h"
 #include "core/polluter_operator.h"
 #include "obs/metrics.h"
-#include "stream/executor.h"
 #include "stream/runtime.h"
 #include "core/process.h"
 #include "data/airquality.h"
@@ -58,13 +57,13 @@ void BM_PipelineLength(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineLength)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-void RunSubstreams(benchmark::State& state, int m, bool parallel) {
+void BM_SubstreamsSequential(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
   const TupleVector& stream = Stream();
   SchemaPtr schema = stream.front().schema();
   for (auto _ : state) {
     ProcessOptions options;
     options.num_substreams = m;
-    options.parallel = parallel;
     options.enable_log = false;
     options.seed = 1;
     PollutionProcess process(options);
@@ -77,16 +76,7 @@ void RunSubstreams(benchmark::State& state, int m, bool parallel) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(stream.size()));
 }
-
-void BM_SubstreamsSequential(benchmark::State& state) {
-  RunSubstreams(state, static_cast<int>(state.range(0)), false);
-}
 BENCHMARK(BM_SubstreamsSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_SubstreamsParallel(benchmark::State& state) {
-  RunSubstreams(state, static_cast<int>(state.range(0)), true);
-}
-BENCHMARK(BM_SubstreamsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_OverlapFraction(benchmark::State& state) {
   const double overlap = static_cast<double>(state.range(0)) / 100.0;
@@ -117,7 +107,7 @@ void BM_GlobalPolluterOperator(benchmark::State& state) {
     PolluterOperator op(MakePipeline(4), 1);
     CountingSink sink;
     std::vector<Operator*> ops = {&op};
-    Status st = StreamExecutor::Run(&source, ops, &sink);
+    Status st = PipelineRuntime().Run(&source, ops, &sink);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(sink.checksum());
   }
@@ -186,7 +176,7 @@ void BM_KeyedPolluterOperator(benchmark::State& state) {
     KeyedPolluterOperator op(MakePipeline(4), "WD", 1);
     CountingSink sink;
     std::vector<Operator*> ops = {&op};
-    Status st = StreamExecutor::Run(&source, ops, &sink);
+    Status st = PipelineRuntime().Run(&source, ops, &sink);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(sink.checksum());
   }

@@ -34,7 +34,6 @@ int main() {
   process_options.num_substreams = 2;
   process_options.overlap_fraction = 0.3;
   process_options.seed = 99;
-  process_options.parallel = true;  // one thread per sub-stream
   PollutionProcess process(process_options);
 
   // Sub-stream 0: a flaky sensor that drops NO2 readings.

@@ -41,15 +41,6 @@ Value NumericValueFor(ValueType declared, double v) {
   }
 }
 
-class SinkEmitter : public Emitter {
- public:
-  explicit SinkEmitter(Sink* sink) : sink_(sink) {}
-  Status Emit(Tuple tuple) override { return sink_->Write(std::move(tuple)); }
-
- private:
-  Sink* sink_;
-};
-
 }  // namespace
 
 Json RepairLogEntry::ToJson() const {
@@ -173,11 +164,13 @@ CleanerOperator::CleanerOperator(const CleaningRules& rules, RulePhase phase,
 
 void CleanerOperator::BindMetrics(obs::MetricRegistry* registry) {
   if (registry == nullptr || tuples_seen_ != nullptr) return;
-  obs::Labels doc_labels{{"rules", rules_.name}};
-  tuples_seen_ =
-      registry->GetCounter("icewafl_cleaner_tuples_total", doc_labels,
-                           "Tuples examined by the cleaning engine");
-  bool ok = tuples_seen_ != nullptr;
+  bool ok = true;
+  if (phase_ != RulePhase::kStatefulOnly) {
+    tuples_seen_ = registry->GetCounter(
+        "icewafl_cleaner_tuples_total", {{"rules", rules_.name}},
+        "Tuples examined by the cleaning engine");
+    ok = tuples_seen_ != nullptr;
+  }
   for (BoundRule& bound : active_) {
     obs::Labels labels{{"rule", bound.rule->label()},
                        {"rules", rules_.name}};
@@ -357,10 +350,18 @@ Status CleanerOperator::ProcessBatch(TupleVector* batch, Emitter* out) {
   return Status::OK();
 }
 
+Status CleaningSink::Flush() {
+  ICEWAFL_RETURN_NOT_OK(op_.Finish(&emitter_));
+  return emitter_.sink()->Flush();
+}
+
 Status CleanTuples(const CleaningRules& rules, TupleVector input,
                    int parallelism, Sink* sink,
                    obs::MetricRegistry* metrics, RepairLog* log,
                    CleanStats* stats) {
+  if (parallelism < 1) {
+    return Status::InvalidArgument("parallelism must be >= 1");
+  }
   if (input.empty()) return sink->Flush();
   // Deterministic ids: assigned in source order before any partitioning
   // so the parallel stages can be merged back to input order.
@@ -378,15 +379,12 @@ Status CleanTuples(const CleaningRules& rules, TupleVector input,
   const bool split =
       parallelism > 1 && rules.HasStateless();
   if (!split) {
-    CleanerOperator op(rules, RulePhase::kAll, log);
-    op.BindMetrics(metrics);
-    SinkEmitter emitter(sink);
-    for (Tuple& t : input) {
-      ICEWAFL_RETURN_NOT_OK(op.Process(std::move(t), &emitter));
-    }
+    CleaningSink cleaning(rules, sink, RulePhase::kAll, log);
+    cleaning.op().BindMetrics(metrics);
+    for (Tuple& t : input) ICEWAFL_RETURN_NOT_OK(cleaning.Write(std::move(t)));
     if (log != nullptr) log->SortByTuple();
-    if (stats != nullptr) *stats = op.stats();
-    return sink->Flush();
+    if (stats != nullptr) *stats = cleaning.op().stats();
+    return cleaning.Flush();
   }
 
   // Phase 1: pure stateless rules on the pipelined runtime. Workers own
@@ -426,13 +424,10 @@ Status CleanTuples(const CleaningRules& rules, TupleVector input,
 
   // Phase 2: the stateful tail runs sequentially over the re-ordered
   // stream, exactly as the single-operator reference would see it.
-  CleanerOperator tail(rules, RulePhase::kStatefulOnly,
-                       log != nullptr ? &merged_log : nullptr);
-  tail.BindMetrics(metrics);
-  SinkEmitter emitter(sink);
-  for (Tuple& t : staged) {
-    ICEWAFL_RETURN_NOT_OK(tail.Process(std::move(t), &emitter));
-  }
+  CleaningSink tail(rules, sink, RulePhase::kStatefulOnly,
+                    log != nullptr ? &merged_log : nullptr);
+  tail.op().BindMetrics(metrics);
+  for (Tuple& t : staged) ICEWAFL_RETURN_NOT_OK(tail.Write(std::move(t)));
 
   if (log != nullptr) {
     merged_log.SortByTuple();
@@ -444,12 +439,12 @@ Status CleanTuples(const CleaningRules& rules, TupleVector input,
     // The tail re-counts the staged survivors; the run's totals are the
     // stateless phase's intake and the tail's output.
     uint64_t phase1_in = merged.tuples_in;
-    merged.Merge(tail.stats());
+    merged.Merge(tail.op().stats());
     merged.tuples_in = phase1_in;
-    merged.tuples_out = tail.stats().tuples_out;
+    merged.tuples_out = tail.op().stats().tuples_out;
     *stats = merged;
   }
-  return sink->Flush();
+  return tail.Flush();
 }
 
 }  // namespace clean

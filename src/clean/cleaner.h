@@ -118,7 +118,9 @@ class CleanerOperator : public Operator {
 
   /// \brief Registers the icewafl_cleaner_* series, labeled by the
   /// document name; follows the PolluterOperator contract (idempotent,
-  /// all-or-nothing on name/type conflicts).
+  /// all-or-nothing on name/type conflicts). A kStatefulOnly instance
+  /// sees another phase's survivors, so it leaves
+  /// icewafl_cleaner_tuples_total to the phase that took them in.
   void BindMetrics(obs::MetricRegistry* registry);
 
   Status Process(Tuple tuple, Emitter* out) override;
@@ -170,6 +172,40 @@ class CleanerOperator : public Operator {
   obs::Counter* tuples_seen_ = nullptr;
 };
 
+/// \brief Sink decorator running one sequential CleanerOperator over
+/// every tuple written and forwarding the survivors to `inner`. Flush
+/// finishes the operator, then flushes `inner`.
+class CleaningSink : public Sink {
+ public:
+  CleaningSink(const CleaningRules& rules, Sink* inner,
+               RulePhase phase = RulePhase::kAll, RepairLog* log = nullptr)
+      : op_(rules, phase, log), emitter_(inner) {}
+
+  Status Write(const Tuple& tuple) override {
+    return op_.Process(tuple, &emitter_);
+  }
+  Status Write(Tuple&& tuple) override {
+    return op_.Process(std::move(tuple), &emitter_);
+  }
+  Status Flush() override;
+
+  CleanerOperator& op() { return op_; }
+
+ private:
+  class SinkEmitter : public Emitter {
+   public:
+    explicit SinkEmitter(Sink* sink) : sink_(sink) {}
+    Status Emit(Tuple tuple) override { return sink_->Write(std::move(tuple)); }
+    Sink* sink() const { return sink_; }
+
+   private:
+    Sink* sink_;
+  };
+
+  CleanerOperator op_;
+  SinkEmitter emitter_;
+};
+
 /// \brief Deterministic cleaning runner: applies `rules` to `input`
 /// and writes surviving tuples to `sink` in input order.
 ///
@@ -182,7 +218,7 @@ class CleanerOperator : public Operator {
 /// (source order) before partitioning.
 ///
 /// `metrics` and `log` may be null; per-worker logs are merged and
-/// sorted by tuple id.
+/// sorted by tuple id. InvalidArgument when `parallelism` < 1.
 Status CleanTuples(const CleaningRules& rules, TupleVector input,
                    int parallelism, Sink* sink,
                    obs::MetricRegistry* metrics = nullptr,

@@ -1,10 +1,6 @@
 #include "core/process.h"
 
 #include <algorithm>
-#include <memory>
-#include <thread>
-
-#include "stream/channel.h"
 
 namespace icewafl {
 
@@ -14,28 +10,6 @@ PollutionProcess::PollutionProcess(ProcessOptions options)
 void PollutionProcess::AddPipeline(PollutionPipeline pipeline) {
   pipelines_.push_back(std::move(pipeline));
 }
-
-namespace {
-
-/// Tuples per channel batch in parallel mode; small enough that the
-/// split stage and the pipeline workers overlap on short streams, large
-/// enough to amortize channel locking.
-constexpr size_t kSubstreamBatch = 256;
-/// Batches each sub-stream channel may buffer (backpressure bound).
-constexpr size_t kSubstreamChannelCapacity = 4;
-
-/// Applies `pipeline` to one prepared tuple; mirrors the per-tuple
-/// context reset of the materializing implementation exactly so seeded
-/// runs stay byte-identical.
-Status PolluteTuple(const PollutionPipeline& pipeline, Tuple* t,
-                    PollutionContext* ctx, PollutionLog* log) {
-  ctx->tau = t->event_time();
-  ctx->severity = 1.0;
-  ctx->rng = nullptr;
-  return pipeline.Apply(t, ctx, log);
-}
-
-}  // namespace
 
 Result<PollutionResult> PollutionProcess::Run(Source* source) {
   const int m = options_.num_substreams;
@@ -98,14 +72,13 @@ Result<PollutionResult> PollutionProcess::Run(Source* source) {
   // a second, different sub-stream drawn from the process RNG. Instead
   // of materializing all m sub-streams and polluting them afterwards,
   // each assigned copy flows straight into its sub-stream's pipeline
-  // (lines 5-9) — sequentially in-line, or in parallel mode through a
-  // bounded channel per sub-stream so that splitting and pollution
-  // overlap under backpressure. Per-pipeline work order is identical to
-  // the materializing implementation, so seeded output does not change.
+  // (lines 5-9). Pipelines are independent, so interleaving sub-streams
+  // consumes each pipeline's random stream in exactly the order the
+  // sub-stream-at-a-time implementation did: seeded output does not
+  // change.
   // Bind every pipeline against the source schema up front (DESIGN.md
   // §8): misconfiguration fails here with a JSON-pointer path instead of
-  // surfacing on the first tuple inside a worker. The workers' pipeline
-  // state then shares the immutable bound plan.
+  // surfacing on the first tuple.
   if (result.schema != nullptr) {
     for (PollutionPipeline& pipeline : pipelines_) {
       ICEWAFL_RETURN_NOT_OK(pipeline.Bind(result.schema));
@@ -120,111 +93,38 @@ Result<PollutionResult> PollutionProcess::Run(Source* source) {
 
   std::vector<TupleVector> outputs(static_cast<size_t>(m));
   std::vector<PollutionLog> logs(static_cast<size_t>(m));
-
-  // Yields each prepared copy as (substream, tuple) in input order —
-  // primary assignment first, then the optional overlap duplicate.
-  auto for_each_assignment = [&](auto&& deliver) -> Status {
-    for (size_t i = 0; i < result.clean.size(); ++i) {
-      const int primary = static_cast<int>(i % static_cast<size_t>(m));
-      Tuple copy = result.clean[i];
-      copy.set_substream(primary);
-      ICEWAFL_RETURN_NOT_OK(deliver(primary, std::move(copy)));
-      if (m > 1 && assign_rng.Bernoulli(options_.overlap_fraction)) {
-        int other = static_cast<int>(
-            assign_rng.UniformInt(0, static_cast<int64_t>(m) - 2));
-        if (other >= primary) ++other;
-        Tuple dup = result.clean[i];
-        dup.set_substream(other);
-        ICEWAFL_RETURN_NOT_OK(deliver(other, std::move(dup)));
-      }
-    }
+  std::vector<PollutionContext> contexts(static_cast<size_t>(m));
+  for (PollutionContext& ctx : contexts) {
+    ctx.stream_start = stream_start;
+    ctx.stream_end = stream_end;
+  }
+  // Delivers one prepared copy to its sub-stream's pipeline, with the
+  // per-tuple context reset of the materializing implementation.
+  auto pollute = [&](int substream, Tuple tuple) -> Status {
+    const auto s = static_cast<size_t>(substream);
+    PollutionContext& ctx = contexts[s];
+    ctx.tau = tuple.event_time();
+    ctx.severity = 1.0;
+    ctx.rng = nullptr;
+    ICEWAFL_RETURN_NOT_OK(pipelines_[s].Apply(
+        &tuple, &ctx, options_.enable_log ? &logs[s] : nullptr));
+    outputs[s].push_back(std::move(tuple));
     return Status::OK();
   };
-
-  if (options_.parallel && m > 1) {
-    // One bounded channel + pipeline worker per sub-stream; the splitter
-    // (caller thread) pushes batches and blocks when a worker lags.
-    std::vector<std::unique_ptr<BatchChannel>> channels;
-    channels.reserve(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      channels.push_back(
-          std::make_unique<BatchChannel>(kSubstreamChannelCapacity));
+  // Primary assignment first, then the optional overlap duplicate.
+  for (size_t i = 0; i < result.clean.size(); ++i) {
+    const int primary = static_cast<int>(i % static_cast<size_t>(m));
+    Tuple copy = result.clean[i];
+    copy.set_substream(primary);
+    ICEWAFL_RETURN_NOT_OK(pollute(primary, std::move(copy)));
+    if (m > 1 && assign_rng.Bernoulli(options_.overlap_fraction)) {
+      int other = static_cast<int>(
+          assign_rng.UniformInt(0, static_cast<int64_t>(m) - 2));
+      if (other >= primary) ++other;
+      Tuple dup = result.clean[i];
+      dup.set_substream(other);
+      ICEWAFL_RETURN_NOT_OK(pollute(other, std::move(dup)));
     }
-    std::vector<Status> statuses(static_cast<size_t>(m));
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      workers.emplace_back([&, i] {
-        PollutionContext ctx;
-        ctx.stream_start = stream_start;
-        ctx.stream_end = stream_end;
-        PollutionLog* log = options_.enable_log ? &logs[i] : nullptr;
-        TupleVector batch;
-        while (channels[i]->Pop(&batch)) {
-          for (Tuple& t : batch) {
-            Status st = PolluteTuple(pipelines_[i], &t, &ctx, log);
-            if (!st.ok()) {
-              statuses[i] = st;
-              channels[i]->Poison();  // unblock and stop the splitter
-              return;
-            }
-            outputs[i].push_back(std::move(t));
-          }
-        }
-      });
-    }
-
-    std::vector<TupleVector> pending(static_cast<size_t>(m));
-    for (TupleVector& p : pending) p.reserve(kSubstreamBatch);
-    Status split_status = for_each_assignment(
-        [&](int substream, Tuple tuple) -> Status {
-          TupleVector& batch = pending[static_cast<size_t>(substream)];
-          batch.push_back(std::move(tuple));
-          if (batch.size() >= kSubstreamBatch) {
-            if (!channels[substream]->Push(std::move(batch))) {
-              return Status::Internal("substream worker aborted");
-            }
-            batch = TupleVector();
-            batch.reserve(kSubstreamBatch);
-          }
-          return Status::OK();
-        });
-    if (split_status.ok()) {
-      for (int i = 0; i < m; ++i) {
-        if (!pending[static_cast<size_t>(i)].empty()) {
-          // A failed push only means the worker aborted; its status is
-          // reported below.
-          channels[i]->Push(std::move(pending[static_cast<size_t>(i)]));
-        }
-      }
-    }
-    for (auto& channel : channels) channel->Close();
-    for (std::thread& w : workers) w.join();
-    for (const Status& st : statuses) {
-      if (!st.ok()) return st;
-    }
-    // A split failure not caused by a worker abort (worker statuses all
-    // OK) is a genuine error.
-    if (!split_status.ok()) return split_status;
-  } else {
-    // Sequential streaming: each assigned copy runs through its
-    // pipeline immediately. Pipelines are independent, so interleaving
-    // sub-streams consumes each pipeline's random stream in exactly the
-    // order the sub-stream-at-a-time implementation did.
-    std::vector<PollutionContext> contexts(static_cast<size_t>(m));
-    for (PollutionContext& ctx : contexts) {
-      ctx.stream_start = stream_start;
-      ctx.stream_end = stream_end;
-    }
-    ICEWAFL_RETURN_NOT_OK(for_each_assignment(
-        [&](int substream, Tuple tuple) -> Status {
-          const auto s = static_cast<size_t>(substream);
-          ICEWAFL_RETURN_NOT_OK(PolluteTuple(
-              pipelines_[s], &tuple, &contexts[s],
-              options_.enable_log ? &logs[s] : nullptr));
-          outputs[s].push_back(std::move(tuple));
-          return Status::OK();
-        }));
   }
 
   // --- Step 3: integrate and output (lines 10-11) ---------------------

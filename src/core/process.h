@@ -28,11 +28,6 @@ struct ProcessOptions {
   /// Record every injected error into the result's PollutionLog.
   bool enable_log = true;
 
-  /// Pollute the m sub-streams on m concurrent threads (the distributed
-  /// execution mode; semantics are identical because pipelines are
-  /// independent per sub-stream).
-  bool parallel = false;
-
   /// Explicit stream bounds for stream-relative profiles (Equations 3/4).
   /// Set both or neither; when unset, bounds are derived from the
   /// prepared input's minimum and maximum event time. When set,
@@ -63,12 +58,13 @@ struct PollutionResult {
 /// polluted sub-streams (union of tuples, tagged with the sub-stream id)
 /// and orders the result by arrival time.
 ///
-/// Steps 2 and 3 are streamed: the split feeds each sub-stream's
-/// pipeline tuple-wise (in parallel mode through bounded channels, so
-/// splitting, pollution, and collection overlap with backpressure)
-/// instead of materializing every sub-stream up front. Output is
-/// byte-identical to the materializing implementation for the same seed
-/// and configuration, in both sequential and parallel mode.
+/// Steps 2 and 3 are streamed: the split feeds each assigned copy
+/// straight into its sub-stream's pipeline instead of materializing
+/// every sub-stream up front. Output is byte-identical to the
+/// materializing implementation for the same seed and configuration.
+/// Parallel execution is the pipelined runtime's job
+/// (`scenarios::StreamPipelineToSink`); this process runs on the
+/// caller's thread.
 class PollutionProcess {
  public:
   explicit PollutionProcess(ProcessOptions options);

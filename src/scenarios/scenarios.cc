@@ -233,7 +233,7 @@ Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
                             obs::TraceRecorder* trace, Timestamp stream_start,
                             Timestamp stream_end) {
   RuntimeOptions options;
-  options.parallelism = parallelism < 1 ? 1 : parallelism;
+  options.parallelism = parallelism;
   options.metrics = metrics;
   options.trace = trace;
   PipelineRuntime runtime(options);
@@ -251,17 +251,6 @@ Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
       sink));
   if (stats != nullptr) *stats = runtime.stats();
   return Status::OK();
-}
-
-Result<TupleVector> ApplyPipelineStreaming(
-    Source* source, const PollutionPipeline& prototype, uint64_t seed,
-    int parallelism, RuntimeStats* stats, obs::MetricRegistry* metrics,
-    obs::TraceRecorder* trace, Timestamp stream_start, Timestamp stream_end) {
-  VectorSink sink;
-  ICEWAFL_RETURN_NOT_OK(StreamPipelineToSink(source, prototype, seed,
-                                             parallelism, &sink, stats, metrics,
-                                             trace, stream_start, stream_end));
-  return sink.TakeTuples();
 }
 
 // ---------------------------------------------------------------------
@@ -345,41 +334,24 @@ class PlanSegmentSource : public Source {
   std::chrono::steady_clock::time_point segment_start_{};
 };
 
-/// Sink decorator applying a plan's cleaner to the polluted stream as
-/// it is produced: one sequential kAll CleanerOperator per segment
-/// (fresh history state), so a serving segment's cleaned bytes equal an
-/// offline sequential clean of the same polluted slice — the cleaner
-/// extension of the cutover determinism contract.
-class CleaningSink : public Sink {
- public:
-  CleaningSink(const clean::CleaningRules& rules, Sink* inner)
-      : op_(rules), emitter_(inner) {}
-
-  Status Write(const Tuple& tuple) override {
-    return op_.Process(tuple, &emitter_);
+/// The one plan-segment runner behind both ServePlanToSink and
+/// RunPlanSegmentOffline: pollutes `source` with `plan` into `sink`,
+/// through a fresh sequential kAll cleaner when the plan has one.
+/// Compiling the cleaner per call keeps its history from crossing a
+/// segment boundary, so a served segment equals its offline replay by
+/// construction.
+Status RunPlanSegment(const PlanSnapshot& plan, Source* source, Sink* sink) {
+  std::optional<clean::CleaningSink> cleaning;
+  if (!plan.cleaner.is_null()) {
+    ICEWAFL_ASSIGN_OR_RETURN(clean::CleaningRules rules,
+                             clean::RulesFromJson(plan.cleaner, plan.schema));
+    sink = &cleaning.emplace(rules, sink);
   }
-  Status Write(Tuple&& tuple) override {
-    return op_.Process(std::move(tuple), &emitter_);
-  }
-  Status Flush() override {
-    ICEWAFL_RETURN_NOT_OK(op_.Finish(&emitter_));
-    return emitter_.sink()->Flush();
-  }
-
- private:
-  class SinkEmitter : public Emitter {
-   public:
-    explicit SinkEmitter(Sink* sink) : sink_(sink) {}
-    Status Emit(Tuple tuple) override { return sink_->Write(std::move(tuple)); }
-    Sink* sink() const { return sink_; }
-
-   private:
-    Sink* sink_;
-  };
-
-  clean::CleanerOperator op_;
-  SinkEmitter emitter_;
-};
+  return StreamPipelineToSink(source, plan.pipeline, plan.seed,
+                              plan.parallelism, sink, /*stats=*/nullptr,
+                              /*metrics=*/nullptr, /*trace=*/nullptr,
+                              plan.stream_start, plan.stream_end);
+}
 
 }  // namespace
 
@@ -422,21 +394,7 @@ Status ServePlanToSink(const PlanContext& ctx, Sink* sink) {
       ctx.on_segment(PlanSegment{plan->version, offset});
     }
     PlanSegmentSource source(plan, offset, ctx.latest);
-    Sink* segment_sink = sink;
-    std::optional<CleaningSink> cleaning;
-    clean::CleaningRules rules;
-    if (!plan->cleaner.is_null()) {
-      // Compiled fresh per segment: cleaner history never crosses a
-      // cutover, so each segment replays offline byte-identically.
-      ICEWAFL_ASSIGN_OR_RETURN(
-          rules, clean::RulesFromJson(plan->cleaner, plan->schema));
-      cleaning.emplace(rules, sink);
-      segment_sink = &cleaning.value();
-    }
-    ICEWAFL_RETURN_NOT_OK(StreamPipelineToSink(
-        &source, plan->pipeline, plan->seed, plan->parallelism, segment_sink,
-        /*stats=*/nullptr, /*metrics=*/nullptr, /*trace=*/nullptr,
-        plan->stream_start, plan->stream_end));
+    ICEWAFL_RETURN_NOT_OK(RunPlanSegment(*plan, &source, sink));
     offset += source.consumed();
     if (source.cutover() == nullptr || offset >= plan->clean->size()) {
       return Status::OK();  // stream end (under whichever plan was last)
@@ -462,24 +420,9 @@ Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
   TupleVector slice(clean.begin() + static_cast<ptrdiff_t>(start_row),
                     clean.begin() + static_cast<ptrdiff_t>(end_row));
   VectorSource source(plan.schema, std::move(slice));
-  if (plan.cleaner.is_null()) {
-    return ApplyPipelineStreaming(&source, plan.pipeline, plan.seed,
-                                  plan.parallelism, /*stats=*/nullptr,
-                                  /*metrics=*/nullptr, /*trace=*/nullptr,
-                                  plan.stream_start, plan.stream_end);
-  }
-  // Mirror the serving path: pollute the slice, then clean it through a
-  // fresh sequential kAll operator (exactly what CleaningSink does per
-  // served segment).
-  ICEWAFL_ASSIGN_OR_RETURN(clean::CleaningRules rules,
-                           clean::RulesFromJson(plan.cleaner, plan.schema));
-  VectorSink cleaned;
-  CleaningSink cleaning(rules, &cleaned);
-  ICEWAFL_RETURN_NOT_OK(StreamPipelineToSink(
-      &source, plan.pipeline, plan.seed, plan.parallelism, &cleaning,
-      /*stats=*/nullptr, /*metrics=*/nullptr, /*trace=*/nullptr,
-      plan.stream_start, plan.stream_end));
-  return cleaned.TakeTuples();
+  VectorSink out;
+  ICEWAFL_RETURN_NOT_OK(RunPlanSegment(plan, &source, &out));
+  return out.TakeTuples();
 }
 
 Status AnalyzeScenariosOrDie() {

@@ -125,28 +125,18 @@ Result<ResolvedScenario> ResolveScenario(const std::string& name,
 // Streaming execution
 // ---------------------------------------------------------------------
 
-/// \brief Core of ApplyPipelineStreaming with a caller-supplied sink:
-/// runs `prototype` over `source` on the pipelined runtime and pushes
-/// every output tuple into `sink` (which may fan out over TCP, write
-/// CSV, or materialize). Same determinism contract as
-/// ApplyPipelineStreaming.
-Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
-                            uint64_t seed, int parallelism, Sink* sink,
-                            RuntimeStats* stats = nullptr,
-                            obs::MetricRegistry* metrics = nullptr,
-                            obs::TraceRecorder* trace = nullptr,
-                            Timestamp stream_start = 0,
-                            Timestamp stream_end = 0);
-
 /// \brief Runs a scenario pipeline over `source` on the pipelined
-/// runtime (`PipelineRuntime`): the source, `parallelism` polluter
-/// workers (each owning a clone of `prototype` seeded `seed + worker`),
-/// and the collecting sink run concurrently over bounded channels, so
-/// the scenario streams at steady-state memory instead of materializing.
+/// runtime (`PipelineRuntime`) and pushes every output tuple into
+/// `sink` (which may fan out over TCP, write CSV, or materialize). The
+/// source, `parallelism` polluter workers (each owning a clone of
+/// `prototype` seeded `seed + worker`), and the sink run concurrently
+/// over bounded channels, so the scenario streams at steady-state
+/// memory instead of materializing.
 ///
 /// With `parallelism` 1 the output preserves input order; above 1 it is
-/// the runtime's deterministic batch rotation. Optionally returns the
-/// run's RuntimeStats through `stats`.
+/// the runtime's deterministic batch rotation. `parallelism` < 1 is the
+/// runtime's InvalidArgument. Optionally returns the run's RuntimeStats
+/// through `stats`.
 ///
 /// When `metrics` / `trace` are non-null the runtime and every worker's
 /// PolluterOperator publish into them (stage counters, per-polluter
@@ -154,11 +144,13 @@ Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
 /// way. Pipelines with stream-relative profiles (Equations 3/4) need
 /// `stream_start` / `stream_end`; left at 0/0 those profiles evaluate
 /// to their unbounded-stream degenerate value.
-Result<TupleVector> ApplyPipelineStreaming(
-    Source* source, const PollutionPipeline& prototype, uint64_t seed,
-    int parallelism = 1, RuntimeStats* stats = nullptr,
-    obs::MetricRegistry* metrics = nullptr, obs::TraceRecorder* trace = nullptr,
-    Timestamp stream_start = 0, Timestamp stream_end = 0);
+Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
+                            uint64_t seed, int parallelism, Sink* sink,
+                            RuntimeStats* stats = nullptr,
+                            obs::MetricRegistry* metrics = nullptr,
+                            obs::TraceRecorder* trace = nullptr,
+                            Timestamp stream_start = 0,
+                            Timestamp stream_end = 0);
 
 // ---------------------------------------------------------------------
 // Versioned plan serving (DESIGN.md section 14)
@@ -196,8 +188,10 @@ Status ServePlanToSink(const PlanContext& ctx, Sink* sink);
 
 /// \brief Offline twin of one ServePlanToSink segment: runs `plan` over
 /// its clean rows [start_row, end_row) with the plan's seed,
-/// parallelism, and full-stream bounds. Concatenating the outputs for a
-/// run's recorded segments reproduces the served stream byte-for-byte.
+/// parallelism, and full-stream bounds, then through a fresh sequential
+/// cleaner when the plan has one. Both share one segment runner, so
+/// concatenating the outputs for a run's recorded segments reproduces
+/// the served stream byte-for-byte.
 Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
                                           uint64_t start_row,
                                           uint64_t end_row);

@@ -18,8 +18,7 @@ namespace icewafl {
 /// \brief Tuning knobs of the pipelined runtime.
 struct RuntimeOptions {
   /// Number of concurrent operator-chain workers (>= 1). Tuples are
-  /// partitioned round-robin (tuple i -> worker i % parallelism), the
-  /// same partitioning the legacy materializing executor used.
+  /// partitioned round-robin (tuple i -> worker i % parallelism).
   int parallelism = 1;
 
   /// Tuples per batch handed between stages. Batching amortizes channel
@@ -69,8 +68,7 @@ struct RuntimeStats {
   uint64_t try_push_full = 0;
   uint64_t try_push_closed = 0;
   /// Largest number of tuples queued in channels at any point — the
-  /// steady-state memory footprint of the pipeline (compare against the
-  /// stream length for the materializing executors).
+  /// steady-state memory footprint of the pipeline.
   uint64_t peak_buffered_tuples = 0;
   double wall_seconds = 0.0;
 
@@ -96,13 +94,12 @@ struct RuntimeStats {
 ///  - the *sink stage* (caller thread) pops output batches in a
 ///    deterministic worker rotation and moves the tuples into the sink.
 ///
-/// Unlike the legacy materializing executors, no stage ever holds the
-/// whole stream: peak buffering is bounded by the channel capacities, so
-/// an unbounded source streams at steady-state memory. Output order is
-/// deterministic (a pure function of the input order and parallelism)
-/// but interleaves worker outputs; order-sensitive callers either run
-/// with parallelism 1 (exact input order) or re-sort downstream, as the
-/// pollution process does with its arrival-time merge.
+/// No stage ever holds the whole stream: peak buffering is bounded by
+/// the channel capacities, so an unbounded source streams at
+/// steady-state memory. Output order is deterministic (a pure function
+/// of the input order and parallelism) but interleaves worker outputs;
+/// order-sensitive callers either run with parallelism 1 (exact input
+/// order) or re-sort downstream.
 ///
 /// Errors from any stage cancel the run: channels are poisoned so every
 /// blocked stage wakes, and the first non-OK status (source before

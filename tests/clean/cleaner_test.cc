@@ -324,6 +324,72 @@ TEST(CleanTuplesTest, PureOnlyDocumentRunsParallel) {
             ToCsvString(schema, p4.ValueOrDie()));
 }
 
+// The split runner's stateless workers and stateful tail both publish
+// into one registry; each input tuple is still counted once, and every
+// rule's series reads the same at any parallelism.
+TEST(CleanTuplesTest, CountersIdenticalAcrossParallelism) {
+  SchemaPtr schema = WearableLikeSchema();
+  CleaningRules rules = LoadRules(
+      R"({"name": "count", "rules": [
+        {"label": "toss", "column": "Distance",
+         "detect": {"type": "range", "min": 0, "max": 50},
+         "repair": "drop"},
+        {"label": "jump", "column": "BPM",
+         "detect": {"type": "rate_of_change", "max_change": 30},
+         "repair": "last_good"}]})",
+      schema);
+  ASSERT_TRUE(rules.HasStateless());
+  ASSERT_TRUE(rules.HasStateful());
+  TupleVector input;
+  for (int64_t i = 0; i < 1000; ++i) {
+    input.push_back(Row(schema, i, Value(i % 13 == 0 ? 200.0 : 70.0), 0,
+                        Value(i % 10 == 0 ? 90.0 : 1.0)));
+  }
+  // {tuples, then fired/repaired/dropped of "toss" and of "jump"}.
+  auto run = [&](int parallelism) {
+    obs::MetricRegistry registry;
+    EXPECT_TRUE(
+        RunClean(rules, input, parallelism, nullptr, nullptr, &registry).ok());
+    auto counter = [&](const char* name, obs::Labels labels) {
+      obs::Counter* c = registry.GetCounter(name, std::move(labels));
+      return c == nullptr ? uint64_t{0} : c->value();
+    };
+    std::vector<uint64_t> series{
+        counter("icewafl_cleaner_tuples_total", {{"rules", "count"}})};
+    for (const char* rule : {"toss", "jump"}) {
+      const obs::Labels labels{{"rule", rule}, {"rules", "count"}};
+      for (const char* name :
+           {"icewafl_cleaner_fired_total", "icewafl_cleaner_repaired_total",
+            "icewafl_cleaner_dropped_total"}) {
+        series.push_back(counter(name, labels));
+      }
+    }
+    return series;
+  };
+  const std::vector<uint64_t> sequential = run(1);
+  EXPECT_EQ(sequential[0], 1000u);
+  EXPECT_GT(sequential[3], 0u);  // "toss" dropped
+  EXPECT_GT(sequential[5], 0u);  // "jump" repaired
+  for (int parallelism : {2, 4}) {
+    const std::vector<uint64_t> parallel = run(parallelism);
+    EXPECT_EQ(parallel[0], 1000u) << "parallelism " << parallelism;
+    EXPECT_EQ(parallel, sequential) << "parallelism " << parallelism;
+  }
+}
+
+TEST(CleanTuplesTest, RejectsZeroParallelism) {
+  SchemaPtr schema = WearableLikeSchema();
+  CleaningRules rules = LoadRules(
+      R"({"rules": [{"label": "bpm", "column": "BPM",
+          "detect": {"type": "range", "min": 20, "max": 250},
+          "repair": "drop"}]})",
+      schema);
+  TupleVector input;
+  input.push_back(Row(schema, 0, Value(70.0), 0, Value(0.0)));
+  EXPECT_EQ(RunClean(rules, std::move(input), 0).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(RepairLogTest, MergeSortAndDistinctCount) {
   RepairLog a;
   a.Record({3, "r", "BPM", "set_null"});

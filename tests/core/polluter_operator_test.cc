@@ -10,7 +10,7 @@
 #include "core/errors_value.h"
 #include "core/duplicating_operator.h"
 #include "core/keyed_polluter_operator.h"
-#include "stream/executor.h"
+#include "stream/runtime.h"
 
 namespace icewafl {
 namespace {
@@ -52,7 +52,7 @@ TEST(PolluterOperatorTest, PollutesWithinTopology) {
   PollutionLog log;
   PolluterOperator op(NullPipeline(1.0), /*seed=*/1, 0, 0, &log);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 100u);
   for (const Tuple& t : sink.tuples()) {
     EXPECT_TRUE(t.value(2).is_null());
@@ -65,7 +65,7 @@ TEST(PolluterOperatorTest, AssignsIdsWhenUpstreamDidNot) {
   VectorSource source(schema, InterleavedStream(schema, 10));
   PolluterOperator op(NullPipeline(0.0), 1);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   std::set<TupleId> ids;
   for (const Tuple& t : sink.tuples()) {
     EXPECT_NE(t.id(), kInvalidTupleId);
@@ -81,7 +81,7 @@ TEST(PolluterOperatorTest, BindMetricsCountsSeenAndPolluted) {
   obs::MetricRegistry registry;
   op.BindMetrics(&registry);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 100u);
   uint64_t nulled = 0;
   for (const Tuple& t : sink.tuples()) {
@@ -118,7 +118,7 @@ TEST(PolluterOperatorTest, UnboundMetricsProduceIdenticalOutput) {
     obs::MetricRegistry registry;
     if (instrument) op.BindMetrics(&registry);
     VectorSink sink;
-    EXPECT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+    EXPECT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
     std::vector<bool> nulls;
     for (const Tuple& t : sink.tuples()) nulls.push_back(t.value(2).is_null());
     return nulls;
@@ -139,7 +139,7 @@ TEST(KeyedPolluterOperatorTest, FrozenValueStateIsPerKey) {
   VectorSource source(schema, InterleavedStream(schema, 20));
   KeyedPolluterOperator op(std::move(pipeline), "sensor", /*seed=*/1);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   EXPECT_EQ(op.num_partitions(), 2u);
   // Frozen per key: after warmup, A tuples all repeat an A value (10-30
   // range) and B tuples a B value (70-90 range).
@@ -170,7 +170,7 @@ TEST(KeyedPolluterOperatorTest, OutputIndependentOfKeyInterleaving) {
     VectorSource source(schema, stream);
     KeyedPolluterOperator op(NullPipeline(0.5), "sensor", /*seed=*/9);
     VectorSink sink;
-    EXPECT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+    EXPECT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
     // Record per (sensor, ts) whether the value was nulled.
     std::map<std::pair<std::string, Timestamp>, bool> out;
     for (const Tuple& t : sink.tuples()) {
@@ -187,7 +187,7 @@ TEST(KeyedPolluterOperatorTest, AppliedCountsAggregateAcrossPartitions) {
   VectorSource source(schema, InterleavedStream(schema, 40));
   KeyedPolluterOperator op(NullPipeline(1.0), "sensor", 3);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   EXPECT_EQ(op.AppliedCounts()["nuller"], 80u);
 }
 
@@ -196,7 +196,7 @@ TEST(KeyedPolluterOperatorTest, MissingKeyAttributeFails) {
   VectorSource source(schema, InterleavedStream(schema, 2));
   KeyedPolluterOperator op(NullPipeline(0.5), "no_such_attr", 1);
   VectorSink sink;
-  EXPECT_EQ(StreamExecutor::Run(&source, {&op}, &sink).code(),
+  EXPECT_EQ(PipelineRuntime().Run(&source, {&op}, &sink).code(),
             StatusCode::kNotFound);
 }
 
@@ -205,7 +205,7 @@ TEST(DuplicatingOperatorTest, EmitsExactDuplicatesAtConfiguredRate) {
   VectorSource source(schema, InterleavedStream(schema, 2000));
   DuplicatingOperator op(0.25, /*seed=*/1);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   const double rate =
       static_cast<double>(op.duplicates_emitted()) / 4000.0;
   EXPECT_NEAR(rate, 0.25, 0.03);
@@ -227,7 +227,7 @@ TEST(DuplicatingOperatorTest, FuzzyDuplicatesDifferFromOriginals) {
   DuplicatingOperator op(0.3, /*seed=*/2, std::move(fuzz),
                          /*max_arrival_delay=*/600);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   // Group by id: ids with two copies must differ in temp (fuzzy).
   std::map<TupleId, std::vector<const Tuple*>> by_id;
   for (const Tuple& t : sink.tuples()) by_id[t.id()].push_back(&t);
@@ -247,7 +247,7 @@ TEST(DuplicatingOperatorTest, ZeroProbabilityIsIdentity) {
   VectorSource source(schema, InterleavedStream(schema, 100));
   DuplicatingOperator op(0.0, 3);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   EXPECT_EQ(sink.tuples().size(), 200u);
   EXPECT_EQ(op.duplicates_emitted(), 0u);
 }
@@ -259,7 +259,7 @@ TEST(KeyedPolluterOperatorTest, NullKeysFormTheirOwnPartition) {
   VectorSource source(schema, tuples);
   KeyedPolluterOperator op(NullPipeline(0.0), "sensor", 1);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   EXPECT_EQ(op.num_partitions(), 3u);  // A, B, <null>
 }
 

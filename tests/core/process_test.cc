@@ -242,27 +242,6 @@ TEST(ProcessTest, OutputSortedByArrivalTime) {
   EXPECT_GT(inversions, 0);
 }
 
-TEST(ProcessTest, ParallelMatchesSequential) {
-  SchemaPtr schema = SensorSchema();
-  auto run = [&](bool parallel) {
-    ProcessOptions options;
-    options.num_substreams = 4;
-    options.seed = 21;
-    options.parallel = parallel;
-    PollutionProcess process(options);
-    for (int i = 0; i < 4; ++i) process.AddPipeline(NullPipeline(0.4));
-    VectorSource source(schema, HourlyStream(schema, 200));
-    auto result = process.Run(&source);
-    EXPECT_TRUE(result.ok());
-    std::vector<std::pair<TupleId, bool>> out;
-    for (const Tuple& t : result.ValueOrDie().polluted) {
-      out.emplace_back(t.id(), t.value(1).is_null());
-    }
-    return out;
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 TEST(ProcessTest, PipelineCountMustMatchSubstreams) {
   SchemaPtr schema = SensorSchema();
   ProcessOptions options;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "clean/cleaner.h"
+#include "clean/config.h"
 #include "io/csv.h"
 #include "obs/metrics.h"
 #include "scenarios/closed_loop.h"
@@ -176,6 +178,61 @@ TEST(ClosedLoopTest, CleanedPlanSegmentOfflineIsDeterministic) {
   ASSERT_TRUE(polluted.ok());
   EXPECT_NE(ToCsvString(schema, a.ValueOrDie()),
             ToCsvString(schema, polluted.ValueOrDie()));
+}
+
+// The one segment runner, pinned against its definition: a plan with a
+// cleaner produces exactly a fresh sequential kAll CleanerOperator run
+// over the same plan's cleaner-less output, at any parallelism and for
+// any row slice.
+TEST(ClosedLoopTest, SegmentRunnerEqualsPolluteThenSequentialClean) {
+  Result<ScenarioCleaner> cleaner = CleanerForScenario("software_update");
+  ASSERT_TRUE(cleaner.ok());
+  class CollectEmitter : public Emitter {
+   public:
+    explicit CollectEmitter(TupleVector* out) : out_(out) {}
+    Status Emit(Tuple tuple) override {
+      out_->push_back(std::move(tuple));
+      return Status::OK();
+    }
+
+   private:
+    TupleVector* out_;
+  };
+  for (int parallelism : {1, 2}) {
+    Result<std::shared_ptr<PlanSnapshot>> bare =
+        BuildScenarioPlan("software_update", 42, parallelism);
+    ASSERT_TRUE(bare.ok());
+    const PlanSnapshot& plan = *bare.ValueOrDie();
+    Result<std::shared_ptr<PlanSnapshot>> with =
+        BuildPlanWithCleaner(plan, cleaner.ValueOrDie().rules);
+    ASSERT_TRUE(with.ok());
+    Result<clean::CleaningRules> rules =
+        clean::RulesFromJson(cleaner.ValueOrDie().rules, plan.schema);
+    ASSERT_TRUE(rules.ok());
+
+    const uint64_t rows = plan.clean->size();
+    for (auto [start, end] : {std::pair<uint64_t, uint64_t>{0, rows},
+                              std::pair<uint64_t, uint64_t>{300, 700}}) {
+      Result<TupleVector> polluted = RunPlanSegmentOffline(plan, start, end);
+      ASSERT_TRUE(polluted.ok()) << polluted.status().message();
+      clean::CleanerOperator op(rules.ValueOrDie());
+      TupleVector reference;
+      CollectEmitter emitter(&reference);
+      for (Tuple& t : polluted.ValueOrDie()) {
+        ASSERT_TRUE(op.Process(std::move(t), &emitter).ok());
+      }
+      ASSERT_TRUE(op.Finish(&emitter).ok());
+      ASSERT_GT(op.stats().repaired, 0u);
+
+      Result<TupleVector> cleaned =
+          RunPlanSegmentOffline(*with.ValueOrDie(), start, end);
+      ASSERT_TRUE(cleaned.ok()) << cleaned.status().message();
+      EXPECT_EQ(ToCsvString(plan.schema, cleaned.ValueOrDie()),
+                ToCsvString(plan.schema, reference))
+          << "parallelism " << parallelism << ", rows [" << start << ", "
+          << end << ")";
+    }
+  }
 }
 
 }  // namespace

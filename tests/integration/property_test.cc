@@ -76,8 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 42u, 31337u)));
 
 // ---------------------------------------------------------------------
-// Property: the process is deterministic and parallel execution matches
-// sequential, for any sub-stream count.
+// Property: the process is deterministic and its seed drives every
+// draw, for any sub-stream count and overlap.
 // ---------------------------------------------------------------------
 class ProcessConfigProperty
     : public ::testing::TestWithParam<std::tuple<int, double>> {};
@@ -96,11 +96,10 @@ TEST_P(ProcessConfigProperty, DeterministicAndParallelConsistent) {
   const auto [m, overlap] = GetParam();
   SchemaPtr schema = PropertySchema();
   const TupleVector stream = PropertyStream(schema, 3000, 77);
-  auto run = [&](bool parallel, uint64_t seed) {
+  auto run = [&](uint64_t seed) {
     ProcessOptions options;
     options.num_substreams = m;
     options.overlap_fraction = overlap;
-    options.parallel = parallel;
     options.seed = seed;
     PollutionProcess process(options);
     for (int i = 0; i < m; ++i) process.AddPipeline(NullPipeline(0.3));
@@ -109,10 +108,9 @@ TEST_P(ProcessConfigProperty, DeterministicAndParallelConsistent) {
     EXPECT_TRUE(result.ok());
     return Fingerprint(result.ValueOrDie());
   };
-  const auto sequential = run(false, 5);
-  EXPECT_EQ(sequential, run(false, 5));       // deterministic
-  EXPECT_EQ(sequential, run(true, 5));        // parallel == sequential
-  EXPECT_NE(sequential, run(false, 6));       // seed changes the draw
+  const auto first = run(5);
+  EXPECT_EQ(first, run(5));  // deterministic
+  EXPECT_NE(first, run(6));  // seed changes the draw
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -198,16 +198,18 @@ TEST(ScenarioIntegrationTest, ScalePipelineActivationsRampAndHold) {
   EXPECT_GT(late, 20);  // held activations pollute runs of tuples
 }
 
-TEST(ScenarioIntegrationTest, ApplyPipelineStreamingMatchesOperatorPath) {
-  // The streaming helper at parallelism 1 must produce exactly what a
+TEST(ScenarioIntegrationTest, StreamPipelineToSinkMatchesOperatorPath) {
+  // The streaming runner at parallelism 1 must produce exactly what a
   // PolluterOperator with the same seed produces tuple-by-tuple.
   VectorSource source(Wearable().front().schema(), Wearable());
   RuntimeStats stats;
-  auto streamed = scenarios::ApplyPipelineStreaming(
-      &source, scenarios::SoftwareUpdatePipeline(), /*seed=*/11,
-      /*parallelism=*/1, &stats);
-  ASSERT_TRUE(streamed.ok());
-  ASSERT_EQ(streamed.ValueOrDie().size(), Wearable().size());
+  VectorSink sink;
+  ASSERT_TRUE(scenarios::StreamPipelineToSink(
+                  &source, scenarios::SoftwareUpdatePipeline(), /*seed=*/11,
+                  /*parallelism=*/1, &sink, &stats)
+                  .ok());
+  const TupleVector& streamed = sink.tuples();
+  ASSERT_EQ(streamed.size(), Wearable().size());
   EXPECT_EQ(stats.source_tuples, Wearable().size());
   EXPECT_EQ(stats.sink_tuples, Wearable().size());
   // The wearable stream (1059 tuples) fits entirely inside the default
@@ -232,21 +234,32 @@ TEST(ScenarioIntegrationTest, ApplyPipelineStreamingMatchesOperatorPath) {
     } emitter(&reference);
     ASSERT_TRUE(op.Process(std::move(t), &emitter).ok());
   }
-  ASSERT_EQ(reference.tuples().size(), streamed.ValueOrDie().size());
+  ASSERT_EQ(reference.tuples().size(), streamed.size());
   for (size_t i = 0; i < reference.tuples().size(); ++i) {
     EXPECT_EQ(reference.tuples()[i].value(1).ToString("<null>"),
-              streamed.ValueOrDie()[i].value(1).ToString("<null>"))
+              streamed[i].value(1).ToString("<null>"))
         << "mismatch at tuple " << i;
   }
 }
 
-TEST(ScenarioIntegrationTest, ApplyPipelineStreamingParallelKeepsCount) {
+TEST(ScenarioIntegrationTest, StreamPipelineToSinkParallelKeepsCount) {
   VectorSource source(Wearable().front().schema(), Wearable());
-  auto streamed = scenarios::ApplyPipelineStreaming(
-      &source, scenarios::RandomTemporalErrorsPipeline(), /*seed=*/3,
-      /*parallelism=*/4);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(streamed.ValueOrDie().size(), Wearable().size());
+  VectorSink sink;
+  ASSERT_TRUE(scenarios::StreamPipelineToSink(
+                  &source, scenarios::RandomTemporalErrorsPipeline(),
+                  /*seed=*/3, /*parallelism=*/4, &sink)
+                  .ok());
+  EXPECT_EQ(sink.tuples().size(), Wearable().size());
+}
+
+TEST(ScenarioIntegrationTest, StreamPipelineToSinkRejectsZeroParallelism) {
+  VectorSource source(Wearable().front().schema(), Wearable());
+  VectorSink sink;
+  EXPECT_EQ(scenarios::StreamPipelineToSink(
+                &source, scenarios::RandomTemporalErrorsPipeline(),
+                /*seed=*/3, /*parallelism=*/0, &sink)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -290,6 +290,11 @@ TEST(PlanSwap, BackToBackSwapsCollapseToNewestVersion) {
   std::shared_ptr<PlanSnapshot> v1 =
       ScenarioPlan("random_temporal", 42, /*tuples_per_sec=*/1500.0);
   ASSERT_NE(v1, nullptr);
+  // Both swap targets are compiled up front, so nothing slow (dataset
+  // generation, more so under a sanitizer) runs between the two
+  // publications and a cutover probe cannot land between them.
+  std::shared_ptr<PlanSnapshot> v2 = ScenarioPlan("software_update", 42);
+  std::shared_ptr<PlanSnapshot> v3 = ScenarioPlan("software_update", 42, 0.0);
   PollutionServer server;
   SessionOptions options;
   options.max_runs = 1;
@@ -306,9 +311,8 @@ TEST(PlanSwap, BackToBackSwapsCollapseToNewestVersion) {
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   // Two publications between cutover probes: the runner adopts the
   // newest and the intermediate version never produces a row.
-  ASSERT_TRUE(server.SwapPlan("live", ScenarioPlan("software_update", 42)).ok());
-  ASSERT_TRUE(
-      server.SwapPlan("live", ScenarioPlan("software_update", 42, 0.0)).ok());
+  ASSERT_TRUE(server.SwapPlan("live", std::move(v2)).ok());
+  ASSERT_TRUE(server.SwapPlan("live", std::move(v3)).ok());
 
   TupleVector received;
   Tuple tuple;

@@ -51,12 +51,13 @@ std::string OfflineCsv(const std::shared_ptr<const ResolvedScenario>& scenario,
                        uint64_t seed, int parallelism) {
   TupleVector clean_copy = scenario->clean;
   VectorSource source(scenario->schema, std::move(clean_copy));
-  auto offline = scenarios::ApplyPipelineStreaming(
-      &source, scenario->pipeline, seed, parallelism, nullptr, nullptr,
-      nullptr, scenario->stream_start, scenario->stream_end);
-  EXPECT_TRUE(offline.ok()) << offline.status().ToString();
-  if (!offline.ok()) return "";
-  return ToCsvString(scenario->schema, offline.ValueOrDie());
+  VectorSink offline;
+  Status status = scenarios::StreamPipelineToSink(
+      &source, scenario->pipeline, seed, parallelism, &offline, nullptr,
+      nullptr, nullptr, scenario->stream_start, scenario->stream_end);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!status.ok()) return "";
+  return ToCsvString(scenario->schema, offline.tuples());
 }
 
 /// Drains one subscription completely; empty csv on error.

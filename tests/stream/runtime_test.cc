@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
 #include <thread>
 
-#include "stream/executor.h"
 #include "stream/operator.h"
 #include "stream/sink.h"
 #include "stream/source.h"
@@ -465,31 +465,48 @@ TEST(PipelineRuntimeTest, PublishesMetricsAndTraceWithoutPerturbingOutput) {
             std::string::npos);
 }
 
-TEST(PipelineRuntimeTest, MatchesMaterializingExecutor) {
-  // Same chain, same input: the pipelined ParallelExecutor facade and the
-  // retained materializing baseline must agree on the multiset of
-  // outputs (CountingSink count + per-worker content checks).
+TEST(PipelineRuntimeTest, MatchesSequentialResultSet) {
+  // Parallel workers interleave the output but never change which
+  // tuples come out: the multiset equals the parallelism-1 run's.
   SchemaPtr schema = TestSchema();
-  auto factory = [](int) {
-    OperatorChain chain;
-    chain.push_back(AddOne());
-    return chain;
+  auto run = [&](int parallelism) {
+    VectorSource source(schema, MakeTuples(schema, 100));
+    VectorSink sink;
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    options.batch_size = 8;
+    PipelineRuntime runtime(options);
+    EXPECT_TRUE(runtime
+                    .Run(&source,
+                         [](int) {
+                           OperatorChain chain;
+                           chain.push_back(AddOne());
+                           return chain;
+                         },
+                         &sink)
+                    .ok());
+    std::vector<double> values;
+    for (const Tuple& t : sink.tuples()) {
+      values.push_back(t.value(1).AsDouble());
+    }
+    std::sort(values.begin(), values.end());
+    return values;
   };
+  const std::vector<double> sequential = run(1);
+  ASSERT_EQ(sequential.size(), 100u);
+  EXPECT_EQ(run(4), sequential);
+}
 
-  VectorSource s1(schema, MakeTuples(schema, 333));
-  VectorSink pipelined;
-  ParallelExecutor exec(4);
-  ASSERT_TRUE(exec.Run(&s1, factory, &pipelined).ok());
-
-  VectorSource s2(schema, MakeTuples(schema, 333));
-  VectorSink materialized;
-  ASSERT_TRUE(exec.RunMaterializing(&s2, factory, &materialized).ok());
-
-  ASSERT_EQ(pipelined.tuples().size(), materialized.tuples().size());
-  double sum_a = 0.0, sum_b = 0.0;
-  for (const Tuple& t : pipelined.tuples()) sum_a += t.value(1).AsDouble();
-  for (const Tuple& t : materialized.tuples()) sum_b += t.value(1).AsDouble();
-  EXPECT_DOUBLE_EQ(sum_a, sum_b);
+TEST(PipelineRuntimeTest, RejectsZeroParallelism) {
+  SchemaPtr schema = TestSchema();
+  VectorSource source(schema, MakeTuples(schema, 1));
+  VectorSink sink;
+  RuntimeOptions options;
+  options.parallelism = 0;
+  PipelineRuntime runtime(options);
+  EXPECT_EQ(
+      runtime.Run(&source, [](int) { return OperatorChain{}; }, &sink).code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "stream/executor.h"
 #include "stream/micro_batch.h"
 #include "stream/operator.h"
+#include "stream/runtime.h"
 #include "stream/sink.h"
 #include "stream/source.h"
 
@@ -93,7 +93,7 @@ TEST(OperatorTest, MapTransformsEachTuple) {
     return t;
   });
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 3u);
   EXPECT_DOUBLE_EQ(sink.tuples()[1].value(1).AsDouble(), 101.0);
 }
@@ -105,7 +105,7 @@ TEST(OperatorTest, MapErrorPropagates) {
     return Status::Internal("boom");
   });
   VectorSink sink;
-  Status st = StreamExecutor::Run(&source, {&op}, &sink);
+  Status st = PipelineRuntime().Run(&source, {&op}, &sink);
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
@@ -116,7 +116,7 @@ TEST(OperatorTest, FilterDropsTuples) {
     return t.value(1).AsDouble() >= 5.0;
   });
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   EXPECT_EQ(sink.tuples().size(), 5u);
 }
 
@@ -127,7 +127,7 @@ TEST(OperatorTest, FlatMapDuplicates) {
     return TupleVector{t, t};
   });
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
   EXPECT_EQ(sink.tuples().size(), 6u);
 }
 
@@ -143,7 +143,7 @@ TEST(OperatorTest, ChainedOperatorsComposeInOrder) {
     return static_cast<int64_t>(t.value(1).AsDouble()) % 2 == 0;
   });
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&add, &even}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&add, &even}, &sink).ok());
   // v+1 in {1..6}; evens are 2, 4, 6.
   ASSERT_EQ(sink.tuples().size(), 3u);
   EXPECT_DOUBLE_EQ(sink.tuples()[0].value(1).AsDouble(), 2.0);
@@ -158,7 +158,7 @@ TEST(ReorderOperatorTest, RestoresArrivalOrderWithinLateness) {
   VectorSource source(schema, tuples);
   ReorderOperator reorder(4 * 3600);
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&reorder}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&reorder}, &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 5u);
   std::vector<TupleId> order;
   for (const Tuple& t : sink.tuples()) order.push_back(t.id());
@@ -172,67 +172,11 @@ TEST(ReorderOperatorTest, FlushEmitsRemainderInOrder) {
   VectorSource source(schema, tuples);
   ReorderOperator reorder(1000000);  // nothing released before Finish
   VectorSink sink;
-  ASSERT_TRUE(StreamExecutor::Run(&source, {&reorder}, &sink).ok());
+  ASSERT_TRUE(PipelineRuntime().Run(&source, {&reorder}, &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 3u);
   EXPECT_EQ(sink.tuples()[0].id(), 1u);
   EXPECT_EQ(sink.tuples()[1].id(), 2u);
   EXPECT_EQ(sink.tuples()[2].id(), 0u);
-}
-
-TEST(ParallelExecutorTest, MatchesSequentialResultSet) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 100));
-  ParallelExecutor parallel(4);
-  VectorSink sink;
-  Status st = parallel.Run(
-      &source,
-      [](int) {
-        OperatorChain chain;
-        chain.push_back(std::make_unique<MapOperator>(
-            [](Tuple t) -> Result<Tuple> {
-              ICEWAFL_ASSIGN_OR_RETURN(Value v, t.Get("v"));
-              ICEWAFL_RETURN_NOT_OK(t.Set("v", Value(v.AsDouble() * 2.0)));
-              return t;
-            }));
-        return chain;
-      },
-      &sink);
-  ASSERT_TRUE(st.ok());
-  ASSERT_EQ(sink.tuples().size(), 100u);
-  double sum = 0.0;
-  for (const Tuple& t : sink.tuples()) sum += t.value(1).AsDouble();
-  // 2 * sum(0..99) = 9900.
-  EXPECT_DOUBLE_EQ(sum, 9900.0);
-}
-
-TEST(ParallelExecutorTest, RejectsZeroParallelism) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 1));
-  ParallelExecutor parallel(0);
-  VectorSink sink;
-  Status st = parallel.Run(
-      &source, [](int) { return OperatorChain{}; }, &sink);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ParallelExecutorTest, WorkerErrorsPropagate) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 8));
-  ParallelExecutor parallel(2);
-  VectorSink sink;
-  Status st = parallel.Run(
-      &source,
-      [](int worker) {
-        OperatorChain chain;
-        chain.push_back(
-            std::make_unique<MapOperator>([worker](Tuple t) -> Result<Tuple> {
-              if (worker == 1) return Status::IOError("worker down");
-              return t;
-            }));
-        return chain;
-      },
-      &sink);
-  EXPECT_EQ(st.code(), StatusCode::kIOError);
 }
 
 TEST(MicroBatchTest, BatchesHaveRequestedSize) {

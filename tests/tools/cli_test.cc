@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -86,11 +87,41 @@ TEST(CliExitCodes, MissingRequiredFlagIsUsageError) {
   EXPECT_EQ(RunCli("run").exit_code, 2);
 }
 
+// Every integer flag parses strictly: trailing garbage, a negative
+// seed, parallelism < 1, hours < 1, or a value that overflows the field
+// is a usage error, caught before any file is read or tuple produced.
 TEST(CliExitCodes, MalformedIntegerFlagIsUsageError) {
-  EXPECT_EQ(RunCli("serve --scenario random_temporal --port 80x").exit_code,
-            2);
-  EXPECT_EQ(RunCli("tail --connect 127.0.0.1:notaport").exit_code, 2);
-  EXPECT_EQ(RunCli("tail --connect 127.0.0.1:1 --limit zero").exit_code, 2);
+  const std::string out = " --output " + UniqueTempPath("out.csv");
+  const std::string pollute =
+      "pollute --schema s.json --config c.json --input i.csv" + out;
+  const std::string clean_file =
+      "clean --rules r.json --schema s.json --input i.csv";
+  for (const std::string& args : std::vector<std::string>{
+           "serve --scenario random_temporal --port 80x",
+           "tail --connect 127.0.0.1:notaport",
+           "tail --connect 127.0.0.1:1 --limit zero",
+           "run --scenario temporal_noise --parallelism abc",
+           "run --scenario temporal_noise --parallelism -3 --seed xyz",
+           "run --scenario random_temporal --parallelism 0",
+           "run --scenario random_temporal --parallelism 4294967297",
+           "run --scenario random_temporal --seed -1",
+           pollute + " --seed 12abc",
+           pollute + " --seed -5",
+           "generate --dataset airquality --hours abc" + out,
+           "generate --dataset airquality --hours 0" + out,
+           "generate --dataset wearable --seed x1" + out,
+           "clean --scenario software_update --parallelism 0",
+           "clean --scenario software_update --seed 1.5",
+           clean_file + " --parallelism two",
+       }) {
+    CliRun run = RunCli(args);
+    EXPECT_EQ(run.exit_code, 2) << args << "\n" << run.output;
+  }
+  CliRun valid =
+      RunCli("run --scenario random_temporal --seed 7 --parallelism 2");
+  EXPECT_EQ(valid.exit_code, 0) << valid.output;
+  EXPECT_NE(valid.output.find("seed 7, parallelism 2"), std::string::npos)
+      << valid.output;
 }
 
 TEST(CliExitCodes, ServeRefusesConfigTheLintRejects) {

@@ -47,8 +47,8 @@
 # warning gate. (-Wmaybe-uninitialized is excluded there: GCC 12 emits
 # false positives inside libstdc++'s <regex> and variant<string>
 # machinery when sanitizers are enabled — see GCC PR105562.) The tsan pass is what keeps the pipelined runtime
-# (stream/channel.h, stream/runtime.cc, the parallel pollution process)
-# data-race free. The tidy and tsafety modes degrade to a skip (exit 0
+# (stream/channel.h, stream/runtime.cc) and the serving path data-race
+# free. The tidy and tsafety modes degrade to a skip (exit 0
 # with a notice) when the clang tooling is not installed, so they can
 # sit in the same CI matrix as the sanitizers without making clang a
 # hard dependency. The tsafety preset promotes only the thread-safety
@@ -241,8 +241,7 @@ run_bench() {
   echo "=== bench: Release build ==="
   cmake -S . -B build-rel -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build-rel -j "${jobs}" --target bench_micro_polluters \
-    --target bench_net_wire --target bench_runtime_pipeline \
-    --target bench_clean
+    --target bench_net_wire --target bench_clean
   echo "=== bench: smoke run ==="
   # The tiny time budget keeps this a compile-and-assert smoke, not a
   # measurement; the binaries' built-in ratio assertions (keyed
@@ -266,33 +265,6 @@ print(f"bench: BENCH_wire.json OK "
 EOF
   else
     grep -q '"encode_speedup"' BENCH_wire.json
-  fi
-  echo "=== bench: bench_runtime_pipeline → BENCH_runtime.json ==="
-  # Tiny stream: a schema/emission smoke, not a measurement. The real
-  # numbers come from the default full-size run.
-  ./build-rel/bench/bench_runtime_pipeline --tuples 20000 --reps 2 \
-    --out BENCH_runtime.json >/dev/null
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - BENCH_runtime.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-assert report["bench"] == "runtime_pipeline", report
-assert report["tuples"] == 20000, report["tuples"]
-assert report["materializing"]["seconds"] > 0, report["materializing"]
-runs = report["pipelined"]
-assert [r["parallelism"] for r in runs] == [1, 2, 4], runs
-for r in runs:
-    assert r["seconds"] > 0 and r["speedup"] > 0, r
-    assert r["peak_buffered_tuples"] > 0, r
-for variant in ("uninstrumented", "instrumented"):
-    lat = report["wall_seconds_p4"][variant]
-    assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"], lat
-print(f"bench: BENCH_runtime.json OK "
-      f"(pipelined P=4 speedup {report['speedup_p4']:.2f}x)")
-EOF
-  else
-    grep -q '"speedup_p4"' BENCH_runtime.json
   fi
   echo "=== bench: bench_clean → BENCH_clean.json ==="
   # Tiny stream again: the binary's built-in assertions (every rule

@@ -92,6 +92,7 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -197,6 +198,29 @@ bool ParseInt64Flag(const std::string& text, int64_t* out) {
   return true;
 }
 
+/// Reads integer flag `--name` with ParseInt64Flag into `out`, leaving
+/// `*out` (the default) when the flag is absent. A malformed value, one
+/// below `min` (>= 0), or one that does not fit T prints a usage error
+/// and returns false.
+template <typename T>
+bool ReadIntFlag(const std::map<std::string, std::string>& flags,
+                 const char* command, const char* name, T min, T* out) {
+  auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  int64_t value = 0;
+  if (!ParseInt64Flag(it->second, &value) ||
+      value < static_cast<int64_t>(min) ||
+      static_cast<uint64_t>(value) >
+          static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "%s: --%s needs an integer >= %lld, got '%s'\n",
+                 command, name, static_cast<long long>(min),
+                 it->second.c_str());
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
+
 /// Parses --key value pairs starting at argv[first]. `--json` is the one
 /// boolean flag and takes no value.
 bool ParseFlags(int argc, char** argv, int first,
@@ -243,6 +267,8 @@ int RunPollute(const std::map<std::string, std::string>& flags) {
       return 2;
     }
   }
+  uint64_t seed = 42;
+  if (!ReadIntFlag<uint64_t>(flags, "pollute", "seed", 0, &seed)) return 2;
   CsvOptions csv;
   csv.null_repr = FlagOr(flags, "null-repr", "");
   auto schema = SchemaFromJsonFile(flags.at("schema"));
@@ -252,8 +278,6 @@ int RunPollute(const std::map<std::string, std::string>& flags) {
   auto tuples = ReadCsvFile(schema.ValueOrDie(), flags.at("input"), csv);
   if (!tuples.ok()) return Fail(tuples.status());
 
-  const uint64_t seed = std::strtoull(
-      FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
   VectorSource source(schema.ValueOrDie(), std::move(tuples).ValueOrDie());
   auto result = PollutionProcess::Pollute(
       &source, std::move(pipeline).ValueOrDie(), seed);
@@ -303,8 +327,12 @@ int RunGenerate(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   const std::string dataset = flags.at("dataset");
-  const uint64_t seed = std::strtoull(
-      FlagOr(flags, "seed", "0").c_str(), nullptr, 10);
+  uint64_t seed = 0;
+  size_t hours = 0;
+  if (!ReadIntFlag<uint64_t>(flags, "generate", "seed", 0, &seed) ||
+      !ReadIntFlag<size_t>(flags, "generate", "hours", 1, &hours)) {
+    return 2;
+  }
   Result<TupleVector> tuples = Status::Internal("unset");
   SchemaPtr schema;
   if (dataset == "wearable") {
@@ -315,9 +343,7 @@ int RunGenerate(const std::map<std::string, std::string>& flags) {
   } else if (dataset == "airquality") {
     data::AirQualityOptions options;
     if (seed != 0) options.seed = seed;
-    if (flags.count("hours")) {
-      options.hours = std::strtoull(flags.at("hours").c_str(), nullptr, 10);
-    }
+    if (hours != 0) options.hours = hours;
     options.station = FlagOr(flags, "station", options.station);
     tuples = data::GenerateAirQuality(options);
     schema = data::AirQualitySchema();
@@ -455,10 +481,12 @@ int RunScenario(const std::map<std::string, std::string>& flags) {
     return 2;
   }
   const std::string name = flags.at("scenario");
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
-  const int parallelism = static_cast<int>(
-      std::strtol(FlagOr(flags, "parallelism", "1").c_str(), nullptr, 10));
+  uint64_t seed = 42;
+  int parallelism = 1;
+  if (!ReadIntFlag<uint64_t>(flags, "run", "seed", 0, &seed) ||
+      !ReadIntFlag(flags, "run", "parallelism", 1, &parallelism)) {
+    return 2;
+  }
 
   // Resolve the scenario: pipeline, dataset, suite, and stream bounds —
   // the same single definition `serve` uses, which is what makes the
@@ -482,19 +510,20 @@ int RunScenario(const std::map<std::string, std::string>& flags) {
   const size_t clean_size = scenario.clean.size();
   VectorSource source(scenario.schema, std::move(scenario.clean));
   RuntimeStats stats;
-  auto polluted = scenarios::ApplyPipelineStreaming(
-      &source, scenario.pipeline, seed, parallelism, &stats, metrics_ptr,
-      trace_ptr, scenario.stream_start, scenario.stream_end);
-  if (!polluted.ok()) return Fail(polluted.status());
+  VectorSink polluted;
+  Status run_status = scenarios::StreamPipelineToSink(
+      &source, scenario.pipeline, seed, parallelism, &polluted, &stats,
+      metrics_ptr, trace_ptr, scenario.stream_start, scenario.stream_end);
+  if (!run_status.ok()) return Fail(run_status);
 
   std::printf("scenario %s: %zu tuples in, %zu out (seed %llu, "
               "parallelism %d)\n",
-              name.c_str(), clean_size, polluted.ValueOrDie().size(),
+              name.c_str(), clean_size, polluted.tuples().size(),
               static_cast<unsigned long long>(seed), parallelism);
   std::printf("%s\n", stats.ToString().c_str());
 
   if (scenario.suite.has_value()) {
-    auto validation = scenario.suite->Validate(polluted.ValueOrDie());
+    auto validation = scenario.suite->Validate(polluted.tuples());
     if (!validation.ok()) return Fail(validation.status());
     std::printf("%s", validation.ValueOrDie().ToReport().c_str());
     dq::PublishSuiteResult(validation.ValueOrDie(), scenario.suite->name(),
@@ -502,7 +531,7 @@ int RunScenario(const std::map<std::string, std::string>& flags) {
   }
 
   if (flags.count("output")) {
-    Status st = WriteCsvFile(scenario.schema, polluted.ValueOrDie(),
+    Status st = WriteCsvFile(scenario.schema, polluted.tuples(),
                              flags.at("output"));
     if (!st.ok()) return Fail(st);
   }
@@ -529,18 +558,11 @@ int RunScenario(const std::map<std::string, std::string>& flags) {
 int RunCleanScenario(const std::map<std::string, std::string>& flags) {
   const std::string name = flags.at("scenario");
   scenarios::ClosedLoopOptions options;
-  options.seed =
-      std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
-  options.parallelism = static_cast<int>(
-      std::strtol(FlagOr(flags, "parallelism", "1").c_str(), nullptr, 10));
-  if (flags.count("window-seconds")) {
-    int64_t window = 0;
-    if (!ParseInt64Flag(flags.at("window-seconds"), &window) || window < 1) {
-      std::fprintf(stderr,
-                   "clean: --window-seconds needs a positive integer\n");
-      return 2;
-    }
-    options.window_seconds = window;
+  if (!ReadIntFlag<uint64_t>(flags, "clean", "seed", 0, &options.seed) ||
+      !ReadIntFlag(flags, "clean", "parallelism", 1, &options.parallelism) ||
+      !ReadIntFlag<int64_t>(flags, "clean", "window-seconds", 1,
+                            &options.window_seconds)) {
+    return 2;
   }
 
   obs::MetricRegistry registry;
@@ -606,6 +628,8 @@ int RunClean(const std::map<std::string, std::string>& flags) {
       return 2;
     }
   }
+  int parallelism = 1;
+  if (!ReadIntFlag(flags, "clean", "parallelism", 1, &parallelism)) return 2;
   CsvOptions csv;
   csv.null_repr = FlagOr(flags, "null-repr", "");
   auto schema = SchemaFromJsonFile(flags.at("schema"));
@@ -623,14 +647,6 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   auto tuples = ReadCsvFile(schema.ValueOrDie(), flags.at("input"), csv);
   if (!tuples.ok()) return Fail(tuples.status());
 
-  int64_t parallelism = 1;
-  if (flags.count("parallelism") &&
-      (!ParseInt64Flag(flags.at("parallelism"), &parallelism) ||
-       parallelism < 1)) {
-    std::fprintf(stderr, "clean: --parallelism needs a positive integer\n");
-    return 2;
-  }
-
   obs::MetricRegistry registry;
   obs::MetricRegistry* metrics_ptr =
       flags.count("metrics-out") ? &registry : nullptr;
@@ -639,9 +655,8 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   clean::RepairLog log;
   clean::CleanStats stats;
   Status st = clean::CleanTuples(rules.ValueOrDie(),
-                                 std::move(tuples).ValueOrDie(),
-                                 static_cast<int>(parallelism), &cleaned,
-                                 metrics_ptr, &log, &stats);
+                                 std::move(tuples).ValueOrDie(), parallelism,
+                                 &cleaned, metrics_ptr, &log, &stats);
   if (!st.ok()) return Fail(st);
 
   std::printf("cleaned %zu tuples: %llu kept, %llu dropped, %llu rule "
