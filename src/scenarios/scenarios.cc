@@ -1,5 +1,6 @@
 #include "scenarios/scenarios.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <optional>
@@ -227,6 +228,35 @@ Result<ResolvedScenario> ResolveScenario(const std::string& name,
   return scenario;
 }
 
+namespace {
+
+/// Runs `prototype` over `source` on a PipelineRuntime configured by
+/// `options`: one PolluterOperator per worker, seeded `seed + worker`.
+/// StreamPipelineToSink and the plan-segment runner differ only in the
+/// options they pass.
+Status RunPollutionRuntime(Source* source, const PollutionPipeline& prototype,
+                           uint64_t seed, const RuntimeOptions& options,
+                           Sink* sink, RuntimeStats* stats,
+                           Timestamp stream_start, Timestamp stream_end) {
+  PipelineRuntime runtime(options);
+  ICEWAFL_RETURN_NOT_OK(runtime.Run(
+      source,
+      [&](int worker) {
+        OperatorChain chain;
+        auto polluter = std::make_unique<PolluterOperator>(
+            prototype.Clone(), seed + static_cast<uint64_t>(worker),
+            stream_start, stream_end);
+        polluter->BindMetrics(options.metrics);
+        chain.push_back(std::move(polluter));
+        return chain;
+      },
+      sink));
+  if (stats != nullptr) *stats = runtime.stats();
+  return Status::OK();
+}
+
+}  // namespace
+
 Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
                             uint64_t seed, int parallelism, Sink* sink,
                             RuntimeStats* stats, obs::MetricRegistry* metrics,
@@ -236,21 +266,8 @@ Status StreamPipelineToSink(Source* source, const PollutionPipeline& prototype,
   options.parallelism = parallelism;
   options.metrics = metrics;
   options.trace = trace;
-  PipelineRuntime runtime(options);
-  ICEWAFL_RETURN_NOT_OK(runtime.Run(
-      source,
-      [&](int worker) {
-        OperatorChain chain;
-        auto polluter = std::make_unique<PolluterOperator>(
-            prototype.Clone(), seed + static_cast<uint64_t>(worker),
-            stream_start, stream_end);
-        polluter->BindMetrics(metrics);
-        chain.push_back(std::move(polluter));
-        return chain;
-      },
-      sink));
-  if (stats != nullptr) *stats = runtime.stats();
-  return Status::OK();
+  return RunPollutionRuntime(source, prototype, seed, options, sink, stats,
+                             stream_start, stream_end);
 }
 
 // ---------------------------------------------------------------------
@@ -265,6 +282,14 @@ namespace {
 /// cutover boundaries (a swap lands on a multiple of this many rows
 /// into the segment, never between a probe and its batch).
 constexpr uint64_t kCutoverCheckRows = 64;
+
+/// Time a paced segment's batch takes to fill at one worker. A served
+/// row waits for its batch to fill, so this is the paced latency floor.
+/// Swept on `paced_swap` (50 k rows/s, P=2; EXPERIMENTS.md): a 10.24 ms
+/// fill (256 rows) gave p50 ~6.5 ms, 4 ms ~2.7 ms, 2 ms ~1.4 ms at
+/// unchanged CPU per row, and 1 ms ~0.85 ms but up to 48 % more CPU per
+/// row, past the benchmark's 25 % bound.
+constexpr double kPacedBatchFillSeconds = 0.002;
 
 /// Bounded source over `plan->clean[offset..]` that (a) paces emission
 /// to `plan->tuples_per_sec` and (b) ends the stream early — reporting
@@ -338,7 +363,8 @@ class PlanSegmentSource : public Source {
 /// RunPlanSegmentOffline: pollutes `source` with `plan` into `sink`,
 /// through a fresh sequential kAll cleaner when the plan has one.
 /// Compiling the cleaner per call keeps its history from crossing a
-/// segment boundary, so a served segment equals its offline replay by
+/// segment boundary, and the batch size is a function of the plan alone
+/// (SegmentBatchSize), so a served segment equals its offline replay by
 /// construction.
 Status RunPlanSegment(const PlanSnapshot& plan, Source* source, Sink* sink) {
   std::optional<clean::CleaningSink> cleaning;
@@ -347,13 +373,24 @@ Status RunPlanSegment(const PlanSnapshot& plan, Source* source, Sink* sink) {
                              clean::RulesFromJson(plan.cleaner, plan.schema));
     sink = &cleaning.emplace(rules, sink);
   }
-  return StreamPipelineToSink(source, plan.pipeline, plan.seed,
-                              plan.parallelism, sink, /*stats=*/nullptr,
-                              /*metrics=*/nullptr, /*trace=*/nullptr,
-                              plan.stream_start, plan.stream_end);
+  RuntimeOptions options;
+  options.parallelism = plan.parallelism;
+  options.batch_size = SegmentBatchSize(plan.tuples_per_sec, plan.parallelism);
+  return RunPollutionRuntime(source, plan.pipeline, plan.seed, options, sink,
+                             /*stats=*/nullptr, plan.stream_start,
+                             plan.stream_end);
 }
 
 }  // namespace
+
+size_t SegmentBatchSize(double tuples_per_sec, int parallelism) {
+  const size_t unpaced = RuntimeOptions{}.batch_size;
+  if (!(tuples_per_sec > 0)) return unpaced;
+  const double rows = std::floor(tuples_per_sec * kPacedBatchFillSeconds /
+                                 std::max(parallelism, 1));
+  return static_cast<size_t>(
+      std::clamp(rows, 1.0, static_cast<double>(unpaced)));
+}
 
 Result<std::shared_ptr<PlanSnapshot>> BuildScenarioPlan(
     const std::string& name, uint64_t seed, int parallelism,

@@ -183,7 +183,10 @@ Result<std::shared_ptr<PlanSnapshot>> BuildPlanFromPipelineJson(
 /// first row, so the produced stream is exactly the concatenation of
 /// offline runs of each segment's plan over its row slice (the cutover
 /// determinism contract the loopback tests enforce). Pacing
-/// (`tuples_per_sec`) delays rows but never changes bytes.
+/// (`tuples_per_sec`) delays rows and, through SegmentBatchSize, sets
+/// the batch size: at parallelism >= 2 a paced plan serves the same
+/// rows and values as its unpaced twin in a different interleave, and
+/// its offline replay (RunPlanSegmentOffline) matches it byte-for-byte.
 Status ServePlanToSink(const PlanContext& ctx, Sink* sink);
 
 /// \brief Offline twin of one ServePlanToSink segment: runs `plan` over
@@ -195,6 +198,17 @@ Status ServePlanToSink(const PlanContext& ctx, Sink* sink);
 Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
                                           uint64_t start_row,
                                           uint64_t end_row);
+
+/// \brief Tuples per runtime batch for a plan segment paced at
+/// `tuples_per_sec` over `parallelism` workers. Unpaced plans
+/// (`tuples_per_sec` <= 0) keep the runtime default of 256; a paced
+/// plan batches the rows one worker receives in 2 ms at that pace,
+/// floor(tuples_per_sec * 0.002 / parallelism) clamped to [1, 256], so
+/// a served row never waits long for its batch to fill. The result
+/// depends on the plan alone, never on the clock: at parallelism >= 2
+/// batch boundaries decide the output interleave, and serving and
+/// offline replay must cut the same batches.
+size_t SegmentBatchSize(double tuples_per_sec, int parallelism);
 
 // ---------------------------------------------------------------------
 // Static analysis gate

@@ -261,6 +261,23 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
     // goes to worker i % parallelism, batches flush once full.
     std::vector<TupleVector> pending(workers);
     for (TupleVector& p : pending) p.reserve(batch_size);
+    // Hands pending[w] to worker w; false when the worker has aborted.
+    auto push = [&](size_t w) {
+      const size_t n = pending[w].size();
+      source_stage.tuples_out += n;
+      ++source_stage.batches;
+      if (obs_handles.tuples_out != nullptr) {
+        obs_handles.tuples_out->Increment(n);
+        obs_handles.batches->Increment();
+      }
+      if (batch_histogram != nullptr) {
+        batch_histogram->Observe(static_cast<double>(n));
+      }
+      gauge.Add(n);
+      if (inputs[w]->Push(std::move(pending[w]))) return true;
+      gauge.Remove(n);
+      return false;
+    };
     bool aborted = false;
     Tuple tuple;
     uint64_t index = 0;
@@ -276,20 +293,8 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
       ++index;
       pending[w].push_back(std::move(tuple));
       if (pending[w].size() >= batch_size) {
-        source_stage.tuples_out += pending[w].size();
-        ++source_stage.batches;
-        if (obs_handles.tuples_out != nullptr) {
-          obs_handles.tuples_out->Increment(pending[w].size());
-          obs_handles.batches->Increment();
-        }
-        if (batch_histogram != nullptr) {
-          batch_histogram->Observe(static_cast<double>(pending[w].size()));
-        }
-        gauge.Add(pending[w].size());
-        const size_t n = pending[w].size();
-        if (!inputs[w]->Push(std::move(pending[w]))) {
+        if (!push(w)) {
           // A worker aborted; the remaining stream cannot be processed.
-          gauge.Remove(n);
           aborted = true;
           break;
         }
@@ -304,19 +309,7 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
       return;
     }
     for (size_t w = 0; w < workers; ++w) {
-      if (pending[w].empty()) continue;
-      source_stage.tuples_out += pending[w].size();
-      ++source_stage.batches;
-      if (obs_handles.tuples_out != nullptr) {
-        obs_handles.tuples_out->Increment(pending[w].size());
-        obs_handles.batches->Increment();
-      }
-      if (batch_histogram != nullptr) {
-        batch_histogram->Observe(static_cast<double>(pending[w].size()));
-      }
-      gauge.Add(pending[w].size());
-      const size_t n = pending[w].size();
-      if (!inputs[w]->Push(std::move(pending[w]))) gauge.Remove(n);
+      if (!pending[w].empty()) push(w);
     }
     for (auto& ch : inputs) ch->Close();
   });

@@ -22,7 +22,12 @@ struct RuntimeOptions {
   int parallelism = 1;
 
   /// Tuples per batch handed between stages. Batching amortizes channel
-  /// locking and per-operator virtual dispatch.
+  /// locking and per-operator virtual dispatch. A batch leaves the
+  /// source only when full (or at end of stream), so at a paced input a
+  /// tuple waits up to batch_size * parallelism input intervals; paced
+  /// plan segments size this from their pace
+  /// (`scenarios::SegmentBatchSize`). Above parallelism 1 the batch size
+  /// is part of the output order.
   size_t batch_size = 256;
 
   /// Batches each inter-stage channel may buffer before `Push` blocks.
@@ -96,10 +101,13 @@ struct RuntimeStats {
 ///
 /// No stage ever holds the whole stream: peak buffering is bounded by
 /// the channel capacities, so an unbounded source streams at
-/// steady-state memory. Output order is deterministic (a pure function
-/// of the input order and parallelism) but interleaves worker outputs;
+/// steady-state memory. Output order is deterministic — a pure function
+/// of the input order, parallelism, and batch size, since the sink takes
+/// one whole batch per worker in turn — but interleaves worker outputs;
 /// order-sensitive callers either run with parallelism 1 (exact input
-/// order) or re-sort downstream.
+/// order, whatever the batch size) or re-sort downstream. Batches are
+/// cut by count, never by the clock: a timed flush would make the order
+/// depend on scheduling.
 ///
 /// Errors from any stage cancel the run: channels are poisoned so every
 /// blocked stage wakes, and the first non-OK status (source before

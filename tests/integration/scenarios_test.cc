@@ -262,5 +262,26 @@ TEST(ScenarioIntegrationTest, StreamPipelineToSinkRejectsZeroParallelism) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ScenarioIntegrationTest, SegmentBatchSizeFillsInTwoMillisecondsPerWorker) {
+  struct Case {
+    double tuples_per_sec;
+    int parallelism;
+    size_t batch;
+  };
+  const Case cases[] = {
+      {0.0, 2, 256},      // unpaced keeps the runtime default
+      {50000.0, 2, 50},   // paced_swap's pace
+      {20000.0, 2, 20},   // the e2ebench smoke pace
+      {1500.0, 1, 3},     // the plan-swap tests' pace
+      {100.0, 4, 1},      // below one row per fill: clamp to 1
+      {1e9, 1, 256},      // above the default: clamp to 256
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(scenarios::SegmentBatchSize(c.tuples_per_sec, c.parallelism),
+              c.batch)
+        << c.tuples_per_sec << " rows/s at P=" << c.parallelism;
+  }
+}
+
 }  // namespace
 }  // namespace icewafl

@@ -27,9 +27,10 @@ namespace {
 
 std::shared_ptr<PlanSnapshot> ScenarioPlan(const std::string& name,
                                            uint64_t seed,
-                                           double tuples_per_sec = 0.0) {
-  auto plan = scenarios::BuildScenarioPlan(name, seed, /*parallelism=*/1,
-                                           tuples_per_sec);
+                                           double tuples_per_sec = 0.0,
+                                           int parallelism = 1) {
+  auto plan =
+      scenarios::BuildScenarioPlan(name, seed, parallelism, tuples_per_sec);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   return plan.ok() ? plan.ValueOrDie() : nullptr;
 }
@@ -49,16 +50,21 @@ void WaitForState(const PollutionServer& server, const std::string& id,
 // The cutover determinism contract.
 // ---------------------------------------------------------------------
 
-TEST(PlanSwap, MidRunCutoverIsByteIdenticalToSegmentConcatenation) {
+/// Serves a paced v1 at `parallelism`, swaps to v2 mid-run, and checks
+/// the subscriber's stream against the offline segment concatenation.
+/// Above P=1 the paced segment batches by its pace (SegmentBatchSize)
+/// and the unpaced one by 256, so the interleave of both must match.
+void CheckMidRunCutover(int parallelism) {
   // Pacing (~1500 rows/s over ~1059 rows) keeps the run alive long
   // enough to swap mid-stream without any timing heroics.
-  std::shared_ptr<PlanSnapshot> v1 =
-      ScenarioPlan("random_temporal", 42, /*tuples_per_sec=*/1500.0);
+  std::shared_ptr<PlanSnapshot> v1 = ScenarioPlan(
+      "random_temporal", 42, /*tuples_per_sec=*/1500.0, parallelism);
   ASSERT_NE(v1, nullptr);
   // Same seed, same wearable dataset, different pipeline — the swap the
   // paper's reconfiguration story cares about. Unpaced, so the post-
   // cutover remainder streams fast.
-  std::shared_ptr<PlanSnapshot> v2 = ScenarioPlan("software_update", 42);
+  std::shared_ptr<PlanSnapshot> v2 =
+      ScenarioPlan("software_update", 42, /*tuples_per_sec=*/0.0, parallelism);
   ASSERT_NE(v2, nullptr);
   const SchemaPtr schema = v1->schema;
 
@@ -132,6 +138,14 @@ TEST(PlanSwap, MidRunCutoverIsByteIdenticalToSegmentConcatenation) {
   EXPECT_NE(prom.find("icewafl_server_plan_swaps_total{session=\"live\"} 1"),
             std::string::npos)
       << prom;
+}
+
+TEST(PlanSwap, MidRunCutoverIsByteIdenticalToSegmentConcatenation) {
+  for (int parallelism : {1, 2, 4}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    CheckMidRunCutover(parallelism);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // Tuple ids travel in every tuple frame, so they must name the clean row

@@ -497,6 +497,45 @@ TEST(PipelineRuntimeTest, MatchesSequentialResultSet) {
   EXPECT_EQ(run(4), sequential);
 }
 
+TEST(PipelineRuntimeTest, OrderDependsOnBatchSizeAboveParallelismOne) {
+  // The sink takes one whole batch per worker in turn, so above P=1 the
+  // batch boundaries are part of the output order. Batches are cut by
+  // count from the input alone; a flush timed by the clock would make
+  // this order depend on scheduling.
+  SchemaPtr schema = TestSchema();
+  auto run = [&](int parallelism, size_t batch_size) {
+    VectorSource source(schema, MakeTuples(schema, 100));
+    VectorSink sink;
+    RuntimeOptions options;
+    options.parallelism = parallelism;
+    options.batch_size = batch_size;
+    PipelineRuntime runtime(options);
+    EXPECT_TRUE(runtime
+                    .Run(&source,
+                         [](int) {
+                           OperatorChain chain;
+                           chain.push_back(AddOne());
+                           return chain;
+                         },
+                         &sink)
+                    .ok());
+    std::vector<double> values;
+    for (const Tuple& t : sink.tuples()) {
+      values.push_back(t.value(1).AsDouble());
+    }
+    return values;
+  };
+  std::vector<double> small = run(2, 4);
+  std::vector<double> large = run(2, 8);
+  ASSERT_EQ(small.size(), 100u);
+  EXPECT_NE(small, large) << "P=2 order must follow the batch boundaries";
+  std::sort(small.begin(), small.end());
+  std::sort(large.begin(), large.end());
+  EXPECT_EQ(small, large) << "but the rows must not change";
+
+  EXPECT_EQ(run(1, 4), run(1, 8)) << "P=1 keeps input order at any batch";
+}
+
 TEST(PipelineRuntimeTest, RejectsZeroParallelism) {
   SchemaPtr schema = TestSchema();
   VectorSource source(schema, MakeTuples(schema, 1));

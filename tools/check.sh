@@ -41,7 +41,9 @@
 #                             # swapped-in scenario, swap mid-stream
 #                             # under an active tail, and require
 #                             # lint-rejected swaps to exit 1 with
-#                             # Diagnostics on stderr
+#                             # Diagnostics on stderr; a paced P=2 tail
+#                             # must carry the unpaced run's rows
+#                             # (compared sorted)
 #
 # The sanitizer presets compile with -Werror, so this script is also the
 # warning gate. (-Wmaybe-uninitialized is excluded there: GCC 12 emits
@@ -538,6 +540,32 @@ EOF
     "${outdir}/serve2.prom"
   grep -q 'icewafl_server_plan_version{session="random_temporal"} 3' \
     "${outdir}/serve2.prom"
+
+  echo "=== admin: paced P=2 tail carries the offline rows ==="
+  "${cli}" serve --scenario random_temporal --seed 7 --parallelism 2 \
+    --port 0 --admin-port 0 --max-sessions 1 >"${outdir}/serve3.log" 2>&1 &
+  server_pid=$!
+  port=$(scrape_port "${outdir}/serve3.log" "serving scenario" \
+    "${server_pid}")
+  admin_port=$(scrape_port "${outdir}/serve3.log" "admin channel on" \
+    "${server_pid}")
+  connect="--connect 127.0.0.1:${admin_port}"
+  # A paced plan batches by its pace, so at P=2 it serves the unpaced
+  # run's rows and values in another interleave: compare sorted.
+  # shellcheck disable=SC2086
+  "${cli}" admin set_rate ${connect} --session random_temporal \
+    --rate 5000 >/dev/null
+  "${cli}" tail --connect "127.0.0.1:${port}" \
+    --csv-out "${outdir}/tail3.csv"
+  "${cli}" run --scenario random_temporal --seed 7 --parallelism 2 \
+    --output "${outdir}/offline3.csv" >/dev/null
+  if ! wait "${server_pid}"; then
+    echo "admin: paced P=2 server exited non-zero:"
+    cat "${outdir}/serve3.log"
+    return 1
+  fi
+  cmp <(sort "${outdir}/offline3.csv") <(sort "${outdir}/tail3.csv")
+  echo "admin: paced P=2 row match ($(wc -l <"${outdir}/tail3.csv") lines)"
   echo "=== admin: OK ==="
 }
 
