@@ -1,10 +1,10 @@
 #ifndef ICEWAFL_IO_CSV_H_
 #define ICEWAFL_IO_CSV_H_
 
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stream/sink.h"
@@ -22,9 +22,48 @@ struct CsvOptions {
   bool header = true;
 };
 
-/// \brief Splits raw CSV text into records of fields (RFC-4180 quoting:
-/// fields may be quoted with '"', quotes are escaped by doubling, quoted
-/// fields may contain delimiters and newlines).
+/// \brief The one RFC-4180 record scanner behind ParseCsvText,
+/// FromCsvString, ReadCsvFile and CsvSource.
+///
+/// Fields may be quoted with '"', quotes are escaped by doubling, and
+/// quoted fields may contain delimiters and newlines. A record ends at
+/// "\n", "\r\n" or a bare "\r". Records come one at a time into the
+/// caller's field vector, whose strings are reused, so a scan holds one
+/// record (plus one read chunk for a file) at a time.
+class CsvScanner {
+ public:
+  /// \brief Scans `text` in place; it must outlive the scanner.
+  CsvScanner(std::string_view text, char delimiter);
+
+  /// \brief Scans the file at `path` in 64 KiB reads. Open and read
+  /// failures (a missing file, a directory) are IOErrors naming the path.
+  static Result<std::unique_ptr<CsvScanner>> OpenFile(const std::string& path,
+                                                      char delimiter);
+
+  ~CsvScanner();
+  CsvScanner(const CsvScanner&) = delete;
+  CsvScanner& operator=(const CsvScanner&) = delete;
+
+  /// \brief Reads the next record into `*fields`. Returns false at the end
+  /// of input.
+  Result<bool> Next(std::vector<std::string>* fields);
+
+ private:
+  CsvScanner(int fd, std::string path, char delimiter);
+
+  /// Makes buf_[pos_] readable, refilling from the file when the buffer
+  /// is used up. Returns false at the end of input.
+  Result<bool> Fill();
+
+  std::string_view buf_;
+  size_t pos_ = 0;
+  char delimiter_;
+  int fd_ = -1;       ///< owned; -1 when scanning text in memory
+  std::string path_;  ///< names the file in error messages
+  std::string chunk_;
+};
+
+/// \brief Splits raw CSV text into records of fields (CsvScanner rules).
 Result<std::vector<std::vector<std::string>>> ParseCsvText(
     const std::string& text, const CsvOptions& options = {});
 
@@ -65,15 +104,11 @@ class CsvSource : public Source {
   Status Reset() override;
 
  private:
-  /// Reads one raw record, honoring quoted newlines. Returns false at
-  /// EOF.
-  Result<bool> ReadRecord(std::vector<std::string>* fields);
-
   SchemaPtr schema_;
   std::string path_;
   CsvOptions options_;
-  std::unique_ptr<std::istream> input_;
-  bool header_checked_ = false;
+  std::unique_ptr<CsvScanner> scanner_;  ///< null until the first Next()
+  std::vector<std::string> fields_;
   size_t record_index_ = 0;
 };
 
@@ -93,6 +128,8 @@ class CsvSink : public Sink {
   std::ostream* out_;
   CsvOptions options_;
   bool header_written_ = false;
+  std::string field_;   ///< reused render buffer
+  std::string record_;  ///< reused record buffer
 };
 
 }  // namespace icewafl

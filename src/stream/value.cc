@@ -1,6 +1,6 @@
 #include "stream/value.h"
 
-#include <cstdio>
+#include <charconv>
 
 #include "util/strings.h"
 
@@ -75,9 +75,7 @@ void Value::RenderTo(std::string* out, const std::string& null_repr) const {
       return;
     case ValueType::kInt64: {
       char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(AsInt64()));
-      *out = buf;
+      out->assign(buf, std::to_chars(buf, buf + sizeof(buf), AsInt64()).ptr);
       return;
     }
     case ValueType::kDouble:

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 namespace icewafl {
 namespace {
@@ -379,6 +382,130 @@ TEST(CsvHardening, QuotedEmptyFieldStaysDistinctFromMissingRecord) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.ValueOrDie().size(), 1u);
   EXPECT_EQ(r.ValueOrDie()[0], (std::vector<std::string>{""}));
+}
+
+// ---------------------------------------------------------------------
+// One scanner, two ways in: text in memory (ParseCsvText, FromCsvString)
+// and a file read in chunks (ReadCsvFile, CsvSource).
+// ---------------------------------------------------------------------
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+}
+
+// Every record of the file at `path`, through the file scanner.
+Result<std::vector<std::vector<std::string>>> ScanFile(const std::string& path) {
+  ICEWAFL_ASSIGN_OR_RETURN(std::unique_ptr<CsvScanner> scanner,
+                           CsvScanner::OpenFile(path, ','));
+  std::vector<std::vector<std::string>> records;
+  std::vector<std::string> fields;
+  while (true) {
+    ICEWAFL_ASSIGN_OR_RETURN(bool more, scanner->Next(&fields));
+    if (!more) return records;
+    records.push_back(fields);
+  }
+}
+
+TEST(CsvHardening, RawCasesAgreeAcrossEntryPoints) {
+  const std::string cases[] = {
+      "a,b\n1,2\n",                                  // plain
+      "a,b\r\nc,d",                                  // CRLF, no final newline
+      "a,b\rc,d\r",                                  // bare CR
+      "\"a,b\",\"line1\nline2\",\"qu\"\"ote\"\n",    // quotes, delimiters
+      "\"a\rb\",\"c\r\nd\"\n",                       // CRs inside quotes
+      "\"\"\n",                                      // quoted empty field
+      "x\"y,\"\"z\n",                                // quote mid-field
+      "\"open",                                      // unterminated quote
+      "a,\"b\nc",                                    // unterminated, later
+      "",                                            // empty input
+      ",\n,,\n",                                     // empty fields
+  };
+  const std::string path = testing::TempDir() + "/icewafl_csv_raw.csv";
+  for (const std::string& text : cases) {
+    WriteText(path, text);
+    auto in_memory = ParseCsvText(text);
+    auto from_file = ScanFile(path);
+    ASSERT_EQ(in_memory.status().code(), from_file.status().code())
+        << "'" << text << "'";
+    if (in_memory.ok()) {
+      EXPECT_EQ(in_memory.ValueOrDie(), from_file.ValueOrDie())
+          << "'" << text << "'";
+    }
+  }
+  EXPECT_EQ(ParseCsvText("a,\"b\nc").status().code(), StatusCode::kParseError);
+  std::remove(path.c_str());
+}
+
+TEST(CsvHardening, ChunkBoundariesInsideQuotesAndLineEnds) {
+  // The file scanner reads 64 KiB at a time. Slide a run of doubled
+  // quotes, CRLFs and bare CRs across the first chunk boundary, one byte
+  // at a time: every split must read like the text in memory.
+  SchemaPtr schema = StringPairSchema();
+  const std::string head = "ts,payload\n0,";
+  const std::string tail =
+      "\n1,\"q\"\"x\"\r\n2,\"a\r\nb\"\r3,\"\"\"\"\r\n4,z\r";
+  const std::string path = testing::TempDir() + "/icewafl_csv_chunks.csv";
+  for (size_t shift = 0; shift < tail.size() + 2; ++shift) {
+    const size_t filler = 64 * 1024 - head.size() - tail.size() + shift;
+    const std::string text = head + std::string(filler, 'f') + tail;
+    WriteText(path, text);
+    auto in_memory = FromCsvString(schema, text);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    ASSERT_EQ(in_memory.ValueOrDie().size(), 5u);
+    EXPECT_EQ(in_memory.ValueOrDie()[1].value(1).AsString(), "q\"x");
+    EXPECT_EQ(in_memory.ValueOrDie()[2].value(1).AsString(), "a\r\nb");
+    EXPECT_EQ(in_memory.ValueOrDie()[3].value(1).AsString(), "\"");
+    auto read = ReadCsvFile(schema, path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    CsvSource source(schema, path);
+    auto streamed = CollectAll(&source);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ASSERT_EQ(read.ValueOrDie().size(), 5u) << "shift " << shift;
+    ASSERT_EQ(streamed.ValueOrDie().size(), 5u) << "shift " << shift;
+    for (size_t i = 0; i < 5; ++i) {
+      EXPECT_TRUE(read.ValueOrDie()[i].ValuesEqual(in_memory.ValueOrDie()[i]))
+          << "shift " << shift << " record " << i;
+      EXPECT_TRUE(
+          streamed.ValueOrDie()[i].ValuesEqual(in_memory.ValueOrDie()[i]))
+          << "shift " << shift << " record " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, ReadDirectoryIsIOErrorNamingThePath) {
+  SchemaPtr schema = TestSchema();
+  const std::string dir = testing::TempDir();
+  const Status read = ReadCsvFile(schema, dir).status();
+  EXPECT_EQ(read.code(), StatusCode::kIOError) << read.ToString();
+  EXPECT_NE(read.message().find(dir), std::string::npos) << read.ToString();
+  CsvSource source(schema, dir);
+  const Status streamed = CollectAll(&source).status();
+  EXPECT_EQ(streamed.code(), StatusCode::kIOError) << streamed.ToString();
+  EXPECT_NE(streamed.message().find(dir), std::string::npos);
+}
+
+TEST(CsvTest, ReadsFromAFifo) {
+  SchemaPtr schema = TestSchema();
+  const std::string text = ToCsvString(schema, TestTuples(schema));
+  const std::string path = testing::TempDir() + "/icewafl_csv_fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  // Opening a FIFO blocks until both ends are open: feed it from a
+  // thread, once for ReadCsvFile and then once for CsvSource.
+  std::thread first_writer([&] { WriteText(path, text); });
+  auto read = ReadCsvFile(schema, path);
+  first_writer.join();
+  std::thread second_writer([&] { WriteText(path, text); });
+  CsvSource source(schema, path);
+  auto streamed = CollectAll(&source);
+  second_writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(read.ValueOrDie().size(), 3u);
+  EXPECT_EQ(streamed.ValueOrDie().size(), 3u);
 }
 
 }  // namespace

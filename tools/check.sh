@@ -22,6 +22,9 @@
 #                             # smoke-run bench_micro_polluters (tiny
 #                             # iteration budget) so its built-in
 #                             # assertions break the build on regression;
+#                             # then the offline CLI leg (generate ->
+#                             # pollute -> validate) whose CSV, log JSON
+#                             # and report must match pinned sha256s;
 #                             # finally the end-to-end benchmark's smoke
 #                             # (e2ebench/run.py --smoke), which checks
 #                             # every workload's served rows against the
@@ -295,6 +298,40 @@ EOF
   else
     grep -q '"stateful_overhead"' BENCH_clean.json
   fi
+  echo "=== bench: offline CLI bytes (generate -> pollute -> validate) ==="
+  # The paper's offline path through the CLI. The polluted CSV and the
+  # JSON pollution log (util/json's number formatting) must keep the
+  # exact bytes recorded with the 17-precision %g probe formatter that
+  # shortest-digit formatting replaced; validate re-parses every
+  # formatted double and must print the same report (two expectations
+  # of the suite fail on this stream, hence exit 1).
+  cmake --build build-rel -j "${jobs}" --target icewafl_cli
+  local cli=build-rel/tools/icewafl_cli
+  local offdir
+  offdir=$(mktemp -d)
+  trap 'rm -rf "${offdir}"' RETURN
+  "${cli}" generate --dataset wearable --seed 3 --hours 48 \
+    --output "${offdir}/clean.csv" >/dev/null
+  "${cli}" pollute --schema configs/wearable_schema.json \
+    --config configs/software_update.json --input "${offdir}/clean.csv" \
+    --output "${offdir}/polluted.csv" --seed 5 --log "${offdir}/log.json" \
+    >/dev/null
+  local validate_rc=0
+  "${cli}" validate --suite configs/wearable_suite.json \
+    --schema configs/wearable_schema.json --input "${offdir}/polluted.csv" \
+    >"${offdir}/validate.txt" || validate_rc=$?
+  if [ "${validate_rc}" -ne 1 ]; then
+    echo "bench: validate exited ${validate_rc}, expected 1"
+    return 1
+  fi
+  (cd "${offdir}" && sha256sum polluted.csv log.json validate.txt) \
+    >"${offdir}/got.sha256"
+  cat >"${offdir}/want.sha256" <<'EOF'
+f12a0639928ff14cb2965c76ecd54364ecdf1a279241afca5a2af71d05df69f0  polluted.csv
+422bd2c90a0742b6410fd64df49943873ad70644ce9472da62d495c55bd46a59  log.json
+7c72f614115a88a01ce43fb6da8b0f8d3f5a23ac601d1cf4bedbe8f4906fab7f  validate.txt
+EOF
+  cmp "${offdir}/want.sha256" "${offdir}/got.sha256"
   echo "=== bench: e2ebench smoke (served digests == offline reference) ==="
   # Every workload at smoke size with all correctness checks on: a served
   # row that differs from the offline reference fails the run.
