@@ -4,8 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -14,7 +13,6 @@
 #include "core/errors_numeric.h"
 #include "core/errors_temporal.h"
 #include "core/errors_value.h"
-#include "core/keyed_polluter_operator.h"
 #include "core/pipeline.h"
 #include "data/wearable.h"
 #include "stream/batch.h"
@@ -178,83 +176,6 @@ void BM_CompositeSequential(benchmark::State& state) {
 BENCHMARK(BM_CompositeSequential);
 
 // ---------------------------------------------------------------------------
-// Keyed pollution: per-partition pipeline clones sharing the bound plan.
-
-SchemaPtr KeyedSchema() {
-  return Schema::Make({{"ts", ValueType::kInt64},
-                       {"sensor", ValueType::kString},
-                       {"temp", ValueType::kDouble}},
-                      "ts")
-      .ValueOrDie();
-}
-
-/// 16k readings interleaved round-robin over eight sensors.
-const TupleVector& KeyedStream() {
-  static const TupleVector stream = [] {
-    const SchemaPtr schema = KeyedSchema();
-    const char* kSensors[] = {"s0", "s1", "s2", "s3",
-                              "s4", "s5", "s6", "s7"};
-    TupleVector tuples;
-    tuples.reserve(16384);
-    for (int i = 0; i < 16384; ++i) {
-      tuples.emplace_back(
-          schema,
-          std::vector<Value>{Value(int64_t{60} * i), Value(kSensors[i % 8]),
-                             Value(20.0 + (i % 100) * 0.1)});
-    }
-    return tuples;
-  }();
-  return stream;
-}
-
-/// A conditioned noise pipeline, bound against the keyed schema so every
-/// per-key clone inherits the compiled plan.
-PollutionPipeline KeyedPipeline() {
-  PollutionPipeline pipeline("keyed");
-  pipeline.Add(std::make_unique<StandardPolluter>(
-      "noise", std::make_unique<GaussianNoiseError>(0.5),
-      std::make_unique<ValueCondition>("temp", CompareOp::kGt, Value(25.0)),
-      std::vector<std::string>{"temp"}));
-  Status bound = pipeline.Bind(KeyedStream().front().schema());
-  if (!bound.ok()) {
-    std::fprintf(stderr, "keyed pipeline bind failed: %s\n",
-                 bound.ToString().c_str());
-    std::abort();
-  }
-  return pipeline;
-}
-
-class DiscardEmitter : public Emitter {
- public:
-  Status Emit(Tuple tuple) override {
-    benchmark::DoNotOptimize(tuple);
-    ++count_;
-    return Status::OK();
-  }
-  size_t count() const { return count_; }
-
- private:
-  size_t count_ = 0;
-};
-
-void BM_KeyedPolluter(benchmark::State& state) {
-  const TupleVector& stream = KeyedStream();
-  KeyedPolluterOperator op(KeyedPipeline(), "sensor", /*seed=*/7);
-  DiscardEmitter out;
-  for (auto _ : state) {
-    TupleVector batch = stream;
-    Status st = op.ProcessBatch(&batch, &out);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-  }
-  if (op.num_partitions() != 8) {
-    state.SkipWithError("keyed partitioning broke: expected 8 partitions");
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_KeyedPolluter);
-
-// ---------------------------------------------------------------------------
 // The bound per-tuple path over a whole pipeline, and the cost of
 // building the Batch wire frame (DESIGN.md section 13) from the same rows.
 
@@ -306,77 +227,6 @@ void BM_BatchTranspose(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchTranspose);
 
-/// Throughput assertion for the keyed path: keying must cost no more
-/// than one transparent-hash probe plus id assignment per tuple, so a
-/// full keyed pass has to stay within 4x of the direct (unkeyed) pass
-/// over the same stream. The ratio of two passes measured back-to-back
-/// in the same process is robust to machine load, unlike an absolute
-/// tuples/second floor. A regression (say, re-introducing a per-tuple
-/// key copy through Result<Value>) fails the binary, which fails the
-/// bench-smoke CI job.
-bool KeyedOverheadWithinBudget() {
-  const TupleVector& stream = KeyedStream();
-  const auto best_of = [](auto&& pass) {
-    double best = 1e100;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto start = std::chrono::steady_clock::now();
-      pass();
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() < best) best = elapsed.count();
-    }
-    return best;
-  };
-
-  PollutionPipeline direct = KeyedPipeline();
-  direct.Seed(7);
-  PollutionContext ctx;
-  ctx.stream_start = stream.front().GetTimestamp().ValueOrDie();
-  ctx.stream_end = stream.back().GetTimestamp().ValueOrDie();
-  const double direct_seconds = best_of([&] {
-    for (const Tuple& original : stream) {
-      Tuple t = original;
-      t.set_event_time(t.GetTimestamp().ValueOrDie());
-      t.set_arrival_time(t.event_time());
-      ctx.tau = t.event_time();
-      ctx.severity = 1.0;
-      ctx.rng = nullptr;
-      Status st = direct.Apply(&t, &ctx, nullptr);
-      if (!st.ok()) std::abort();
-      benchmark::DoNotOptimize(t);
-    }
-  });
-
-  KeyedPolluterOperator op(KeyedPipeline(), "sensor", /*seed=*/7);
-  DiscardEmitter out;
-  const double keyed_seconds = best_of([&] {
-    TupleVector batch = stream;
-    Status st = op.ProcessBatch(&batch, &out);
-    if (!st.ok()) std::abort();
-  });
-
-  const double ratio = keyed_seconds / direct_seconds;
-  std::fprintf(stderr,
-               "keyed-overhead check: direct=%.3fms keyed=%.3fms "
-               "ratio=%.2fx (budget 4x)\n",
-               direct_seconds * 1e3, keyed_seconds * 1e3, ratio);
-  if (ratio > 4.0) {
-    std::fprintf(stderr,
-                 "FAIL: keyed pollution is %.2fx slower than the direct "
-                 "pipeline (budget 4x) — per-tuple key handling regressed\n",
-                 ratio);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (!KeyedOverheadWithinBudget()) return 2;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -8,7 +8,6 @@
 #include <chrono>
 
 #include "core/errors_numeric.h"
-#include "core/keyed_polluter_operator.h"
 #include "core/polluter_operator.h"
 #include "obs/metrics.h"
 #include "stream/runtime.h"
@@ -166,24 +165,6 @@ void BM_RuntimeParallelism(benchmark::State& state) {
   state.counters["wall_p99"] = wall_hist.Quantile(0.99);
 }
 BENCHMARK(BM_RuntimeParallelism)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_KeyedPolluterOperator(benchmark::State& state) {
-  // Keyed by hour-of-day string: 24 partitions, per-key pipeline clones.
-  const TupleVector& stream = Stream();
-  SchemaPtr schema = stream.front().schema();
-  for (auto _ : state) {
-    VectorSource source(schema, stream);
-    KeyedPolluterOperator op(MakePipeline(4), "WD", 1);
-    CountingSink sink;
-    std::vector<Operator*> ops = {&op};
-    Status st = PipelineRuntime().Run(&source, ops, &sink);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(sink.checksum());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_KeyedPolluterOperator);
 
 }  // namespace
 

@@ -9,8 +9,8 @@
 //           inherits their errors (error propagation).
 //
 // The example wires Icewafl into a streaming topology: a
-// PolluterOperator injects the correlated cloud errors, a MapOperator
-// derives S3 downstream (so the propagation is structural, not
+// PolluterOperator injects the correlated cloud errors, a downstream
+// operator derives S3 (so the propagation is structural, not
 // simulated), and a windowed-aggregate condition implements the
 // "if Avg(Temp) > 20 then Weather = hot" rule from the figure.
 //
@@ -24,6 +24,26 @@
 #include "stream/runtime.h"
 
 using namespace icewafl;  // NOLINT
+
+namespace {
+
+/// Downstream of the polluter: S3 derives from the (possibly polluted)
+/// S1/S2 — errors propagate through the derivation — and the Weather
+/// label applies Figure 1's rule on the average temperature.
+class DeriveS3AndWeather : public Operator {
+ public:
+  Status Process(Tuple t, Emitter* out) override {
+    ICEWAFL_ASSIGN_OR_RETURN(Value s1, t.Get("S1"));
+    ICEWAFL_ASSIGN_OR_RETURN(Value s2, t.Get("S2"));
+    const double avg =
+        (s1.ToDouble().ValueOrDie() + s2.ToDouble().ValueOrDie()) / 2.0;
+    ICEWAFL_RETURN_NOT_OK(t.Set("S3", Value(avg)));
+    ICEWAFL_RETURN_NOT_OK(t.Set("Weather", Value(avg > 20.0 ? "hot" : "cold")));
+    return out->Emit(std::move(t));
+  }
+};
+
+}  // namespace
 
 int main() {
   // --- The clean sensor network stream ---------------------------------
@@ -74,20 +94,9 @@ int main() {
   PolluterOperator polluter(std::move(pipeline), /*seed=*/1,
                             tuples.front().GetTimestamp().ValueOrDie(),
                             tuples.back().GetTimestamp().ValueOrDie(), &log);
-  // Downstream of the polluter: S3 derives from the (possibly polluted)
-  // S1/S2 — errors propagate through the derivation — and the Weather
-  // label applies Figure 1's rule on the average temperature.
-  MapOperator derive([](Tuple t) -> Result<Tuple> {
-    ICEWAFL_ASSIGN_OR_RETURN(Value s1, t.Get("S1"));
-    ICEWAFL_ASSIGN_OR_RETURN(Value s2, t.Get("S2"));
-    const double avg =
-        (s1.ToDouble().ValueOrDie() + s2.ToDouble().ValueOrDie()) / 2.0;
-    ICEWAFL_RETURN_NOT_OK(t.Set("S3", Value(avg)));
-    ICEWAFL_RETURN_NOT_OK(t.Set("Weather", Value(avg > 20.0 ? "hot" : "cold")));
-    return t;
-  });
+  DeriveS3AndWeather derive;
 
-  VectorSource source(schema, tuples);
+  VectorSource source(schema, std::move(tuples));
   VectorSink sink;
   // Run on the pipelined runtime: source, operator chain, and sink are
   // concurrent stages over bounded channels (order preserved here since

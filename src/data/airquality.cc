@@ -67,9 +67,6 @@ SchemaPtr AirQualitySchema() {
 
 Result<TupleVector> GenerateAirQuality(const AirQualityOptions& options) {
   if (options.hours == 0) return Status::InvalidArgument("hours must be > 0");
-  if (options.missing_fraction < 0.0 || options.missing_fraction > 1.0) {
-    return Status::InvalidArgument("missing_fraction must be in [0, 1]");
-  }
   const StationProfile profile = StationProfileFor(options.station);
   Rng rng(options.seed + profile.seed_offset);
 
@@ -140,16 +137,13 @@ Result<TupleVector> GenerateAirQuality(const AirQualityOptions& options) {
     const std::string wd =
         kWindDirections[rng.UniformInt(0, 15)];
 
-    Value no2_value =
-        rng.Bernoulli(options.missing_fraction) ? Value::Null() : Value(no2);
-
     tuples.emplace_back(
         schema,
         std::vector<Value>{
             Value(ts), Value(profile.name), Value(int64_t{ct.year}),
             Value(int64_t{ct.month}), Value(int64_t{ct.day}),
             Value(int64_t{ct.hour}), Value(pm25), Value(pm10), Value(so2),
-            std::move(no2_value), Value(co), Value(o3), Value(temp),
+            Value(no2), Value(co), Value(o3), Value(temp),
             Value(pres), Value(dewp), Value(rain), Value(wspm), Value(wd)});
   }
   return tuples;

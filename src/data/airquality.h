@@ -26,9 +26,6 @@ struct AirQualityOptions {
   Timestamp start = 1362096000;  // 2013-03-01 00:00:00 UTC
   size_t hours = 35064;          // four years of hourly tuples
   uint64_t seed = 2013;
-  /// Fraction of NO2 values replaced by NULL (the raw dataset has gaps
-  /// the paper imputes with forward/backward fill before analysis).
-  double missing_fraction = 0.0;
 };
 
 /// \brief Per-station climatology offsets; the three regions of the

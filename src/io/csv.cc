@@ -45,7 +45,7 @@ void AppendCsvHeader(const Schema& schema, char delimiter, std::string* out) {
   out->push_back('\n');
 }
 
-/// The one record writer behind ToCsvString, WriteCsvFile and CsvSink:
+/// The one record writer behind ToCsvString and WriteCsvFile:
 /// appends `tuple` as one '\n'-terminated record, each value rendered
 /// into the reused `*field` and quoted only where needed.
 void AppendCsvRecord(const Tuple& tuple, const CsvOptions& options,
@@ -315,57 +315,6 @@ Result<TupleVector> ReadCsvFile(const SchemaPtr& schema,
   ICEWAFL_ASSIGN_OR_RETURN(std::unique_ptr<CsvScanner> scanner,
                            CsvScanner::OpenFile(path, options.delimiter));
   return ReadTuples(scanner.get(), schema, options);
-}
-
-CsvSource::CsvSource(SchemaPtr schema, std::string path, CsvOptions options)
-    : schema_(std::move(schema)),
-      path_(std::move(path)),
-      options_(std::move(options)) {}
-
-Result<bool> CsvSource::Next(Tuple* out) {
-  if (scanner_ == nullptr) {
-    ICEWAFL_ASSIGN_OR_RETURN(scanner_,
-                             CsvScanner::OpenFile(path_, options_.delimiter));
-    if (options_.header) {
-      Status header = ReadHeader(scanner_.get(), *schema_, &fields_);
-      if (!header.ok()) {
-        scanner_.reset();
-        return header;
-      }
-    }
-  }
-  ICEWAFL_ASSIGN_OR_RETURN(bool more, scanner_->Next(&fields_));
-  if (!more) return false;
-  ICEWAFL_ASSIGN_OR_RETURN(
-      *out, ToTuple(schema_, fields_, ++record_index_, options_.null_repr));
-  return true;
-}
-
-Status CsvSource::Reset() {
-  scanner_.reset();
-  record_index_ = 0;
-  return Status::OK();
-}
-
-CsvSink::CsvSink(SchemaPtr schema, std::ostream* out, CsvOptions options)
-    : schema_(std::move(schema)), out_(out), options_(std::move(options)) {}
-
-Status CsvSink::Write(const Tuple& tuple) {
-  record_.clear();
-  if (options_.header && !header_written_) {
-    AppendCsvHeader(*schema_, options_.delimiter, &record_);
-    header_written_ = true;
-  }
-  AppendCsvRecord(tuple, options_, &field_, &record_);
-  out_->write(record_.data(), static_cast<std::streamsize>(record_.size()));
-  if (!*out_) return Status::IOError("CSV sink write failed");
-  return Status::OK();
-}
-
-Status CsvSink::Flush() {
-  out_->flush();
-  if (!*out_) return Status::IOError("CSV sink flush failed");
-  return Status::OK();
 }
 
 }  // namespace icewafl

@@ -2,13 +2,10 @@
 #define ICEWAFL_IO_CSV_H_
 
 #include <memory>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "stream/sink.h"
-#include "stream/source.h"
 #include "stream/tuple.h"
 #include "util/result.h"
 
@@ -23,7 +20,7 @@ struct CsvOptions {
 };
 
 /// \brief The one RFC-4180 record scanner behind ParseCsvText,
-/// FromCsvString, ReadCsvFile and CsvSource.
+/// FromCsvString and ReadCsvFile.
 ///
 /// Fields may be quoted with '"', quotes are escaped by doubling, and
 /// quoted fields may contain delimiters and newlines. A record ends at
@@ -90,47 +87,6 @@ Status WriteCsvFile(const SchemaPtr& schema, const TupleVector& tuples,
 Result<TupleVector> ReadCsvFile(const SchemaPtr& schema,
                                 const std::string& path,
                                 const CsvOptions& options = {});
-
-/// \brief Streaming source reading one CSV record per Next() call —
-/// tuple-at-a-time ingestion without materializing the file (how a real
-/// deployment feeds micro-batched CSV exports into the polluter).
-class CsvSource : public Source {
- public:
-  /// \brief Opens `path`; errors surface on the first Next().
-  CsvSource(SchemaPtr schema, std::string path, CsvOptions options = {});
-
-  SchemaPtr schema() const override { return schema_; }
-  Result<bool> Next(Tuple* out) override;
-  Status Reset() override;
-
- private:
-  SchemaPtr schema_;
-  std::string path_;
-  CsvOptions options_;
-  std::unique_ptr<CsvScanner> scanner_;  ///< null until the first Next()
-  std::vector<std::string> fields_;
-  size_t record_index_ = 0;
-};
-
-/// \brief Streaming sink writing one CSV record per tuple.
-class CsvSink : public Sink {
- public:
-  /// \param out stream to write to; not owned, must outlive the sink.
-  CsvSink(SchemaPtr schema, std::ostream* out, CsvOptions options = {});
-
-  using Sink::Write;
-
-  Status Write(const Tuple& tuple) override;
-  Status Flush() override;
-
- private:
-  SchemaPtr schema_;
-  std::ostream* out_;
-  CsvOptions options_;
-  bool header_written_ = false;
-  std::string field_;   ///< reused render buffer
-  std::string record_;  ///< reused record buffer
-};
 
 }  // namespace icewafl
 

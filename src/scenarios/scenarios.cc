@@ -303,7 +303,6 @@ class PlanSegmentSource : public Source {
   PlanSegmentSource(PlanPtr plan, uint64_t offset,
                     std::function<PlanPtr()> latest)
       : plan_(std::move(plan)),
-        offset_(offset),
         pos_(offset),
         latest_(std::move(latest)) {}
 
@@ -337,13 +336,6 @@ class PlanSegmentSource : public Source {
     return true;
   }
 
-  Status Reset() override {
-    pos_ = offset_;
-    consumed_ = 0;
-    cutover_.reset();
-    return Status::OK();
-  }
-
   /// Clean rows emitted by this segment.
   uint64_t consumed() const { return consumed_; }
   /// The newer snapshot that ended the segment (null: stream end).
@@ -351,7 +343,6 @@ class PlanSegmentSource : public Source {
 
  private:
   PlanPtr plan_;
-  uint64_t offset_;
   uint64_t pos_;
   std::function<PlanPtr()> latest_;
   uint64_t consumed_ = 0;

@@ -1,8 +1,6 @@
 #ifndef ICEWAFL_STREAM_OPERATOR_H_
 #define ICEWAFL_STREAM_OPERATOR_H_
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -21,9 +19,11 @@ class Emitter {
 
 /// \brief A tuple-at-a-time dataflow operator.
 ///
-/// Operators may emit zero, one, or many tuples per input (filter / map /
-/// flat-map semantics) and may buffer state that is released in Finish()
-/// (e.g. the watermark reorder buffer).
+/// The pipelines run two kinds: the polluter (PolluterOperator), which
+/// emits every input tuple, possibly altered, and the cleaner
+/// (clean::CleanerOperator), which repairs tuples, may drop them, and
+/// publishes its statistics in Finish(). An operator may emit any number
+/// of tuples per input and may hold some back until Finish().
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -51,85 +51,6 @@ class Operator {
     (void)out;
     return Status::OK();
   }
-};
-
-/// \brief 1:1 transformation operator.
-class MapOperator : public Operator {
- public:
-  using MapFn = std::function<Result<Tuple>(Tuple)>;
-
-  explicit MapOperator(MapFn fn) : fn_(std::move(fn)) {}
-
-  Status Process(Tuple tuple, Emitter* out) override {
-    ICEWAFL_ASSIGN_OR_RETURN(Tuple mapped, fn_(std::move(tuple)));
-    return out->Emit(std::move(mapped));
-  }
-
- private:
-  MapFn fn_;
-};
-
-/// \brief Keeps only tuples satisfying the predicate.
-class FilterOperator : public Operator {
- public:
-  using PredicateFn = std::function<bool(const Tuple&)>;
-
-  explicit FilterOperator(PredicateFn fn) : fn_(std::move(fn)) {}
-
-  Status Process(Tuple tuple, Emitter* out) override {
-    if (fn_(tuple)) return out->Emit(std::move(tuple));
-    return Status::OK();
-  }
-
- private:
-  PredicateFn fn_;
-};
-
-/// \brief 1:N transformation operator.
-class FlatMapOperator : public Operator {
- public:
-  using FlatMapFn = std::function<Result<TupleVector>(Tuple)>;
-
-  explicit FlatMapOperator(FlatMapFn fn) : fn_(std::move(fn)) {}
-
-  Status Process(Tuple tuple, Emitter* out) override {
-    ICEWAFL_ASSIGN_OR_RETURN(TupleVector tuples, fn_(std::move(tuple)));
-    for (Tuple& t : tuples) {
-      ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(t)));
-    }
-    return Status::OK();
-  }
-
- private:
-  FlatMapFn fn_;
-};
-
-/// \brief Releases tuples in arrival-time order using a bounded-lateness
-/// watermark.
-///
-/// After the DelayedTuple error shifts a tuple's arrival time, the output
-/// stream must present tuples in arrival order (that is what makes the
-/// delay observable to a DQ tool as a timestamp-order violation). The
-/// buffer holds tuples until the watermark — max event time seen minus
-/// `max_lateness` — passes their arrival time, then emits them in arrival
-/// order; ties preserve input order.
-class ReorderOperator : public Operator {
- public:
-  /// \param max_lateness upper bound (seconds) on how far a tuple's
-  ///   arrival time may lie behind the newest tuple seen.
-  explicit ReorderOperator(int64_t max_lateness)
-      : max_lateness_(max_lateness) {}
-
-  Status Process(Tuple tuple, Emitter* out) override;
-  Status Finish(Emitter* out) override;
-
- private:
-  int64_t max_lateness_;
-  Timestamp max_event_time_seen_ = INT64_MIN;
-  uint64_t seq_ = 0;
-  // (arrival_time, insertion sequence) -> tuple; multimap semantics via
-  // the composite key keep emission stable.
-  std::map<std::pair<Timestamp, uint64_t>, Tuple> buffer_;
 };
 
 /// \brief An owned chain of operators.

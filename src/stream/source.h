@@ -1,9 +1,6 @@
 #ifndef ICEWAFL_STREAM_SOURCE_H_
 #define ICEWAFL_STREAM_SOURCE_H_
 
-#include <functional>
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "stream/tuple.h"
@@ -27,14 +24,10 @@ class Source {
   /// \brief Produces the next tuple into `*out`. Returns false at end of
   /// stream (bounded sources only), true otherwise.
   virtual Result<bool> Next(Tuple* out) = 0;
-
-  /// \brief Rewinds to the beginning, if the source supports replay.
-  virtual Status Reset() {
-    return Status::NotImplemented("source does not support Reset");
-  }
 };
 
-/// \brief Bounded source over an in-memory tuple vector (replayable).
+/// \brief Bounded source over an in-memory tuple vector. Next() moves
+/// each tuple out, so the source can be drained once.
 class VectorSource : public Source {
  public:
   VectorSource(SchemaPtr schema, TupleVector tuples)
@@ -44,52 +37,14 @@ class VectorSource : public Source {
 
   Result<bool> Next(Tuple* out) override {
     if (pos_ >= tuples_.size()) return false;
-    *out = tuples_[pos_++];
+    *out = std::move(tuples_[pos_++]);
     return true;
   }
-
-  Status Reset() override {
-    pos_ = 0;
-    return Status::OK();
-  }
-
-  size_t size() const { return tuples_.size(); }
 
  private:
   SchemaPtr schema_;
   TupleVector tuples_;
   size_t pos_ = 0;
-};
-
-/// \brief Source driven by a generator function; `fn(i)` returns the i-th
-/// tuple or nullopt to end the stream. Useful for synthetic workloads
-/// without materializing them.
-class GeneratorSource : public Source {
- public:
-  using GenerateFn = std::function<std::optional<Tuple>(uint64_t index)>;
-
-  GeneratorSource(SchemaPtr schema, GenerateFn fn)
-      : schema_(std::move(schema)), fn_(std::move(fn)) {}
-
-  SchemaPtr schema() const override { return schema_; }
-
-  Result<bool> Next(Tuple* out) override {
-    std::optional<Tuple> t = fn_(index_);
-    if (!t.has_value()) return false;
-    ++index_;
-    *out = std::move(*t);
-    return true;
-  }
-
-  Status Reset() override {
-    index_ = 0;
-    return Status::OK();
-  }
-
- private:
-  SchemaPtr schema_;
-  GenerateFn fn_;
-  uint64_t index_ = 0;
 };
 
 /// \brief Drains a bounded source into a vector.

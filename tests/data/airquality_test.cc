@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "data/impute.h"
 #include "data/splits.h"
 
 namespace icewafl {
@@ -119,23 +118,10 @@ TEST(AirQualityTest, DeterministicForSeed) {
   }
 }
 
-TEST(AirQualityTest, MissingFractionInjectsNulls) {
-  AirQualityOptions options = SmallOptions(2000);
-  options.missing_fraction = 0.1;
-  const TupleVector tuples = GenerateAirQuality(options).ValueOrDie();
-  const size_t nulls = CountNulls(tuples, "NO2").ValueOrDie();
-  EXPECT_NEAR(static_cast<double>(nulls) / 2000.0, 0.1, 0.03);
-  // Extraction must refuse un-imputed data.
-  EXPECT_FALSE(ColumnAsDoubles(tuples, "NO2").ok());
-}
-
 TEST(AirQualityTest, InvalidOptionsRejected) {
   AirQualityOptions zero;
   zero.hours = 0;
   EXPECT_FALSE(GenerateAirQuality(zero).ok());
-  AirQualityOptions bad_fraction;
-  bad_fraction.missing_fraction = 1.5;
-  EXPECT_FALSE(GenerateAirQuality(bad_fraction).ok());
 }
 
 TEST(AirQualityTest, GenerateAllRegionsCoversPaperRegions) {
@@ -153,46 +139,10 @@ TEST(AirQualityTest, GenerateAllRegionsCoversPaperRegions) {
   // Streams differ across regions.
   EXPECT_NE(ColumnAsDoubles(streams.ValueOrDie()[0], "NO2").ValueOrDie(),
             ColumnAsDoubles(streams.ValueOrDie()[2], "NO2").ValueOrDie());
-}
-
-TEST(ImputeTest, ForwardFillReplacesInteriorNulls) {
-  AirQualityOptions options = SmallOptions(500);
-  options.missing_fraction = 0.2;
-  TupleVector tuples = GenerateAirQuality(options).ValueOrDie();
-  const size_t nulls_before = CountNulls(tuples, "NO2").ValueOrDie();
-  ASSERT_GT(nulls_before, 0u);
-  const size_t imputed = ForwardBackwardFill(&tuples, "NO2").ValueOrDie();
-  EXPECT_EQ(imputed, nulls_before);
-  EXPECT_EQ(CountNulls(tuples, "NO2").ValueOrDie(), 0u);
-  EXPECT_TRUE(ColumnAsDoubles(tuples, "NO2").ok());
-}
-
-TEST(ImputeTest, LeadingNullsBackFilled) {
-  SchemaPtr schema =
-      Schema::Make({{"ts", ValueType::kInt64}, {"v", ValueType::kDouble}},
-                   "ts")
-          .ValueOrDie();
-  TupleVector tuples;
-  tuples.emplace_back(schema,
-                      std::vector<Value>{Value(int64_t{0}), Value::Null()});
-  tuples.emplace_back(schema,
-                      std::vector<Value>{Value(int64_t{1}), Value(5.0)});
-  tuples.emplace_back(schema,
-                      std::vector<Value>{Value(int64_t{2}), Value::Null()});
-  ASSERT_EQ(ForwardBackwardFill(&tuples, "v").ValueOrDie(), 2u);
-  EXPECT_DOUBLE_EQ(tuples[0].value(1).AsDouble(), 5.0);  // back-filled
-  EXPECT_DOUBLE_EQ(tuples[2].value(1).AsDouble(), 5.0);  // forward-filled
-}
-
-TEST(ImputeTest, AllNullColumnRejected) {
-  SchemaPtr schema =
-      Schema::Make({{"ts", ValueType::kInt64}, {"v", ValueType::kDouble}},
-                   "ts")
-          .ValueOrDie();
-  TupleVector tuples;
-  tuples.emplace_back(schema,
-                      std::vector<Value>{Value(int64_t{0}), Value::Null()});
-  EXPECT_FALSE(ForwardBackwardFill(&tuples, "v").ok());
+  // Extraction refuses a series with a gap.
+  TupleVector gappy = streams.ValueOrDie()[1];
+  ASSERT_TRUE(gappy[50].Set("NO2", Value::Null()).ok());
+  EXPECT_FALSE(ColumnAsDoubles(gappy, "NO2").ok());
 }
 
 TEST(SplitsTest, TableTwoSemantics) {

@@ -6,7 +6,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 namespace icewafl {
@@ -150,95 +149,10 @@ TEST(CsvTest, ReadMissingFileIsIOError) {
             StatusCode::kIOError);
 }
 
-TEST(CsvSourceTest, StreamsTuplesOneByOne) {
-  SchemaPtr schema = TestSchema();
-  TupleVector tuples = TestTuples(schema);
-  const std::string path = testing::TempDir() + "/icewafl_csv_source.csv";
-  ASSERT_TRUE(WriteCsvFile(schema, tuples, path).ok());
-  CsvSource source(schema, path);
-  auto all = CollectAll(&source);
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all.ValueOrDie().size(), tuples.size());
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    EXPECT_TRUE(all.ValueOrDie()[i].ValuesEqual(tuples[i])) << i;
-  }
-  // Source is replayable.
-  ASSERT_TRUE(source.Reset().ok());
-  EXPECT_EQ(CollectAll(&source).ValueOrDie().size(), tuples.size());
-  std::remove(path.c_str());
-}
-
-TEST(CsvSourceTest, QuotedNewlinesSurviveStreaming) {
-  SchemaPtr schema = TestSchema();
-  TupleVector tuples;
-  tuples.emplace_back(
-      schema, std::vector<Value>{Value(int64_t{1}), Value(0.5),
-                                 Value("line1\nline2"), Value(true)});
-  const std::string path = testing::TempDir() + "/icewafl_csv_nl.csv";
-  ASSERT_TRUE(WriteCsvFile(schema, tuples, path).ok());
-  CsvSource source(schema, path);
-  auto all = CollectAll(&source);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all.ValueOrDie().size(), 1u);
-  EXPECT_EQ(all.ValueOrDie()[0].value(2).AsString(), "line1\nline2");
-  std::remove(path.c_str());
-}
-
-TEST(CsvSourceTest, MissingFileFailsOnFirstNext) {
-  SchemaPtr schema = TestSchema();
-  CsvSource source(schema, "/no/such/file.csv");
-  Tuple t;
-  EXPECT_EQ(source.Next(&t).status().code(), StatusCode::kIOError);
-}
-
-TEST(CsvSourceTest, HeaderMismatchRejected) {
-  SchemaPtr schema = TestSchema();
-  const std::string path = testing::TempDir() + "/icewafl_csv_bad.csv";
-  {
-    std::ofstream out(path);
-    out << "wrong,header,row,x\n1,2,a,true\n";
-  }
-  CsvSource source(schema, path);
-  Tuple t;
-  EXPECT_EQ(source.Next(&t).status().code(), StatusCode::kParseError);
-  std::remove(path.c_str());
-}
-
-TEST(CsvSourceTest, StreamingMatchesWholeFileRead) {
-  SchemaPtr schema = TestSchema();
-  TupleVector tuples = TestTuples(schema);
-  const std::string path = testing::TempDir() + "/icewafl_csv_eq.csv";
-  ASSERT_TRUE(WriteCsvFile(schema, tuples, path).ok());
-  CsvSource source(schema, path);
-  auto streamed = CollectAll(&source);
-  auto whole = ReadCsvFile(schema, path);
-  ASSERT_TRUE(streamed.ok());
-  ASSERT_TRUE(whole.ok());
-  ASSERT_EQ(streamed.ValueOrDie().size(), whole.ValueOrDie().size());
-  for (size_t i = 0; i < whole.ValueOrDie().size(); ++i) {
-    EXPECT_TRUE(
-        streamed.ValueOrDie()[i].ValuesEqual(whole.ValueOrDie()[i]));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, CsvSinkStreamsWithHeader) {
-  SchemaPtr schema = TestSchema();
-  std::ostringstream out;
-  CsvSink sink(schema, &out);
-  for (const Tuple& t : TestTuples(schema)) {
-    ASSERT_TRUE(sink.Write(t).ok());
-  }
-  ASSERT_TRUE(sink.Flush().ok());
-  auto parsed = FromCsvString(schema, out.str());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.ValueOrDie().size(), 3u);
-}
-
 // ---------------------------------------------------------------------
 // Round-trip hardening: hostile field content must survive the writer →
-// parser cycle byte-for-byte, for both the whole-string and the
-// streaming parser, under default and custom delimiters.
+// parser cycle byte-for-byte, for both the whole-string and the file
+// reader, under default and custom delimiters.
 // ---------------------------------------------------------------------
 
 SchemaPtr StringPairSchema() {
@@ -319,14 +233,13 @@ TEST(CsvHardening, StreamingParserAgreesOnHostileFile) {
   }
   const std::string path = testing::TempDir() + "/icewafl_csv_hostile.csv";
   ASSERT_TRUE(WriteCsvFile(schema, tuples, path).ok());
-  CsvSource source(schema, path);
-  auto streamed = CollectAll(&source);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  ASSERT_EQ(streamed.ValueOrDie().size(), tuples.size());
+  auto read = ReadCsvFile(schema, path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.ValueOrDie().size(), tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
-    EXPECT_EQ(streamed.ValueOrDie()[i].value(1).AsString(),
+    EXPECT_EQ(read.ValueOrDie()[i].value(1).AsString(),
               tuples[i].value(1).AsString())
-        << "payload " << i << " corrupted by the streaming parser";
+        << "payload " << i << " corrupted by the file scanner";
   }
   std::remove(path.c_str());
 }
@@ -386,7 +299,7 @@ TEST(CsvHardening, QuotedEmptyFieldStaysDistinctFromMissingRecord) {
 
 // ---------------------------------------------------------------------
 // One scanner, two ways in: text in memory (ParseCsvText, FromCsvString)
-// and a file read in chunks (ReadCsvFile, CsvSource).
+// and a file read in chunks (ReadCsvFile).
 // ---------------------------------------------------------------------
 
 void WriteText(const std::string& path, const std::string& text) {
@@ -458,16 +371,9 @@ TEST(CsvHardening, ChunkBoundariesInsideQuotesAndLineEnds) {
     EXPECT_EQ(in_memory.ValueOrDie()[3].value(1).AsString(), "\"");
     auto read = ReadCsvFile(schema, path);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
-    CsvSource source(schema, path);
-    auto streamed = CollectAll(&source);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     ASSERT_EQ(read.ValueOrDie().size(), 5u) << "shift " << shift;
-    ASSERT_EQ(streamed.ValueOrDie().size(), 5u) << "shift " << shift;
     for (size_t i = 0; i < 5; ++i) {
       EXPECT_TRUE(read.ValueOrDie()[i].ValuesEqual(in_memory.ValueOrDie()[i]))
-          << "shift " << shift << " record " << i;
-      EXPECT_TRUE(
-          streamed.ValueOrDie()[i].ValuesEqual(in_memory.ValueOrDie()[i]))
           << "shift " << shift << " record " << i;
     }
   }
@@ -480,10 +386,6 @@ TEST(CsvTest, ReadDirectoryIsIOErrorNamingThePath) {
   const Status read = ReadCsvFile(schema, dir).status();
   EXPECT_EQ(read.code(), StatusCode::kIOError) << read.ToString();
   EXPECT_NE(read.message().find(dir), std::string::npos) << read.ToString();
-  CsvSource source(schema, dir);
-  const Status streamed = CollectAll(&source).status();
-  EXPECT_EQ(streamed.code(), StatusCode::kIOError) << streamed.ToString();
-  EXPECT_NE(streamed.message().find(dir), std::string::npos);
 }
 
 TEST(CsvTest, ReadsFromAFifo) {
@@ -493,19 +395,13 @@ TEST(CsvTest, ReadsFromAFifo) {
   std::remove(path.c_str());
   ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
   // Opening a FIFO blocks until both ends are open: feed it from a
-  // thread, once for ReadCsvFile and then once for CsvSource.
-  std::thread first_writer([&] { WriteText(path, text); });
+  // thread.
+  std::thread writer([&] { WriteText(path, text); });
   auto read = ReadCsvFile(schema, path);
-  first_writer.join();
-  std::thread second_writer([&] { WriteText(path, text); });
-  CsvSource source(schema, path);
-  auto streamed = CollectAll(&source);
-  second_writer.join();
+  writer.join();
   std::remove(path.c_str());
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   EXPECT_EQ(read.ValueOrDie().size(), 3u);
-  EXPECT_EQ(streamed.ValueOrDie().size(), 3u);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <thread>
 
 #include "stream/operator.h"
@@ -33,12 +32,29 @@ TupleVector MakeTuples(const SchemaPtr& schema, int n) {
   return tuples;
 }
 
+/// Adds 1.0 to value(1) of every tuple.
+class AddOneOperator : public Operator {
+ public:
+  Status Process(Tuple tuple, Emitter* out) override {
+    tuple.set_value(1, Value(tuple.value(1).AsDouble() + 1.0));
+    return out->Emit(std::move(tuple));
+  }
+};
+
 std::unique_ptr<Operator> AddOne() {
-  return std::make_unique<MapOperator>([](Tuple t) -> Result<Tuple> {
-    t.set_value(1, Value(t.value(1).AsDouble() + 1.0));
-    return t;
-  });
+  return std::make_unique<AddOneOperator>();
 }
+
+/// Keeps the tuples whose value(1) is an even integer.
+class KeepEvenOperator : public Operator {
+ public:
+  Status Process(Tuple tuple, Emitter* out) override {
+    if (static_cast<int64_t>(tuple.value(1).AsDouble()) % 2 != 0) {
+      return Status::OK();
+    }
+    return out->Emit(std::move(tuple));
+  }
+};
 
 /// Buffers every tuple and re-emits the whole stream in Finish().
 class HoldAllOperator : public Operator {
@@ -91,6 +107,27 @@ class FailingSource : public Source {
  private:
   SchemaPtr schema_;
   int fail_after_;
+  int produced_ = 0;
+};
+
+/// Produces `count` tuples, sleeping 2 ms before each one.
+class SlowSource : public Source {
+ public:
+  SlowSource(SchemaPtr schema, int count)
+      : schema_(std::move(schema)), count_(count) {}
+  SchemaPtr schema() const override { return schema_; }
+  Result<bool> Next(Tuple* out) override {
+    if (produced_ >= count_) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    *out = Tuple(schema_, {Value(int64_t{produced_}),
+                           Value(static_cast<double>(produced_))});
+    ++produced_;
+    return true;
+  }
+
+ private:
+  SchemaPtr schema_;
+  int count_;
   int produced_ = 0;
 };
 
@@ -329,13 +366,8 @@ TEST(PipelineRuntimeTest, RawOperatorOverloadRunsChain) {
   SchemaPtr schema = TestSchema();
   VectorSource source(schema, MakeTuples(schema, 12));
   VectorSink sink;
-  MapOperator add([](Tuple t) -> Result<Tuple> {
-    t.set_value(1, Value(t.value(1).AsDouble() + 1.0));
-    return t;
-  });
-  FilterOperator keep_even([](const Tuple& t) {
-    return static_cast<int64_t>(t.value(1).AsDouble()) % 2 == 0;
-  });
+  AddOneOperator add;
+  KeepEvenOperator keep_even;
   PipelineRuntime runtime;
   ASSERT_TRUE(runtime.Run(&source, {&add, &keep_even}, &sink).ok());
   // Values 1..12 after AddOne; evens survive: 2,4,6,8,10,12.
@@ -386,12 +418,7 @@ TEST(PipelineRuntimeTest, BlockedPopsAggregateIntoRuntimeStats) {
   SchemaPtr schema = TestSchema();
   // A slow source starves the workers: their input pops find the channel
   // empty and block until the next batch arrives.
-  GeneratorSource source(schema, [&](uint64_t i) -> std::optional<Tuple> {
-    if (i >= 8) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return Tuple(schema, {Value(static_cast<int64_t>(i)),
-                          Value(static_cast<double>(i))});
-  });
+  SlowSource source(schema, 8);
   CountingSink sink;
   RuntimeOptions options;
   options.batch_size = 1;  // one batch per tuple: maximal pop pressure

@@ -221,9 +221,7 @@ run_bench() {
   # Two-phase bind/run lifecycle (DESIGN.md section 8): attribute names
   # resolve to column indices once at Bind time, so the per-tuple
   # pollute/validate sources must never call Schema::IndexOf.
-  # keyed_polluter_operator.cc is deliberately absent from the list: it
-  # re-resolves the key column only when the tuple schema changes, never
-  # per tuple. stream/bind.h hosts the one sanctioned call site.
+  # stream/bind.h hosts the one sanctioned call site.
   local hot_files=(
     src/core/condition.h src/core/condition.cc
     src/core/error_function.h src/core/error_function.cc
@@ -249,9 +247,8 @@ run_bench() {
     --target bench_net_wire --target bench_clean
   echo "=== bench: smoke run ==="
   # The tiny time budget keeps this a compile-and-assert smoke, not a
-  # measurement; the binaries' built-in ratio assertions (keyed
-  # overhead, batch-frame encode floor) still run at full strength, and
-  # bench_net_wire emits BENCH_wire.json.
+  # measurement; the built-in batch-frame encode floor still runs at
+  # full strength, and bench_net_wire emits BENCH_wire.json.
   ./build-rel/bench/bench_micro_polluters --benchmark_min_time=0.01
   ./build-rel/bench/bench_net_wire --benchmark_min_time=0.01 \
     --out BENCH_wire.json
