@@ -1,6 +1,7 @@
 #include "core/process.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace icewafl {
 
@@ -92,6 +93,9 @@ Result<PollutionResult> PollutionProcess::Run(Source* source) {
   }
 
   std::vector<TupleVector> outputs(static_cast<size_t>(m));
+  for (TupleVector& out : outputs) {
+    out.reserve(result.clean.size() / static_cast<size_t>(m) + 1);
+  }
   std::vector<PollutionLog> logs(static_cast<size_t>(m));
   std::vector<PollutionContext> contexts(static_cast<size_t>(m));
   for (PollutionContext& ctx : contexts) {
@@ -134,13 +138,15 @@ Result<PollutionResult> PollutionProcess::Run(Source* source) {
   for (TupleVector& s : outputs) {
     for (Tuple& t : s) result.polluted.push_back(std::move(t));
   }
-  std::stable_sort(result.polluted.begin(), result.polluted.end(),
-                   [](const Tuple& a, const Tuple& b) {
-                     if (a.arrival_time() != b.arrival_time()) {
-                       return a.arrival_time() < b.arrival_time();
-                     }
-                     return a.id() < b.id();
-                   });
+  auto arrival_order = [](const Tuple& a, const Tuple& b) {
+    return std::pair(a.arrival_time(), a.id()) <
+           std::pair(b.arrival_time(), b.id());
+  };
+  // Without delays or overlap the rows are already in order.
+  TupleVector& rows = result.polluted;
+  if (!std::is_sorted(rows.begin(), rows.end(), arrival_order)) {
+    std::stable_sort(rows.begin(), rows.end(), arrival_order);
+  }
   for (PollutionLog& log : logs) {
     for (const PollutionLogEntry& e : log.entries()) {
       result.log.Record(e);

@@ -24,9 +24,11 @@ struct CsvOptions {
 ///
 /// Fields may be quoted with '"', quotes are escaped by doubling, and
 /// quoted fields may contain delimiters and newlines. A record ends at
-/// "\n", "\r\n" or a bare "\r". Records come one at a time into the
-/// caller's field vector, whose strings are reused, so a scan holds one
-/// record (plus one read chunk for a file) at a time.
+/// "\n", "\r\n" or a bare "\r". A record without '"' or '\r' is split in
+/// place with memchr; any other goes through the RFC-4180 state machine,
+/// which unescapes its fields into a scanner-owned buffer. A file is read
+/// through one 64 KiB buffer: a record crossing its end moves to the front
+/// before the next read, and only a longer record grows it.
 class CsvScanner {
  public:
   /// \brief Scans `text` in place; it must outlive the scanner.
@@ -41,23 +43,32 @@ class CsvScanner {
   CsvScanner(const CsvScanner&) = delete;
   CsvScanner& operator=(const CsvScanner&) = delete;
 
-  /// \brief Reads the next record into `*fields`. Returns false at the end
-  /// of input.
-  Result<bool> Next(std::vector<std::string>* fields);
+  /// \brief Reads the next record into `*fields`, whose views stay valid
+  /// until the next call. Returns false at the end of input.
+  Result<bool> Next(std::vector<std::string_view>* fields);
 
  private:
   CsvScanner(int fd, std::string path, char delimiter);
 
-  /// Makes buf_[pos_] readable, refilling from the file when the buffer
-  /// is used up. Returns false at the end of input.
-  Result<bool> Fill();
+  /// Moves the unread bytes to the front of chunk_ (growing it when they
+  /// fill it) and reads behind them; false at the end of input or text.
+  Result<bool> Refill();
 
-  std::string_view buf_;
+  /// Makes buf_[pos_] readable, refilling when the buffer is used up.
+  /// Returns false at the end of input.
+  Result<bool> Fill() { return pos_ < buf_.size() ? true : Refill(); }
+
+  /// The RFC-4180 state machine for a record with quotes or a '\r'.
+  Result<bool> NextQuoted(std::vector<std::string_view>* fields);
+
+  std::string_view buf_;  ///< the text, or the filled part of chunk_
   size_t pos_ = 0;
   char delimiter_;
   int fd_ = -1;       ///< owned; -1 when scanning text in memory
   std::string path_;  ///< names the file in error messages
   std::string chunk_;
+  std::string unquoted_;            ///< NextQuoted's field bytes
+  std::vector<size_t> field_ends_;  ///< NextQuoted's field ends in unquoted_
 };
 
 /// \brief Splits raw CSV text into records of fields (CsvScanner rules).

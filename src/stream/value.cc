@@ -66,26 +66,30 @@ Result<int64_t> Value::ToInt64() const {
 }
 
 void Value::RenderTo(std::string* out, const std::string& null_repr) const {
+  out->clear();
+  AppendTo(out, null_repr);
+}
+
+void Value::AppendTo(std::string* out, const std::string& null_repr) const {
   switch (type()) {
     case ValueType::kNull:
-      *out = null_repr;
+      out->append(null_repr);
       return;
     case ValueType::kBool:
-      *out = AsBool() ? "true" : "false";
+      out->append(AsBool() ? "true" : "false");
       return;
     case ValueType::kInt64: {
       char buf[24];
-      out->assign(buf, std::to_chars(buf, buf + sizeof(buf), AsInt64()).ptr);
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), AsInt64()).ptr);
       return;
     }
     case ValueType::kDouble:
-      FormatDoubleTo(AsDouble(), out);
+      AppendDouble(AsDouble(), out);
       return;
     case ValueType::kString:
-      *out = AsString();
+      out->append(AsString());
       return;
   }
-  out->clear();
 }
 
 std::string Value::ToString(const std::string& null_repr) const {

@@ -72,6 +72,9 @@ class Value {
   /// makes per-tuple rendering allocation-free (hot validation loops).
   void RenderTo(std::string* out, const std::string& null_repr = "") const;
 
+  /// \brief Same rendering, appended to `*out` (a record being built).
+  void AppendTo(std::string* out, const std::string& null_repr = "") const;
+
   /// Strict equality: types must match (int64(1) != double(1.0)).
   bool operator==(const Value& other) const { return data_ == other.data_; }
 

@@ -58,16 +58,16 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 }
 
 Result<double> ParseDouble(std::string_view text) {
-  const std::string_view trimmed = Trim(text);
   // Fast path: from_chars, when it takes the whole field. Everything it
-  // refuses (a leading '+', hex floats, inf/nan spellings, overflow,
-  // underflow, errors) goes to strtod below, which decides as before.
+  // refuses (surrounding space, a leading '+', hex floats, inf/nan
+  // spellings, overflow, underflow, errors) goes to strtod below, which
+  // decides as before; both round correctly, so they agree on the rest.
   double fast = 0.0;
-  const char* end = trimmed.data() + trimmed.size();
-  const auto [ptr, ec] = std::from_chars(trimmed.data(), end, fast);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, fast);
   if (ec == std::errc() && ptr == end && std::isfinite(fast)) return fast;
 
-  const std::string buf(trimmed);
+  const std::string buf(Trim(text));
   if (buf.empty()) return Status::ParseError("empty string is not a double");
   errno = 0;
   char* parsed_end = nullptr;
@@ -82,14 +82,13 @@ Result<double> ParseDouble(std::string_view text) {
 }
 
 Result<int64_t> ParseInt64(std::string_view text) {
-  const std::string_view trimmed = Trim(text);
   // Fast path as in ParseDouble; strtoll decides everything else.
   int64_t fast = 0;
-  const char* end = trimmed.data() + trimmed.size();
-  const auto [ptr, ec] = std::from_chars(trimmed.data(), end, fast);
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, fast);
   if (ec == std::errc() && ptr == end) return fast;
 
-  const std::string buf(trimmed);
+  const std::string buf(Trim(text));
   if (buf.empty()) return Status::ParseError("empty string is not an integer");
   errno = 0;
   char* parsed_end = nullptr;
@@ -103,42 +102,42 @@ Result<int64_t> ParseInt64(std::string_view text) {
   return static_cast<int64_t>(v);
 }
 
-void FormatDoubleTo(double v, std::string* out) {
+void AppendDouble(double v, std::string* out) {
   char buf[32];
   // Integral values render without an exponent ("20", not "2e+01").
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
+  // (NaN and the infinities fail the bound.)
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     const auto r =
         std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
-    out->assign(buf, r.ptr);
+    out->append(buf, r.ptr);
     return;
   }
   if (std::isnan(v)) {
-    *out = std::signbit(v) ? "-nan" : "nan";
+    out->append(std::signbit(v) ? "-nan" : "nan");
     return;
   }
   if (std::isinf(v)) {
-    *out = v < 0 ? "-inf" : "inf";
+    out->append(v < 0 ? "-inf" : "inf");
     return;
   }
   // Otherwise "%.Pg" for the fewest digits P that round-trip. The
   // shortest round-trip digits are the correctly rounded P-digit value,
   // so they are exactly the digits "%.Pg" prints; only the layout is
-  // left to do. Scientific to_chars gives them as "-d.ddde-XX".
-  char sci[32];
-  const char* sci_end = std::to_chars(sci, sci + sizeof(sci), v,
-                                      std::chars_format::scientific)
-                            .ptr;
-  const bool negative = sci[0] == '-';
-  const char* p = sci + (negative ? 1 : 0);
-  char digits[17];
-  int num_digits = 0;
-  for (; *p != 'e'; ++p) {
-    if (*p != '.') digits[num_digits++] = *p;
-  }
-  ++p;  // 'e'
-  if (*p == '+') ++p;
+  // left to do. Scientific to_chars, written straight into `*out`, gives
+  // them as "-d.ddde-XX", which is already "%.Pg"'s exponent layout.
+  const size_t at = out->size();
+  out->resize(at + 32);
+  char* const sci = out->data() + at;
+  char* const sci_end =
+      std::to_chars(sci, sci + 32, v, std::chars_format::scientific).ptr;
+  char* const lead = sci + (sci[0] == '-' ? 1 : 0);  // the first digit
+  const char* e = sci_end - 4;  // two or three exponent digits follow 'e'
+  while (*e != 'e') --e;
+  const int num_digits = e - lead > 1 ? static_cast<int>(e - lead - 1) : 1;
   int exp = 0;
-  std::from_chars(p, sci_end, exp);
+  for (const char* p = e + 2; p < sci_end; ++p) exp = exp * 10 + (*p - '0');
+  if (e[1] == '-') exp = -exp;
 
   // One exception: below a power of two the rounding interval is half as
   // wide as above it, so the shortest digits may lie above v while the
@@ -152,49 +151,39 @@ void FormatDoubleTo(double v, std::string* out) {
       std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
       if (std::strtod(buf, nullptr) == v) break;
     }
-    *out = buf;
+    out->resize(at);
+    out->append(buf);
     return;
   }
-
-  char* o = buf;
-  if (negative) *o++ = '-';
-  if (exp >= -4 && exp < num_digits) {
-    // Fixed notation: digits[0..exp] before the point.
-    if (exp < 0) {
-      *o++ = '0';
-      *o++ = '.';
-      for (int i = -1; i > exp; --i) *o++ = '0';
-      std::memcpy(o, digits, num_digits);
-      o += num_digits;
-    } else {
-      std::memcpy(o, digits, exp + 1);
-      o += exp + 1;
-      if (num_digits > exp + 1) {
-        *o++ = '.';
-        std::memcpy(o, digits + exp + 1, num_digits - exp - 1);
-        o += num_digits - exp - 1;
-      }
-    }
-  } else {
-    // "d.ddde+XX": at least two exponent digits.
-    *o++ = digits[0];
-    if (num_digits > 1) {
-      *o++ = '.';
-      std::memcpy(o, digits + 1, num_digits - 1);
-      o += num_digits - 1;
-    }
-    *o++ = 'e';
-    *o++ = exp < 0 ? '-' : '+';
-    const int mag = exp < 0 ? -exp : exp;
-    if (mag < 10) *o++ = '0';
-    o = std::to_chars(o, buf + sizeof(buf), mag).ptr;
+  if (exp < -4 || exp >= num_digits) {
+    out->resize(static_cast<size_t>(sci_end - out->data()));
+    return;
   }
-  out->assign(buf, o);
+  // Fixed notation, laid out in place: the first exp + 1 digits go
+  // before the point. "d.ddd" has its digits after the first at lead + 2.
+  char* end;
+  if (exp < 0) {
+    // "0." and -exp - 1 zeros before all the digits.
+    const int zeros = -exp - 1;
+    const char first = *lead;
+    std::memmove(lead + 3 + zeros, lead + 2, num_digits - 1);
+    lead[2 + zeros] = first;
+    std::memset(lead + 2, '0', zeros);
+    lead[0] = '0';
+    lead[1] = '.';
+    end = lead + 3 + zeros + num_digits - 1;
+  } else {
+    // Move the point right by exp digits (dropped when none follow).
+    std::memmove(lead + 1, lead + 2, exp);
+    lead[1 + exp] = '.';
+    end = lead + (num_digits > exp + 1 ? num_digits + 1 : num_digits);
+  }
+  out->resize(static_cast<size_t>(end - out->data()));
 }
 
 std::string FormatDouble(double v) {
   std::string out;
-  FormatDoubleTo(v, &out);
+  AppendDouble(v, &out);
   return out;
 }
 

@@ -33,10 +33,8 @@ Result<int64_t> ParseInt64(std::string_view text);
 /// \brief Shortest round-trip formatting of a double ("%.17g" trimmed).
 std::string FormatDouble(double v);
 
-/// \brief Same rendering, assigned into `*out` — reuses the string's
-/// capacity, so a loop-hoisted buffer makes repeated formatting
-/// allocation-free.
-void FormatDoubleTo(double v, std::string* out);
+/// \brief Same rendering, appended to `*out` (a record being built).
+void AppendDouble(double v, std::string* out);
 
 /// \brief Fixed-precision formatting ("%.*f").
 std::string FormatDouble(double v, int precision);

@@ -4,8 +4,14 @@
 
 #include <sys/stat.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <string_view>
 #include <thread>
 
 namespace icewafl {
@@ -312,11 +318,11 @@ Result<std::vector<std::vector<std::string>>> ScanFile(const std::string& path) 
   ICEWAFL_ASSIGN_OR_RETURN(std::unique_ptr<CsvScanner> scanner,
                            CsvScanner::OpenFile(path, ','));
   std::vector<std::vector<std::string>> records;
-  std::vector<std::string> fields;
+  std::vector<std::string_view> fields;
   while (true) {
     ICEWAFL_ASSIGN_OR_RETURN(bool more, scanner->Next(&fields));
     if (!more) return records;
-    records.push_back(fields);
+    records.emplace_back(fields.begin(), fields.end());
   }
 }
 
@@ -375,6 +381,161 @@ TEST(CsvHardening, ChunkBoundariesInsideQuotesAndLineEnds) {
     for (size_t i = 0; i < 5; ++i) {
       EXPECT_TRUE(read.ValueOrDie()[i].ValuesEqual(in_memory.ValueOrDie()[i]))
           << "shift " << shift << " record " << i;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A character-at-a-time reference for CsvScanner's rules: the oracle for
+// its memchr fast path and its buffer moves (same records, same
+// failures).
+Result<std::vector<std::vector<std::string>>> ReferenceScan(
+    std::string_view text, char delimiter) {
+  std::vector<std::vector<std::string>> records;
+  size_t pos = 0;
+  while (pos < text.size()) {
+    std::vector<std::string> fields(1);
+    bool in_quotes = false;
+    bool ended = false;
+    while (pos < text.size() && !ended) {
+      const char c = text[pos++];
+      std::string& field = fields.back();
+      if (in_quotes) {
+        if (c != '"') {
+          field.push_back(c);
+        } else if (pos < text.size() && text[pos] == '"') {
+          field.push_back('"');
+          ++pos;
+        } else {
+          in_quotes = false;
+        }
+      } else if (c == '"' && field.empty()) {
+        in_quotes = true;
+      } else if (c == delimiter) {
+        fields.emplace_back();
+      } else if (c == '\n') {
+        ended = true;
+      } else if (c == '\r') {
+        if (pos < text.size() && text[pos] == '\n') ++pos;
+        ended = true;
+      } else {
+        field.push_back(c);
+      }
+    }
+    if (in_quotes) return Status::ParseError("unterminated quoted CSV field");
+    records.push_back(std::move(fields));
+  }
+  return records;
+}
+
+void ExpectSameScan(const Result<std::vector<std::vector<std::string>>>& want,
+                    const Result<std::vector<std::vector<std::string>>>& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.status().code(), got.status().code()) << what;
+  if (want.ok()) {
+    EXPECT_EQ(want.ValueOrDie(), got.ValueOrDie()) << what;
+  }
+}
+
+TEST(CsvHardening, ScannerMatchesCharacterReferenceOnRandomTexts) {
+  // 5,000 seeded texts over the characters the scanner treats specially,
+  // each scanned in memory, from a file, and from a file where it
+  // straddles the first 64 KiB read (a plain filler record before it).
+  constexpr size_t kChunk = 64 * 1024;
+  const char alphabet[] = {'a', 'b', ',', ';', '"', '\r', '\n'};
+  std::mt19937_64 rng(20250326);
+  const std::string path = testing::TempDir() + "/icewafl_csv_oracle.csv";
+  for (int i = 0; i < 5000; ++i) {
+    std::string text(rng() % 201, '\0');
+    for (char& c : text) c = alphabet[rng() % sizeof(alphabet)];
+    const std::string what = "text " + std::to_string(i);
+    const auto want = ReferenceScan(text, ',');
+    ExpectSameScan(want, ParseCsvText(text), what + " in memory");
+    WriteText(path, text);
+    ExpectSameScan(want, ScanFile(path), what + " from a file");
+
+    // The read boundary falls before text[split].
+    const size_t split = rng() % (text.size() + 1);
+    const std::string filler(kChunk - split - 1, 'f');
+    const std::string placed = filler + "\n" + text;
+    WriteText(path, placed);
+    auto placed_want = want;
+    if (placed_want.ok()) {
+      placed_want.ValueOrDie().insert(placed_want.ValueOrDie().begin(),
+                                      std::vector<std::string>{filler});
+    }
+    ExpectSameScan(placed_want, ScanFile(path),
+                   what + " across the read boundary at " +
+                       std::to_string(split));
+    ExpectSameScan(placed_want, ParseCsvText(placed), what + " placed");
+    if (HasFailure()) break;  // one failing text is enough to read
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CsvHardening, NumbersThatMeetTheDelimiterRoundTripThroughFiles) {
+  // The writer skips the quoting scan for bool/int64/double text unless
+  // the delimiter can occur in it; a wrongly skipped quote splits a value
+  // and the read-back fails or differs.
+  SchemaPtr schema = Schema::Make({{"i", ValueType::kInt64},
+                                   {"d", ValueType::kDouble},
+                                   {"b", ValueType::kBool},
+                                   {"s", ValueType::kString}},
+                                  "i")
+                         .ValueOrDie();
+  const double doubles[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::ldexp(1.0, 60), -std::ldexp(1.0, -20), std::ldexp(1.0, -1074),
+      1e15, -1e15, 1.5, -0.25, 2.2250738585072009e-308, 0.0,
+  };
+  const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(), -1, 0, 10};
+  TupleVector tuples;
+  for (size_t i = 0; i < std::size(doubles); ++i) {
+    tuples.emplace_back(
+        schema, std::vector<Value>{Value(ints[i % std::size(ints)]),
+                                   Value(doubles[i]), Value(i % 2 == 0),
+                                   Value("s")});
+  }
+  tuples.emplace_back(schema, std::vector<Value>{Value(int64_t{1}),
+                                                 Value::Null(), Value::Null(),
+                                                 Value::Null()});
+  auto same_value = [](const Value& a, const Value& b) {
+    if (a.is_double() && b.is_double()) {
+      uint64_t x = 0;
+      uint64_t y = 0;
+      const double da = a.AsDouble();
+      const double db = b.AsDouble();
+      std::memcpy(&x, &da, sizeof(x));
+      std::memcpy(&y, &db, sizeof(y));
+      return x == y;
+    }
+    return a == b;
+  };
+  const std::string path = testing::TempDir() + "/icewafl_csv_numbers.csv";
+  for (const char delimiter : {',', '.', '-', '+', 'e', 'n', 'a', '1', 't'}) {
+    for (const std::string& null_repr :
+         {std::string(), std::string("NULL"), std::string(1, delimiter) + "x",
+          std::string("q\"")}) {
+      const CsvOptions options{delimiter, null_repr, true};
+      const std::string what = std::string("delimiter '") + delimiter +
+                               "', null '" + null_repr + "'";
+      ASSERT_TRUE(WriteCsvFile(schema, tuples, path, options).ok()) << what;
+      auto back = ReadCsvFile(schema, path, options);
+      ASSERT_TRUE(back.ok()) << what << ": " << back.status().ToString();
+      ASSERT_EQ(back.ValueOrDie().size(), tuples.size()) << what;
+      for (size_t r = 0; r < tuples.size(); ++r) {
+        for (size_t c = 0; c < 4; ++c) {
+          EXPECT_TRUE(same_value(back.ValueOrDie()[r].value(c),
+                                 tuples[r].value(c)))
+              << what << ", row " << r << ", column " << c << ": '"
+              << back.ValueOrDie()[r].value(c).ToString() << "' vs '"
+              << tuples[r].value(c).ToString() << "'";
+        }
+      }
     }
   }
   std::remove(path.c_str());

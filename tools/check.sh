@@ -22,9 +22,11 @@
 #                             # smoke-run bench_micro_polluters (tiny
 #                             # iteration budget) so its built-in
 #                             # assertions break the build on regression;
-#                             # then the offline CLI leg (generate ->
-#                             # pollute -> validate) whose CSV, log JSON
-#                             # and report must match pinned sha256s;
+#                             # then the offline CLI legs (wearable
+#                             # generate -> pollute -> validate, and an
+#                             # air-quality generate and temporal_scale
+#                             # run) whose CSVs, log JSON and report must
+#                             # match pinned sha256s;
 #                             # finally the end-to-end benchmark's smoke
 #                             # (e2ebench/run.py --smoke), which checks
 #                             # every workload's served rows against the
@@ -329,6 +331,19 @@ f12a0639928ff14cb2965c76ecd54364ecdf1a279241afca5a2af71d05df69f0  polluted.csv
 7c72f614115a88a01ce43fb6da8b0f8d3f5a23ac601d1cf4bedbe8f4906fab7f  validate.txt
 EOF
   cmp "${offdir}/want.sha256" "${offdir}/got.sha256"
+  # The same for the air-quality stream (18 attributes, mostly
+  # non-integral doubles): the generated CSV and a temporal-scale run.
+  "${cli}" generate --dataset airquality --seed 3 --hours 720 \
+    --output "${offdir}/aq_clean.csv" >/dev/null
+  "${cli}" run --scenario temporal_scale --seed 3 \
+    --output "${offdir}/aq_run.csv" >/dev/null
+  (cd "${offdir}" && sha256sum aq_clean.csv aq_run.csv) \
+    >"${offdir}/aq_got.sha256"
+  cat >"${offdir}/aq_want.sha256" <<'EOF'
+4b63332711634e559ba35bb7fa26d6a1c806f1833aa5423714f388b759cc425b  aq_clean.csv
+718bdd79d1683f49dc63562065d0fff2f74459cc98038f1383e1cd6a48b01d84  aq_run.csv
+EOF
+  cmp "${offdir}/aq_want.sha256" "${offdir}/aq_got.sha256"
   echo "=== bench: e2ebench smoke (served digests == offline reference) ==="
   # Every workload at smoke size with all correctness checks on: a served
   # row that differs from the offline reference fails the run.
