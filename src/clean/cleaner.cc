@@ -350,6 +350,14 @@ Status CleanerOperator::ProcessBatch(TupleVector* batch, Emitter* out) {
   return Status::OK();
 }
 
+Status CleaningSink::WriteBatch(TupleVector* rows) {
+  VectorEmitter collect(&survivors_);
+  Status status = op_.ProcessBatch(rows, &collect);
+  if (status.ok()) status = emitter_.sink()->WriteBatch(&survivors_);
+  survivors_.clear();
+  return status;
+}
+
 Status CleaningSink::Flush() {
   ICEWAFL_RETURN_NOT_OK(op_.Finish(&emitter_));
   return emitter_.sink()->Flush();

@@ -173,8 +173,9 @@ class CleanerOperator : public Operator {
 };
 
 /// \brief Sink decorator running one sequential CleanerOperator over
-/// every tuple written and forwarding the survivors to `inner`. Flush
-/// finishes the operator, then flushes `inner`.
+/// every tuple written and forwarding the survivors to `inner`: a
+/// written row's survivor row by row, a batch's survivors as one batch.
+/// Flush finishes the operator, then flushes `inner`.
 class CleaningSink : public Sink {
  public:
   CleaningSink(const CleaningRules& rules, Sink* inner,
@@ -187,6 +188,7 @@ class CleaningSink : public Sink {
   Status Write(Tuple&& tuple) override {
     return op_.Process(std::move(tuple), &emitter_);
   }
+  Status WriteBatch(TupleVector* rows) override;
   Status Flush() override;
 
   CleanerOperator& op() { return op_; }
@@ -204,6 +206,8 @@ class CleaningSink : public Sink {
 
   CleanerOperator op_;
   SinkEmitter emitter_;
+  /// Survivors of the batch being cleaned; empty between batches.
+  TupleVector survivors_;
 };
 
 /// \brief Deterministic cleaning runner: applies `rules` to `input`

@@ -70,8 +70,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
   if (finished_) return false;
   while (true) {
     uint8_t type = 0;
-    std::string payload;
-    Status read = ReadStreamFrame(fd_.get(), &decoder_, &type, &payload);
+    Status read = ReadStreamFrame(fd_.get(), &decoder_, &type, &payload_);
     if (!read.ok()) {
       // Attribute the failure: a bare "connection closed mid-stream" is
       // useless when one process tails many sessions.
@@ -79,7 +78,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
     }
     switch (type) {
       case kFrameTuple: {
-        ICEWAFL_ASSIGN_OR_RETURN(*out, DecodeTuplePayload(payload, schema_));
+        ICEWAFL_ASSIGN_OR_RETURN(*out, DecodeTuplePayload(payload_, schema_));
         ++tuples_received_;
         return true;
       }
@@ -90,7 +89,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
               ": server sent a Batch frame this client did not negotiate");
         }
         ICEWAFL_ASSIGN_OR_RETURN(Batch batch,
-                                 DecodeBatchPayload(payload, schema_));
+                                 DecodeBatchPayload(payload_, schema_));
         TupleVector rows = batch.ToTuples();
         for (Tuple& t : rows) pending_.push_back(std::move(t));
         if (pending_.empty()) continue;  // tolerate an empty batch
@@ -100,7 +99,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
         return true;
       }
       case kFrameEnd: {
-        ICEWAFL_ASSIGN_OR_RETURN(reported_total_, DecodeEndPayload(payload));
+        ICEWAFL_ASSIGN_OR_RETURN(reported_total_, DecodeEndPayload(payload_));
         finished_ = true;
         fd_.Reset();
         if (reported_total_ != tuples_received_) {
@@ -115,7 +114,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
       case kFrameError:
         finished_ = true;
         fd_.Reset();
-        return Status::IOError(Context() + ": server error: " + payload);
+        return Status::IOError(Context() + ": server error: " + payload_);
       case kFrameSchema:
         return Status::ParseError(Context() +
                                   ": unexpected mid-stream Schema frame");

@@ -75,6 +75,8 @@ class StreamClient : public Source {
   std::string session_id_;
   std::string peer_;
   FrameDecoder decoder_;
+  /// The last frame's payload; one buffer reused for every frame.
+  std::string payload_;
   /// kCap* bits sent in the hello; a Batch frame from the server is a
   /// protocol violation unless kCapBatchFrames is set here.
   uint64_t capabilities_ = 0;

@@ -29,6 +29,12 @@ constexpr std::chrono::seconds kDrainGrace(10);
 const std::vector<std::string> kPolicyNames = {"block", "drop_oldest",
                                                "disconnect"};
 
+/// What a drain tells a connection it closes.
+std::shared_ptr<const std::string> ShutdownFrame() {
+  return std::make_shared<const std::string>(
+      EncodeErrorFrame("server shutting down"));
+}
+
 }  // namespace
 
 const char* SlowConsumerPolicyName(SlowConsumerPolicy policy) {
@@ -81,48 +87,14 @@ class PollutionServer::FanoutSink : public Sink {
     }
   }
 
-  using Sink::Write;
-
   Status Write(const Tuple& tuple) override {
-    // Two short stop-flag probes, taken one after the other (never
-    // nested): the server-wide flag under the registry lock, the
-    // session flag under its own.
-    {
-      MutexLock lock(&server_->mu_);
-      if (server_->stop_requested_) {
-        return Status::IOError("server stopping");
-      }
-    }
-    {
-      MutexLock lock(&session_->mu);
-      if (session_->stop_requested) {
-        return Status::IOError("session '" + session_->id + "' stopped");
-      }
-    }
-    if (has_tuple_) {
-      // Encode once; every tuple subscriber queue shares the frame.
-      auto frame =
-          std::make_shared<const std::string>(EncodeTupleFrame(tuple));
-      for (size_t i = 0; i < subscribers_.size(); ++i) {
-        if (!open_[i] || wants_batch_[i]) continue;
-        if (server_->EnqueueFrame(subscribers_[i], frame,
-                                  session_->metrics)) {
-          if (session_->metrics.tuples_sent != nullptr) {
-            session_->metrics.tuples_sent->Increment();
-          }
-        } else {
-          open_[i] = false;  // disconnected or cut by policy
-        }
-      }
-    }
-    if (has_batch_) {
-      pending_.push_back(tuple);
-      if (pending_.size() >= batch_rows_) {
-        ICEWAFL_RETURN_NOT_OK(FlushBatch());
-      }
-    }
-    ++count_;
-    return Status::OK();
+    return Publish(std::span<const Tuple>(&tuple, 1));
+  }
+  Status Write(Tuple&& tuple) override {
+    return Publish(std::span<Tuple>(&tuple, 1));
+  }
+  Status WriteBatch(TupleVector* rows) override {
+    return Publish(std::span<Tuple>(*rows));
   }
 
   /// \brief Fans out the buffered rows to batch subscribers as one
@@ -139,37 +111,21 @@ class PollutionServer::FanoutSink : public Sink {
       if (payload.size() <= kMaxFramePayload) {
         std::string bytes;
         bytes.reserve(payload.size() + 11);
-        bytes.push_back(static_cast<char>(kFrameBatch));
-        AppendVarint(payload.size(), &bytes);
-        bytes.append(payload);
+        AppendFrame(kFrameBatch, payload, &bytes);
         frame = std::make_shared<const std::string>(std::move(bytes));
       }
     }
+    const bool batched = frame != nullptr;
+    if (batched) {
+      ends_.clear();  // the Batch frame is the chunk's one frame
+    } else {
+      frame = EncodeTupleFrames(std::span<const Tuple>(pending_));
+    }
     for (size_t i = 0; i < subscribers_.size(); ++i) {
       if (!open_[i] || !wants_batch_[i]) continue;
-      if (frame != nullptr) {
-        if (server_->EnqueueFrame(subscribers_[i], frame,
-                                  session_->metrics)) {
-          if (session_->metrics.tuples_sent != nullptr) {
-            session_->metrics.tuples_sent->Increment(pending_.size());
-          }
-          if (session_->metrics.batches_sent != nullptr) {
-            session_->metrics.batches_sent->Increment();
-          }
-        } else {
-          open_[i] = false;
-        }
-        continue;
-      }
-      for (const Tuple& t : pending_) {
-        auto tf = std::make_shared<const std::string>(EncodeTupleFrame(t));
-        if (!server_->EnqueueFrame(subscribers_[i], tf, session_->metrics)) {
-          open_[i] = false;
-          break;
-        }
-        if (session_->metrics.tuples_sent != nullptr) {
-          session_->metrics.tuples_sent->Increment();
-        }
+      Send(i, frame, pending_.size());
+      if (open_[i] && batched && session_->metrics.batches_sent != nullptr) {
+        session_->metrics.batches_sent->Increment();
       }
     }
     pending_.clear();
@@ -183,6 +139,74 @@ class PollutionServer::FanoutSink : public Sink {
   bool open(size_t i) const { return open_[i]; }
 
  private:
+  /// The one publish routine behind Write and WriteBatch. `Row` is
+  /// Tuple when the rows may be moved into pending_, const Tuple when
+  /// they must be copied.
+  template <typename Row>
+  Status Publish(std::span<Row> rows) {
+    if (rows.empty()) return Status::OK();
+    // Two short stop-flag probes per call, taken one after the other
+    // (never nested): the server-wide flag under the registry lock, the
+    // session flag under its own.
+    {
+      MutexLock lock(&server_->mu_);
+      if (server_->stop_requested_) {
+        return Status::IOError("server stopping");
+      }
+    }
+    {
+      MutexLock lock(&session_->mu);
+      if (session_->stop_requested) {
+        return Status::IOError("session '" + session_->id + "' stopped");
+      }
+    }
+    if (has_tuple_) {
+      // Encode once; every tuple subscriber queue shares the chunk.
+      std::shared_ptr<const std::string> chunk =
+          EncodeTupleFrames(std::span<const Tuple>(rows));
+      for (size_t i = 0; i < subscribers_.size(); ++i) {
+        if (open_[i] && !wants_batch_[i]) Send(i, chunk, rows.size());
+      }
+    }
+    if (has_batch_) {
+      for (Row& row : rows) {
+        pending_.push_back(std::move(row));  // a copy for const rows
+        if (pending_.size() >= batch_rows_) {
+          ICEWAFL_RETURN_NOT_OK(FlushBatch());
+        }
+      }
+    }
+    count_ += rows.size();
+    return Status::OK();
+  }
+
+  /// Appends every row's Tuple frame to one chunk and records where
+  /// each frame ends in ends_.
+  std::shared_ptr<const std::string> EncodeTupleFrames(
+      std::span<const Tuple> rows) {
+    std::string chunk;
+    ends_.clear();
+    for (const Tuple& row : rows) {
+      AppendTupleFrame(row, &chunk);
+      ends_.push_back(chunk.size());
+    }
+    return std::make_shared<const std::string>(std::move(chunk));
+  }
+
+  /// Enqueues the frames of `chunk` (ends_) for subscriber i, which
+  /// carry `tuples` rows; a refusal closes the subscriber for the run.
+  void Send(size_t i, const std::shared_ptr<const std::string>& chunk,
+            uint64_t tuples) {
+    if (!server_->EnqueueFrame(subscribers_[i], chunk, ends_,
+                               session_->metrics)) {
+      open_[i] = false;  // disconnected or cut by policy
+      return;
+    }
+    if (session_->metrics.tuples_sent != nullptr) {
+      session_->metrics.tuples_sent->Increment(tuples);
+    }
+  }
+
   PollutionServer* server_;
   Session* session_;
   std::vector<ConnPtr> subscribers_;
@@ -192,6 +216,8 @@ class PollutionServer::FanoutSink : public Sink {
   bool has_tuple_ = false;
   const size_t batch_rows_;
   TupleVector pending_;
+  /// Frame end offsets of the chunk being sent.
+  std::vector<size_t> ends_;
   uint64_t count_ = 0;
 };
 
@@ -297,7 +323,7 @@ Status PollutionServer::StopSession(const std::string& id) {
       // skips it because the state is no longer kQueued.
       RetireLocked(session, "session '" + id + "' stopped");
     }
-    // kRunning: the worker's sink aborts at its next Write and the run
+    // kRunning: the worker's sink aborts at its next batch and the run
     // epilogue retires the session.
   }
   cv_.NotifyAll();
@@ -513,12 +539,12 @@ Status PollutionServer::Wait() {
     draining_ = true;
     accepting_ = false;
     // Connections that never subscribed (or are racing the shutdown)
-    // get a courteous error frame before being flushed and closed.
-    auto bye = std::make_shared<const std::string>(
-        EncodeErrorFrame("server shutting down"));
+    // get a courteous error frame before being flushed and closed; the
+    // reactor's last accept gives it to those still in the backlog.
+    std::shared_ptr<const std::string> bye = ShutdownFrame();
     for (const ConnPtr& c : conns_) {
       if (!c->queue->closed()) {
-        (void)c->queue->TryPush({bye, std::chrono::steady_clock::now()});
+        (void)c->queue->TryPush(QueuedFrame::Whole(bye));
         c->queue->Close();
       }
     }
@@ -580,7 +606,7 @@ void PollutionServer::RetireLocked(const SessionPtr& session,
     // A waiting subscriber's queue is empty, so the push cannot be
     // rejected for capacity. Channel locks rank below session locks, so
     // enqueueing here respects the hierarchy.
-    (void)conn->queue->TryPush({bye, std::chrono::steady_clock::now()});
+    (void)conn->queue->TryPush(QueuedFrame::Whole(bye));
     conn->queue->Close();
   }
   session->waiting.clear();
@@ -649,7 +675,7 @@ void PollutionServer::RunSession(const SessionPtr& session,
                   : EncodeErrorFrame(status.ToString()));
   for (size_t i = 0; i < sink.subscribers().size(); ++i) {
     if (sink.open(i)) {
-      (void)EnqueueFrame(sink.subscribers()[i], tail, session->metrics);
+      (void)EnqueueFrame(sink.subscribers()[i], tail, {}, session->metrics);
     }
     sink.subscribers()[i]->queue->Close();
   }
@@ -691,59 +717,66 @@ void PollutionServer::RunSession(const SessionPtr& session,
 // ---------------------------------------------------------------------
 
 bool PollutionServer::EnqueueFrame(
-    const ConnPtr& conn, const std::shared_ptr<const std::string>& frame,
-    const obs::SessionMetrics& metrics) {
-  QueuedFrame qf{frame, std::chrono::steady_clock::now()};
+    const ConnPtr& conn, const std::shared_ptr<const std::string>& chunk,
+    std::span<const size_t> ends, const obs::SessionMetrics& metrics) {
+  const size_t whole = chunk->size();
+  if (ends.empty()) ends = std::span<const size_t>(&whole, 1);
+  const auto now = std::chrono::steady_clock::now();
+  // The entry for frames [first, last) of the chunk.
+  auto frames = [&](size_t first, size_t last) {
+    return QueuedFrame{chunk, first == 0 ? 0 : ends[first - 1],
+                       ends[last - 1], last - first, now};
+  };
   switch (options_.slow_consumer) {
     case SlowConsumerPolicy::kBlock: {
       // Blocking push: backpressure propagates into the pipeline
-      // runtime, which is exactly the contract of this policy.
-      if (!conn->queue->Push(std::move(qf))) return false;
-      wake_.Poke();
+      // runtime, which is exactly the contract of this policy. A chunk
+      // wider than the queue goes in as pieces that each fit it, and
+      // each piece wakes the reactor that makes room for the next.
+      const size_t piece = options_.queue_capacity;
+      for (size_t k = 0; k < ends.size(); k += piece) {
+        if (!conn->queue->Push(frames(k, std::min(ends.size(), k + piece)))) {
+          return false;
+        }
+        wake_.Poke();
+      }
       return true;
     }
-    case SlowConsumerPolicy::kDropOldest: {
-      while (true) {
-        switch (conn->queue->TryPush(qf)) {
-          case FrameQueue::PushResult::kOk:
-            wake_.Poke();
-            return true;
-          case FrameQueue::PushResult::kClosed:
-            return false;
-          case FrameQueue::PushResult::kFull: {
+    case SlowConsumerPolicy::kDropOldest:
+    case SlowConsumerPolicy::kDisconnect: {
+      // One entry per frame, so the unit of loss is one frame; each
+      // frame wakes the reactor, which drains while the rest queue.
+      for (size_t k = 0; k < ends.size(); ++k) {
+        const QueuedFrame entry = frames(k, k + 1);
+        while (true) {
+          const FrameQueue::PushResult pushed = conn->queue->TryPush(entry);
+          if (pushed == FrameQueue::PushResult::kOk) break;
+          if (pushed == FrameQueue::PushResult::kClosed) return false;
+          if (options_.slow_consumer == SlowConsumerPolicy::kDropOldest) {
             QueuedFrame discard;
             if (conn->queue->TryPop(&discard) &&
                 metrics.slow_drops != nullptr) {
               metrics.slow_drops->Increment();
             }
-            break;  // retry the push
+            continue;  // retry the push
           }
-        }
-      }
-    }
-    case SlowConsumerPolicy::kDisconnect: {
-      switch (conn->queue->TryPush(std::move(qf))) {
-        case FrameQueue::PushResult::kOk:
+          // Queue full: cut the slow consumer loose. The kill flag is
+          // connection state; the poison (a channel op, lower in the
+          // hierarchy) happens after the lock is dropped.
+          {
+            MutexLock lock(&conn->mu);
+            conn->kill = true;
+          }
+          conn->queue->Poison();
+          if (metrics.slow_disconnects != nullptr) {
+            metrics.slow_disconnects->Increment();
+          }
           wake_.Poke();
-          return true;
-        case FrameQueue::PushResult::kClosed:
           return false;
-        case FrameQueue::PushResult::kFull:
-          break;
+        }
+        wake_.Poke();
       }
-      // Queue full: cut the slow consumer loose. The kill flag is
-      // connection state; the poison (a channel op, lower in the
-      // hierarchy) happens after the lock is dropped.
-      {
-        MutexLock lock(&conn->mu);
-        conn->kill = true;
-      }
-      conn->queue->Poison();
-      if (metrics.slow_disconnects != nullptr) {
-        metrics.slow_disconnects->Increment();
-      }
-      wake_.Poke();
-      return false;
+      return true;
     }
   }
   return false;
@@ -852,7 +885,7 @@ void PollutionServer::HandleSubscribe(const ConnPtr& conn,
   cv_.NotifyAll();  // a run may now have enough subscribers
 }
 
-bool PollutionServer::ServiceConn(const ConnPtr& conn) {
+bool PollutionServer::ServiceConn(const ConnPtr& conn, short revents) {
   Connection::State state;
   {
     MutexLock lock(&conn->mu);
@@ -865,9 +898,10 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn) {
   }
   // Inbound direction: a v2 client speaks once — the Subscribe hello —
   // so reads parse the handshake, then only detect peer close and keep
-  // the receive buffer empty.
+  // the receive buffer empty. Only a socket poll marked readable (or
+  // hung up, or failed) is read; the rest would answer EAGAIN.
   char rbuf[512];
-  while (true) {
+  while ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
     const ssize_t n = ::recv(conn->fd.get(), rbuf, sizeof(rbuf), 0);
     if (n == 0) {
       conn->queue->Poison();
@@ -927,14 +961,14 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn) {
   if (buffered < kMaxOutbufBytes &&
       conn->queue->TryPopMany(
           &refill_, kMaxOutbufBytes - buffered,
-          [](const QueuedFrame& f) { return f.bytes->size(); }) > 0) {
+          [](const QueuedFrame& f) { return f.end - f.begin; }) > 0) {
     const auto now = std::chrono::steady_clock::now();
     for (const QueuedFrame& frame : refill_) {
       if (send_latency != nullptr) {
         send_latency->Observe(
             std::chrono::duration<double>(now - frame.enqueued).count());
       }
-      conn->outbuf.append(*frame.bytes);
+      conn->outbuf.append(*frame.chunk, frame.begin, frame.end - frame.begin);
     }
     refill_.clear();
   }
@@ -1018,6 +1052,34 @@ void PollutionServer::RemoveConn(const ConnPtr& conn) {
   cv_.NotifyAll();
 }
 
+void PollutionServer::AcceptPending() {
+  while (true) {
+    const int cfd = ::accept4(listen_fd_.get(), nullptr, nullptr,
+                              SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (cfd < 0) break;
+    auto conn = std::make_shared<Connection>();
+    conn->fd = UniqueFd(cfd);
+    const int one = 1;
+    (void)::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    conn->queue = std::make_shared<FrameQueue>(options_.queue_capacity);
+    {
+      MutexLock lock(&mu_);
+      conn->id = next_conn_id_++;
+      if (draining_) {
+        (void)conn->queue->TryPush(QueuedFrame::Whole(ShutdownFrame()));
+        conn->queue->Close();
+      }
+      conns_.push_back(conn);
+      if (metrics_.clients_connected != nullptr) {
+        metrics_.clients_connected->Set(static_cast<double>(conns_.size()));
+      }
+    }
+    if (metrics_.clients_accepted != nullptr) {
+      metrics_.clients_accepted->Increment();
+    }
+  }
+}
+
 void PollutionServer::ReactorLoop() {
   std::vector<pollfd> fds;
   std::vector<ConnPtr> snapshot;
@@ -1025,15 +1087,24 @@ void PollutionServer::ReactorLoop() {
   std::chrono::steady_clock::time_point drain_deadline;
   while (true) {
     bool accepting = false;
+    bool drain_started = false;
     {
       MutexLock lock(&mu_);
       if (stop_requested_) break;
+      drain_started = draining_ && !drain_deadline_set;
+    }
+    if (drain_started) {
+      // The drain stopped accepting; peers that connected before it are
+      // owed its Error frame too, so take the backlog in once.
+      drain_deadline_set = true;
+      drain_deadline = std::chrono::steady_clock::now() + kDrainGrace;
+      AcceptPending();
+    }
+    {
+      MutexLock lock(&mu_);
       if (draining_) {
         if (conns_.empty()) break;
-        if (!drain_deadline_set) {
-          drain_deadline_set = true;
-          drain_deadline = std::chrono::steady_clock::now() + kDrainGrace;
-        } else if (std::chrono::steady_clock::now() > drain_deadline) {
+        if (std::chrono::steady_clock::now() > drain_deadline) {
           break;  // unresponsive peers cannot hold shutdown hostage
         }
       }
@@ -1073,34 +1144,14 @@ void PollutionServer::ReactorLoop() {
     if ((fds[0].revents & POLLIN) != 0) wake_.Drain();
 
     if (accepting && (fds[listen_index].revents & POLLIN) != 0) {
-      while (true) {
-        const int cfd = ::accept4(listen_fd_.get(), nullptr, nullptr,
-                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (cfd < 0) break;
-        auto conn = std::make_shared<Connection>();
-        conn->fd = UniqueFd(cfd);
-        const int one = 1;
-        (void)::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        conn->queue =
-            std::make_shared<FrameQueue>(options_.queue_capacity);
-        {
-          MutexLock lock(&mu_);
-          conn->id = next_conn_id_++;
-          conns_.push_back(conn);
-          if (metrics_.clients_connected != nullptr) {
-            metrics_.clients_connected->Set(
-                static_cast<double>(conns_.size()));
-          }
-        }
-        if (metrics_.clients_accepted != nullptr) {
-          metrics_.clients_accepted->Increment();
-        }
-      }
+      AcceptPending();
     }
 
-    for (const ConnPtr& c : snapshot) {
+    const size_t first_conn = fds.size() - snapshot.size();
+    for (size_t i = 0; i < snapshot.size(); ++i) {
+      const ConnPtr& c = snapshot[i];
       if (!c->fd.valid()) continue;
-      if (!ServiceConn(c)) RemoveConn(c);
+      if (!ServiceConn(c, fds[first_conn + i].revents)) RemoveConn(c);
     }
   }
   // Abort/exit path: close everything still open.

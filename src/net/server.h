@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,8 +61,9 @@ struct ServerOptions {
   /// server hosts many sessions over few workers (many-sessions-few-
   /// workers sharding); must be >= 1.
   int workers = 2;
-  /// Frames each subscriber queue buffers before the slow-consumer
-  /// policy applies (must be >= 1).
+  /// Frames (not queue entries) each subscriber queue buffers before
+  /// the slow-consumer policy applies (must be >= 1); DESIGN.md §9 has
+  /// each policy's unit.
   size_t queue_capacity = 256;
   /// Tuples per Batch frame for subscribers that negotiated
   /// kCapBatchFrames in their Subscribe hello (must be >= 1). Tuple
@@ -119,11 +121,14 @@ struct SessionInfo {
 /// *worker pool* pops ready sessions from a run queue and drives one
 /// full pipeline run each (many sessions, few workers). Each subscriber
 /// has a bounded `BoundedChannel` frame queue between a worker and the
-/// reactor: the per-run fan-out sink encodes each tuple once and
-/// enqueues the shared frame per subscriber; the reactor drains queues
-/// into per-connection write buffers and the sockets. The reactor never
-/// ticks: every cross-thread transition pokes the self-pipe, so poll()
-/// blocks indefinitely when nothing is happening.
+/// reactor, bounded in frames: the per-run fan-out sink encodes a
+/// runtime batch's tuple frames once into one shared chunk and queues
+/// it per subscriber; the reactor drains queues into per-connection
+/// write buffers and the sockets. The sink probes the stop flags once
+/// per batch, so a stop takes effect at the next batch (at most 256
+/// rows later). The reactor never ticks: every cross-thread transition
+/// pokes the self-pipe, so poll() blocks indefinitely when nothing is
+/// happening.
 ///
 /// Protocol per connection (wire version 2): the client speaks first
 /// with a Subscribe frame naming a session; the server answers with
@@ -255,11 +260,26 @@ class PollutionServer {
   std::vector<std::string> session_ids() const EXCLUDES(mu_);
 
  private:
+  /// One entry of a subscriber's frame queue: `frames` whole frames,
+  /// the bytes [begin, end) of a chunk that other subscribers' entries
+  /// may share.
   struct QueuedFrame {
-    std::shared_ptr<const std::string> bytes;
+    std::shared_ptr<const std::string> chunk;
+    size_t begin = 0;
+    size_t end = 0;
+    size_t frames = 1;
     std::chrono::steady_clock::time_point enqueued;
+
+    /// An entry holding the whole of `frame`, enqueued now.
+    static QueuedFrame Whole(std::shared_ptr<const std::string> frame) {
+      const size_t size = frame->size();
+      return {std::move(frame), 0, size, 1, std::chrono::steady_clock::now()};
+    }
+    struct Weight {  // the queue's capacity counts frames
+      size_t operator()(const QueuedFrame& f) const { return f.frames; }
+    };
   };
-  using FrameQueue = BoundedChannel<QueuedFrame>;
+  using FrameQueue = BoundedChannel<QueuedFrame, QueuedFrame::Weight>;
 
   struct Connection;
 
@@ -366,15 +386,20 @@ class PollutionServer {
   /// Reactor: parses and answers the Subscribe hello in `payload`.
   void HandleSubscribe(const ConnPtr& conn, const std::string& payload)
       EXCLUDES(mu_);
-  /// Applies the slow-consumer policy to enqueue `frame` for `conn`.
+  /// Applies the slow-consumer policy to enqueue the frames of `chunk`
+  /// for `conn`; frame k ends at `ends[k]` (empty `ends`: one frame).
   /// Returns false when the conn can no longer receive (closed/killed).
   bool EnqueueFrame(const ConnPtr& conn,
-                    const std::shared_ptr<const std::string>& frame,
+                    const std::shared_ptr<const std::string>& chunk,
+                    std::span<const size_t> ends,
                     const obs::SessionMetrics& metrics) EXCLUDES(mu_);
-  /// Reactor: advances one connection (read side, queue drain, socket
-  /// flush). Returns false when the connection is finished and should
-  /// be removed.
-  bool ServiceConn(const ConnPtr& conn) EXCLUDES(mu_);
+  /// Reactor: accepts the listen backlog; while draining, each new
+  /// connection gets the shutdown Error frame at once.
+  void AcceptPending() EXCLUDES(mu_);
+  /// Reactor: advances one connection (read side when `revents` asks,
+  /// queue drain, socket flush). Returns false when the connection is
+  /// finished and should be removed.
+  bool ServiceConn(const ConnPtr& conn, short revents) EXCLUDES(mu_);
   void RemoveConn(const ConnPtr& conn) EXCLUDES(mu_);
 
   /// Written by the constructor and Start() before any thread exists;

@@ -20,9 +20,11 @@ void AppendVarint(uint64_t v, std::string* out) {
 }
 
 void AppendFixed64(uint64_t v, std::string* out) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  out->append(bytes, sizeof(bytes));
 }
 
 Result<uint8_t> ByteReader::U8() {
@@ -207,17 +209,33 @@ Status ReadFixed64Span(ByteReader* reader, void* dst, size_t n) {
 #endif
 }
 
+void AppendTuplePayload(const Tuple& tuple, std::string* out) {
+  AppendFixed64(tuple.id(), out);
+  AppendFixed64(static_cast<uint64_t>(tuple.event_time()), out);
+  AppendFixed64(static_cast<uint64_t>(tuple.arrival_time()), out);
+  AppendVarint(ZigzagEncode(tuple.substream()), out);
+  AppendVarint(tuple.num_values(), out);
+  for (const Value& v : tuple.values()) AppendValue(v, out);
+}
+
 }  // namespace
 
 std::string EncodeTuplePayload(const Tuple& tuple) {
   std::string out;
-  AppendFixed64(tuple.id(), &out);
-  AppendFixed64(static_cast<uint64_t>(tuple.event_time()), &out);
-  AppendFixed64(static_cast<uint64_t>(tuple.arrival_time()), &out);
-  AppendVarint(ZigzagEncode(tuple.substream()), &out);
-  AppendVarint(tuple.num_values(), &out);
-  for (const Value& v : tuple.values()) AppendValue(v, &out);
+  AppendTuplePayload(tuple, &out);
   return out;
+}
+
+void AppendTupleFrame(const Tuple& tuple, std::string* out) {
+  out->push_back(static_cast<char>(kFrameTuple));
+  // The payload is written in place behind a one-byte placeholder that
+  // becomes the length varint once the size is known.
+  const size_t prefix_at = out->size();
+  out->push_back('\0');
+  AppendTuplePayload(tuple, out);
+  std::string prefix;
+  AppendVarint(out->size() - prefix_at - 1, &prefix);
+  out->replace(prefix_at, 1, prefix);
 }
 
 std::string EncodeBatchPayload(const Batch& batch) {
@@ -303,7 +321,7 @@ std::string EncodeSchemaFrame(const Schema& schema) {
 
 std::string EncodeTupleFrame(const Tuple& tuple) {
   std::string out;
-  AppendFrame(kFrameTuple, EncodeTuplePayload(tuple), &out);
+  AppendTupleFrame(tuple, &out);
   return out;
 }
 

@@ -136,6 +136,11 @@ std::string EncodeSchemaPayload(const Schema& schema);
 /// null has no payload).
 std::string EncodeTuplePayload(const Tuple& tuple);
 
+/// \brief Appends one complete Tuple frame to `*out`, encoding the
+/// payload in place (the bytes of EncodeTupleFrame, without its
+/// temporaries); the fan-out encodes a batch's frames into one buffer.
+void AppendTupleFrame(const Tuple& tuple, std::string* out);
+
 /// \brief End payload: total tuples sent in this stream, as a varint.
 std::string EncodeEndPayload(uint64_t total_tuples);
 

@@ -26,7 +26,8 @@ struct ChannelStats {
   /// channel layer: every dropped frame starts as a kFull TryPush.
   uint64_t try_push_full = 0;
   uint64_t try_push_closed = 0;
-  /// Largest number of items queued at once (peak buffering).
+  /// Largest weight queued at once (peak buffering; an item count
+  /// under unit weights).
   uint64_t peak_queued = 0;
 
   /// \brief Accumulates `other` (peak takes the max; everything else sums).
@@ -41,6 +42,12 @@ struct ChannelStats {
   }
 };
 
+/// \brief Every item weighs 1: a capacity or budget is an item count.
+struct UnitWeight {
+  template <typename T>
+  size_t operator()(const T& /*item*/) const { return 1; }
+};
+
 /// \brief Bounded blocking MPSC/MPMC queue connecting pipeline stages.
 ///
 /// The backbone of the pipelined runtime: producers `Push` until the
@@ -48,6 +55,10 @@ struct ChannelStats {
 /// upstream to the source, which is what bounds the memory footprint of
 /// an unbounded stream. Consumers `Pop` until the channel is both closed
 /// and drained.
+///
+/// The capacity bounds the summed `WeightFn` weight of the queued items
+/// (the server's frame queues weigh an entry by its frames); an item
+/// heavier than the capacity is admitted only into an empty channel.
 ///
 /// End-of-stream and abort are modelled explicitly:
 ///  - `Close()`   — graceful: no further pushes succeed, queued items
@@ -61,10 +72,10 @@ struct ChannelStats {
 /// (util/sync.h): server code may enqueue while holding registry /
 /// session / connection locks, but channel callbacks never re-enter the
 /// server.
-template <typename T>
+template <typename T, typename WeightFn = UnitWeight>
 class BoundedChannel {
  public:
-  /// \param capacity maximum queued items (>= 1).
+  /// \param capacity maximum queued weight (>= 1).
   explicit BoundedChannel(size_t capacity)
       : capacity_(capacity < 1 ? 1 : capacity) {}
 
@@ -74,19 +85,18 @@ class BoundedChannel {
   /// \brief Enqueues `item`, blocking while the channel is full.
   /// \return false iff the channel was closed (the item is dropped).
   bool Push(T item) EXCLUDES(mu_) {
+    const size_t w = weight_(item);
     MutexLock lock(&mu_);
     bool waited = false;
-    while (queue_.size() >= capacity_ && !closed_) {
+    while (!FitsLocked(w) && !closed_) {
       waited = true;
       not_full_.Wait(mu_);
     }
     if (closed_) return false;
-    queue_.push_back(std::move(item));
-    ++stats_.pushes;
     // A wait only counts as backpressure when the push actually lands;
     // waits cut short by Close()/Poison() are aborts, not backpressure.
     if (waited) ++stats_.blocked_pushes;
-    if (queue_.size() > stats_.peak_queued) stats_.peak_queued = queue_.size();
+    PushLocked(std::move(item), w);
     lock.Unlock();
     not_empty_.NotifyOne();
     return true;
@@ -99,18 +109,17 @@ class BoundedChannel {
   /// fan-out to implement the drop_oldest / disconnect slow-consumer
   /// policies, where a full queue is a decision point, not a wait.
   PushResult TryPush(T item) EXCLUDES(mu_) {
+    const size_t w = weight_(item);
     MutexLock lock(&mu_);
     if (closed_) {
       ++stats_.try_push_closed;
       return PushResult::kClosed;
     }
-    if (queue_.size() >= capacity_) {
+    if (!FitsLocked(w)) {
       ++stats_.try_push_full;
       return PushResult::kFull;
     }
-    queue_.push_back(std::move(item));
-    ++stats_.pushes;
-    if (queue_.size() > stats_.peak_queued) stats_.peak_queued = queue_.size();
+    PushLocked(std::move(item), w);
     lock.Unlock();
     not_empty_.NotifyOne();
     return PushResult::kOk;
@@ -123,18 +132,11 @@ class BoundedChannel {
   bool TryPop(T* out) EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     if (queue_.empty()) return false;
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    ++stats_.pops;
+    PopLocked(out);
     lock.Unlock();
     not_full_.NotifyOne();
     return true;
   }
-
-  /// \brief Every item costs 1: a TryPopMany budget is an item count.
-  struct UnitCost {
-    size_t operator()(const T& /*item*/) const { return 1; }
-  };
 
   /// \brief Non-blocking bulk dequeue: appends items to `*out` under one
   /// lock acquisition while the summed `cost(item)` of the items taken
@@ -144,7 +146,7 @@ class BoundedChannel {
   /// bound a TryPop loop checking a running total gives.
   /// \return the number of items taken; 0 when the channel is empty
   /// (open, closed, or poisoned alike).
-  template <typename CostFn = UnitCost>
+  template <typename CostFn = UnitWeight>
   size_t TryPopMany(std::vector<T>* out, size_t budget, CostFn cost = {})
       EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -152,11 +154,10 @@ class BoundedChannel {
     size_t spent = 0;
     while (spent < budget && !queue_.empty()) {
       spent += cost(queue_.front());
-      out->push_back(std::move(queue_.front()));
-      queue_.pop_front();
+      out->emplace_back();
+      PopLocked(&out->back());
       ++taken;
     }
-    stats_.pops += taken;
     lock.Unlock();
     if (taken > 0) not_full_.NotifyAll();
     return taken;
@@ -172,9 +173,7 @@ class BoundedChannel {
       while (queue_.empty() && !closed_) not_empty_.Wait(mu_);
     }
     if (queue_.empty()) return false;
-    *out = std::move(queue_.front());
-    queue_.pop_front();
-    ++stats_.pops;
+    PopLocked(out);
     lock.Unlock();
     not_full_.NotifyOne();
     return true;
@@ -196,6 +195,7 @@ class BoundedChannel {
       MutexLock lock(&mu_);
       closed_ = true;
       queue_.clear();
+      queued_ = 0;
     }
     not_full_.NotifyAll();
     not_empty_.NotifyAll();
@@ -206,9 +206,10 @@ class BoundedChannel {
     return closed_;
   }
 
+  /// \brief The queued weight (the item count under unit weights).
   size_t size() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return queue_.size();
+    return queued_;
   }
 
   size_t capacity() const { return capacity_; }
@@ -219,11 +220,31 @@ class BoundedChannel {
   }
 
  private:
+  bool FitsLocked(size_t w) const REQUIRES(mu_) {
+    return queue_.empty() || queued_ + w <= capacity_;
+  }
+
+  void PushLocked(T item, size_t w) REQUIRES(mu_) {
+    queue_.push_back(std::move(item));
+    queued_ += w;
+    ++stats_.pushes;
+    if (queued_ > stats_.peak_queued) stats_.peak_queued = queued_;
+  }
+
+  void PopLocked(T* out) REQUIRES(mu_) {
+    *out = std::move(queue_.front());
+    queue_.pop_front();
+    queued_ -= weight_(*out);
+    ++stats_.pops;
+  }
+
   const size_t capacity_;
+  [[no_unique_address]] WeightFn weight_;
   mutable Mutex mu_{kLockRankChannel};
   CondVar not_full_;
   CondVar not_empty_;
   std::deque<T> queue_ GUARDED_BY(mu_);
+  size_t queued_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;
   ChannelStats stats_ GUARDED_BY(mu_);
 };

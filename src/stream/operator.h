@@ -17,6 +17,21 @@ class Emitter {
   virtual Status Emit(Tuple tuple) = 0;
 };
 
+/// \brief Collects emitted tuples into a vector (how the runtime and the
+/// cleaning sink gather an operator's output for a whole batch).
+class VectorEmitter : public Emitter {
+ public:
+  explicit VectorEmitter(TupleVector* out) : out_(out) {}
+
+  Status Emit(Tuple tuple) override {
+    out_->push_back(std::move(tuple));
+    return Status::OK();
+  }
+
+ private:
+  TupleVector* out_;
+};
+
 /// \brief A tuple-at-a-time dataflow operator.
 ///
 /// The pipelines run two kinds: the polluter (PolluterOperator), which

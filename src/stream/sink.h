@@ -24,6 +24,15 @@ class Sink {
     return Write(static_cast<const Tuple&>(tuple));
   }
 
+  /// \brief Consumes a batch in order; the runtime's sink stage calls
+  /// it once per popped batch. The rows may be moved from. The default
+  /// moves each row through Write; a sink that can pay per batch what
+  /// Write pays per row overrides it.
+  virtual Status WriteBatch(TupleVector* rows) {
+    for (Tuple& row : *rows) ICEWAFL_RETURN_NOT_OK(Write(std::move(row)));
+    return Status::OK();
+  }
+
   /// \brief Called once after the last tuple.
   virtual Status Flush() { return Status::OK(); }
 };

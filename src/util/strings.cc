@@ -104,10 +104,12 @@ Result<int64_t> ParseInt64(std::string_view text) {
 
 void AppendDouble(double v, std::string* out) {
   char buf[32];
-  // Integral values render without an exponent ("20", not "2e+01").
-  // (NaN and the infinities fail the bound.)
+  // Integral values render without an exponent ("20", not "2e+01"),
+  // and -0.0 keeps its sign as "-0". (NaN and the infinities fail the
+  // bound.)
   if (std::abs(v) < 1e15 &&
       v == static_cast<double>(static_cast<long long>(v))) {
+    if (std::signbit(v) && v == 0) out->push_back('-');
     const auto r =
         std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
     out->append(buf, r.ptr);

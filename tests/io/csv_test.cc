@@ -489,7 +489,7 @@ TEST(CsvHardening, NumbersThatMeetTheDelimiterRoundTripThroughFiles) {
       std::numeric_limits<double>::infinity(),
       -std::numeric_limits<double>::infinity(),
       std::ldexp(1.0, 60), -std::ldexp(1.0, -20), std::ldexp(1.0, -1074),
-      1e15, -1e15, 1.5, -0.25, 2.2250738585072009e-308, 0.0,
+      1e15, -1e15, 1.5, -0.25, 2.2250738585072009e-308, 0.0, -0.0,
   };
   const int64_t ints[] = {std::numeric_limits<int64_t>::min(),
                           std::numeric_limits<int64_t>::max(), -1, 0, 10};

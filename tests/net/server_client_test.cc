@@ -16,7 +16,9 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
+#include "scenarios/closed_loop.h"
 #include "scenarios/scenarios.h"
+#include "stream/runtime.h"
 #include "stream/sink.h"
 #include "stream/source.h"
 
@@ -750,6 +752,291 @@ TEST(PollutionServer, DisconnectPolicyCutsSlowConsumer) {
 }
 
 // ---------------------------------------------------------------------
+// Batch fan-out: the runtime hands the fan-out whole batches; the bytes
+// on every socket are those of the per-row path, and the frame queue
+// stays bounded in frames.
+// ---------------------------------------------------------------------
+
+/// Overrides only the per-row Write, so the fan-out behind it receives
+/// one row per call.
+class PerRowSink : public Sink {
+ public:
+  explicit PerRowSink(Sink* inner) : inner_(inner) {}
+  Status Write(const Tuple& tuple) override { return inner_->Write(tuple); }
+  Status Write(Tuple&& tuple) override {
+    return inner_->Write(std::move(tuple));
+  }
+  Status Flush() override { return inner_->Flush(); }
+
+ private:
+  Sink* inner_;
+};
+
+/// Subscribes over a raw socket and returns every byte the server sent
+/// until it closed the connection (empty when the connect failed).
+std::string RawTail(uint16_t port, const std::string& session_id,
+                    uint64_t capabilities) {
+  auto fd = ConnectTcp("127.0.0.1", port);
+  if (!fd.ok()) return "";
+  const int sock = fd.ValueOrDie().get();
+  const std::string hello =
+      EncodeSubscribeFrame(kWireVersion, session_id, capabilities);
+  if (::send(sock, hello.data(), hello.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(hello.size())) {
+    return "";
+  }
+  std::string bytes;
+  char buf[64 * 1024];
+  while (true) {
+    const ssize_t n = ::recv(sock, buf, sizeof(buf), 0);
+    if (n > 0) {
+      bytes.append(buf, static_cast<size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      return bytes;
+    }
+  }
+}
+
+/// Decodes a recorded stream (Schema, Tuple and Batch frames, End) to
+/// CSV; counts its Batch frames.
+std::string RecordedCsv(const std::string& bytes, int* batch_frames) {
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  SchemaPtr schema;
+  TupleVector rows;
+  uint8_t type = 0;
+  std::string payload;
+  while (true) {
+    auto have = decoder.Next(&type, &payload);
+    EXPECT_TRUE(have.ok()) << have.status().ToString();
+    if (!have.ok() || !have.ValueOrDie()) break;
+    if (type == kFrameSchema) {
+      schema = DecodeSchemaPayload(payload).ValueOrDie();
+    } else if (type == kFrameTuple) {
+      rows.push_back(DecodeTuplePayload(payload, schema).ValueOrDie());
+    } else if (type == kFrameBatch) {
+      ++*batch_frames;
+      for (Tuple& t :
+           DecodeBatchPayload(payload, schema).ValueOrDie().ToTuples()) {
+        rows.push_back(std::move(t));
+      }
+    } else {
+      EXPECT_EQ(type, kFrameEnd) << "unexpected frame type";
+    }
+  }
+  return schema == nullptr ? "" : ToCsvString(schema, rows);
+}
+
+TEST(PollutionServer, BatchAndPerRowFanoutSendTheSameBytes) {
+  constexpr uint64_t kSeed = 42;
+  constexpr int kTupleSubscribers = 4;
+  auto scenario = Resolve("random_temporal", kSeed);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  const std::string offline = OfflineCsv(scenario.ValueOrDie(), kSeed, 1);
+
+  ServerOptions options;
+  options.batch_rows = 100;  // Batch cut points off the runtime's 256
+  PollutionServer server(options);
+  SessionOptions session;
+  session.min_subscribers = kTupleSubscribers + 1;
+  session.max_runs = 1;
+  PollutionServer::SessionFn batched =
+      MakeScenarioSession(scenario.ValueOrDie(), kSeed, 1);
+  const SchemaPtr schema = scenario.ValueOrDie()->schema;
+  ASSERT_TRUE(server.AddSession("batched", schema, batched, session).ok());
+  ASSERT_TRUE(server
+                  .AddSession("per_row", schema,
+                              [batched](const PlanContext& ctx, Sink* sink) {
+                                PerRowSink rows(sink);
+                                return batched(ctx, &rows);
+                              },
+                              session)
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Per session: four tuple subscribers, then one Batch subscriber.
+  const std::vector<std::string> names = {"batched", "per_row"};
+  constexpr size_t kPerSession = kTupleSubscribers + 1;
+  std::vector<std::string> streams(names.size() * kPerSession);
+  std::vector<std::thread> tails;
+  for (size_t slot = 0; slot < streams.size(); ++slot) {
+    const uint64_t caps =
+        slot % kPerSession == kTupleSubscribers ? kCapBatchFrames : 0;
+    tails.emplace_back([&, slot, caps] {
+      streams[slot] = RawTail(server.port(), names[slot / kPerSession], caps);
+    });
+  }
+  for (std::thread& t : tails) t.join();
+  ASSERT_TRUE(server.Wait().ok());
+
+  for (size_t slot = 0; slot < streams.size(); ++slot) {
+    SCOPED_TRACE(names[slot / kPerSession] + " subscriber " +
+                 std::to_string(slot % kPerSession));
+    const bool batch = slot % kPerSession == kTupleSubscribers;
+    // The same bytes as the per-row run's subscriber of the same kind.
+    EXPECT_EQ(streams[slot],
+              streams[kPerSession + (batch ? kTupleSubscribers : 0)]);
+    int batch_frames = 0;
+    EXPECT_EQ(RecordedCsv(streams[slot], &batch_frames), offline);
+    EXPECT_EQ(batch_frames > 0, batch);
+  }
+}
+
+/// A runtime-fed session of `count` ~4 KiB rows: the runtime hands the
+/// fan-out batches of 256 rows, wider than the small queues below, and
+/// the stream (~24 MiB at 6,000 rows) outgrows what loopback socket
+/// buffers absorb for a subscriber that does not read.
+PollutionServer::SessionFn MakeFatRuntimeSession(SchemaPtr schema,
+                                                 int count) {
+  return [schema, count](const PlanContext&, Sink* sink) {
+    const std::string blob(4 * 1024, 'x');
+    TupleVector rows;
+    rows.reserve(static_cast<size_t>(count));
+    for (int i = 0; i < count; ++i) {
+      rows.emplace_back(schema, std::vector<Value>{
+                                    Value(static_cast<int64_t>(i)), Value(blob)});
+      rows.back().set_id(static_cast<TupleId>(i));
+      rows.back().set_event_time(i);
+    }
+    VectorSource source(schema, std::move(rows));
+    PipelineRuntime runtime;
+    return runtime.Run(&source, std::vector<Operator*>{}, sink);
+  };
+}
+
+/// Waits until the frame queues have taken no push for 50 ms: the run
+/// is then blocked on (or done with) its subscribers.
+void WaitForQueuesToStall(const PollutionServer& server) {
+  uint64_t last = 0;
+  while (true) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t pushes = server.frame_queue_stats().pushes;
+    if (pushes > 0 && pushes == last) return;
+    last = pushes;
+  }
+}
+
+TEST(PollutionServer, RuntimeFedQueueHoldsAtMostItsCapacityInFrames) {
+  constexpr int kTuples = 6000;
+  ServerOptions options;
+  options.queue_capacity = 8;
+  options.slow_consumer = SlowConsumerPolicy::kBlock;
+  SchemaPtr schema = FatSchema();
+  PollutionServer server(options);
+  ASSERT_TRUE(server
+                  .AddSession("fat", schema,
+                              MakeFatRuntimeSession(schema, kTuples),
+                              {.max_runs = 1})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Subscribe, then read nothing until the run is blocked on us.
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "fat");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  WaitForQueuesToStall(server);
+  EXPECT_EQ(server.runs_completed(), 0u) << "the run must wait for us";
+
+  StreamClient& stream = *client.ValueOrDie();
+  Tuple tuple;
+  while (true) {
+    auto next = stream.Next(&tuple);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ValueOrDie()) break;
+  }
+  EXPECT_EQ(stream.tuples_received(), static_cast<uint64_t>(kTuples));
+  ASSERT_TRUE(server.Wait().ok());
+  const ChannelStats stats = server.frame_queue_stats();
+  EXPECT_LE(stats.peak_queued, 8u) << "the queue bound counts frames";
+  EXPECT_GT(stats.blocked_pushes, 0u);
+}
+
+TEST(PollutionServer, RuntimeFedDropOldestCountsEveryDroppedFrame) {
+  constexpr int kTuples = 6000;
+  obs::MetricRegistry registry;
+  ServerOptions options;
+  options.queue_capacity = 8;
+  options.slow_consumer = SlowConsumerPolicy::kDropOldest;
+  options.metrics = &registry;
+  SchemaPtr schema = FatSchema();
+  PollutionServer server(options);
+  ASSERT_TRUE(server
+                  .AddSession("fat", schema,
+                              MakeFatRuntimeSession(schema, kTuples),
+                              {.max_runs = 1})
+                  .ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = StreamClient::Connect("127.0.0.1", server.port(), "fat");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  WaitForRuns(server, 1);
+
+  StreamClient& stream = *client.ValueOrDie();
+  Tuple tuple;
+  Status status;
+  while (true) {
+    auto next = stream.Next(&tuple);
+    if (!next.ok()) {
+      status = next.status();
+      break;
+    }
+    if (!next.ValueOrDie()) break;
+  }
+  EXPECT_FALSE(status.ok()) << "a lossy stream must not end cleanly";
+  ASSERT_TRUE(server.Wait().ok());
+  const uint64_t slow_drops =
+      registry.GetCounter("icewafl_server_slow_drops_total",
+                          {{"session", "fat"}})
+          ->value();
+  EXPECT_GT(slow_drops, 0u);
+  // A drop discards one frame: every row either arrived or was counted.
+  EXPECT_EQ(stream.tuples_received() + slow_drops,
+            static_cast<uint64_t>(kTuples));
+  EXPECT_GE(server.frame_queue_stats().try_push_full, slow_drops);
+}
+
+TEST(PollutionServer, CleanerThatDropsRowsServesTheOfflineStream) {
+  // The closed loop's plan with its stock cleaner, plus a rule that
+  // drops rows, so the fan-out gets batches shorter than the runtime's.
+  auto stock = scenarios::CleanerForScenario("software_update");
+  ASSERT_TRUE(stock.ok()) << stock.status().ToString();
+  Json rules = Json::MakeArray();
+  rules.Append(Json::Parse(R"({"label": "drop_missing_bpm", "column": "BPM",
+      "detect": {"type": "not_null"}, "repair": "drop"})")
+                   .ValueOrDie());
+  const Json stock_rules = stock.ValueOrDie().rules.Get("rules").ValueOrDie();
+  for (const Json& rule : stock_rules.items()) rules.Append(rule);
+  Json doc = stock.ValueOrDie().rules;
+  doc.Set("rules", std::move(rules));
+  for (const int parallelism : {1, 2}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    auto base = scenarios::BuildScenarioPlan("software_update", 42, parallelism);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    auto plan = scenarios::BuildPlanWithCleaner(*base.ValueOrDie(), doc);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const PlanSnapshot& snapshot = *plan.ValueOrDie();
+    auto offline =
+        scenarios::RunPlanSegmentOffline(snapshot, 0, snapshot.clean->size());
+    ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+    ASSERT_LT(offline.ValueOrDie().size(), snapshot.clean->size())
+        << "the cleaner must drop rows";
+
+    PollutionServer server;
+    SessionOptions session;
+    session.max_runs = 1;
+    session.plan = plan.ValueOrDie();
+    ASSERT_TRUE(server
+                    .AddSession("loop", nullptr, scenarios::ServePlanToSink,
+                                std::move(session))
+                    .ok());
+    ASSERT_TRUE(server.Start().ok());
+    TailResult served = TailAll(server.port(), "loop");
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    ASSERT_TRUE(server.Wait().ok());
+    EXPECT_EQ(served.csv, ToCsvString(snapshot.schema, offline.ValueOrDie()));
+  }
+}
+
+// ---------------------------------------------------------------------
 // Server lifecycle edges
 // ---------------------------------------------------------------------
 
@@ -769,12 +1056,10 @@ TEST(PollutionServer, DrainTellsAPendingHandshakeTheServerIsShuttingDown) {
   WaitForRuns(server, 1);
 
   // A connection that never says hello: Wait()'s drain still owes it a
-  // courteous Error frame before hanging up.
+  // courteous Error frame before hanging up, whether the reactor has
+  // accepted it yet or it still sits in the listen backlog.
   auto fd = ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(fd.ok());
-  while (server.clients_connected() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   ASSERT_TRUE(server.Wait().ok());
   FrameDecoder decoder;
   char buf[4096];

@@ -362,6 +362,52 @@ TEST(PipelineRuntimeTest, SinkErrorPropagates) {
   EXPECT_NE(status.message().find("sink broke"), std::string::npos);
 }
 
+/// Takes whole batches and fails partway through the batch holding row
+/// number `fail_at`.
+class FailingBatchSink : public Sink {
+ public:
+  using Sink::Write;
+  explicit FailingBatchSink(uint64_t fail_at) : fail_at_(fail_at) {}
+  Status Write(const Tuple& tuple) override {
+    (void)tuple;
+    return Status::Internal("the runtime took the per-row path");
+  }
+  Status WriteBatch(TupleVector* rows) override {
+    for (size_t i = 0; i < rows->size(); ++i) {
+      if (written_ == fail_at_) return Status::IOError("batch sink broke");
+      ++written_;
+    }
+    return Status::OK();
+  }
+  uint64_t written() const { return written_; }
+
+ private:
+  uint64_t fail_at_;
+  uint64_t written_ = 0;
+};
+
+TEST(PipelineRuntimeTest, SinkErrorPartwayThroughABatchEndsTheRun) {
+  SchemaPtr schema = TestSchema();
+  VectorSource source(schema, MakeTuples(schema, 256));
+  FailingBatchSink sink(20);  // the third batch of 8
+  RuntimeOptions options;
+  options.parallelism = 2;
+  options.batch_size = 8;
+  PipelineRuntime runtime(options);
+  Status status = runtime.Run(
+      &source,
+      [](int) {
+        OperatorChain chain;
+        chain.push_back(AddOne());
+        return chain;
+      },
+      &sink);
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("batch sink broke"), std::string::npos);
+  // No batch reached the sink after the failing one.
+  EXPECT_EQ(sink.written(), 20u);
+}
+
 TEST(PipelineRuntimeTest, RawOperatorOverloadRunsChain) {
   SchemaPtr schema = TestSchema();
   VectorSource source(schema, MakeTuples(schema, 12));

@@ -115,15 +115,17 @@ TEST(StringsTest, FormatDoubleShortestIsMinimal) {
   EXPECT_EQ(FormatDouble(1e-5), "1e-05");
   EXPECT_EQ(FormatDouble(1e15), "1e+15");
   EXPECT_EQ(FormatDouble(2.5e100), "2.5e+100");
-  EXPECT_EQ(FormatDouble(-0.0), "0");
+  EXPECT_EQ(FormatDouble(-0.0), "-0");
+  EXPECT_EQ(FormatDouble(0.0), "0");
   EXPECT_EQ(FormatDouble(-HUGE_VAL), "-inf");
 }
 
-// The oracle, computed the slow way: integral values below 1e15 as
-// "%lld", everything else "%.Pg" at the first precision P in 1..17 whose
-// text strtod reads back as the same double.
+// The oracle, computed the slow way: -0.0 as "-0", integral values
+// below 1e15 as "%lld", everything else "%.Pg" at the first precision P
+// in 1..17 whose text strtod reads back as the same double.
 std::string ProbeFormat(double v) {
   char buf[40];
+  if (v == 0 && std::signbit(v)) return "-0";
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     return buf;

@@ -464,6 +464,55 @@ EOF
   cmp "${outdir}/beta_offline.csv" "${outdir}/beta_tail.csv"
   echo "net: per-session digest match (alpha, beta)"
 
+  echo "=== net: four subscribers behind a queue narrower than a batch ==="
+  # The runtime hands the fan-out 256-row batches; an 8-frame queue makes
+  # each batch enter as pieces, and the run starts only once all four
+  # tails are subscribed, so they share one fan-out.
+  cat >"${outdir}/four_subscribers.json" <<'EOF'
+{
+  "sessions": [
+    {"name": "alpha", "scenario": "random_temporal", "seed": 42,
+     "min_subscribers": 4, "max_runs": 1}
+  ],
+  "port": 0,
+  "queue_capacity": 8
+}
+EOF
+  "${cli}" lint "${outdir}/four_subscribers.json"
+  "${cli}" serve --config "${outdir}/four_subscribers.json" \
+    >"${outdir}/serve4.log" 2>&1 &
+  server_pid=$!
+  port=$(scrape_port "${outdir}/serve4.log" "serving scenario" \
+    "${server_pid}")
+  if [ -z "${port}" ]; then
+    echo "net: four-subscriber server never reported its port:"
+    cat "${outdir}/serve4.log"
+    kill "${server_pid}" 2>/dev/null || true
+    return 1
+  fi
+  local tail_pids=()
+  for i in 1 2 3 4; do
+    "${cli}" tail --connect "127.0.0.1:${port}" --session alpha \
+      --csv-out "${outdir}/four_${i}.csv" &
+    tail_pids+=($!)
+  done
+  for pid in "${tail_pids[@]}"; do
+    if ! wait "${pid}"; then
+      echo "net: a four-subscriber tail failed"
+      kill "${server_pid}" 2>/dev/null || true
+      return 1
+    fi
+  done
+  if ! wait "${server_pid}"; then
+    echo "net: four-subscriber server exited non-zero:"
+    cat "${outdir}/serve4.log"
+    return 1
+  fi
+  for i in 1 2 3 4; do
+    cmp "${outdir}/alpha_offline.csv" "${outdir}/four_${i}.csv"
+  done
+  echo "net: four-subscriber digest match"
+
   echo "=== net: OK ==="
 }
 
