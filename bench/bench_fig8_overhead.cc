@@ -3,7 +3,8 @@
 // paper, each configuration executes 50 times over the wearable stream
 // (load -> [pollute] -> serialize to CSV); the harness prints box-plot
 // statistics (min / Q1 / median / Q3 / max) and the median overhead in
-// percent (paper: 3-7% across scenarios).
+// percent (paper: 3-7% across scenarios). The empty_pipeline row runs
+// Pollute with no polluter, so it prices the pollution process itself.
 
 #include <algorithm>
 #include <chrono>
@@ -92,6 +93,10 @@ int Run() {
   };
   const std::vector<Config> configs = {
       {"no_pollution", std::nullopt},
+      // The framework alone: Pollute with no polluter to apply.
+      {"empty_pipeline",
+       std::make_optional<std::function<PollutionPipeline()>>(
+           [] { return PollutionPipeline("empty"); })},
       {"software_update",
        std::make_optional<std::function<PollutionPipeline()>>(
            [] { return scenarios::SoftwareUpdatePipeline(); })},

@@ -103,10 +103,16 @@ void BM_GlobalPolluterOperator(benchmark::State& state) {
   SchemaPtr schema = stream.front().schema();
   for (auto _ : state) {
     VectorSource source(schema, stream);
-    PolluterOperator op(MakePipeline(4), 1);
     CountingSink sink;
-    std::vector<Operator*> ops = {&op};
-    Status st = PipelineRuntime().Run(&source, ops, &sink);
+    Status st = PipelineRuntime().Run(
+        &source,
+        [](int) {
+          OperatorChain chain;
+          chain.push_back(
+              std::make_unique<PolluterOperator>(MakePipeline(4), 1));
+          return chain;
+        },
+        &sink);
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     benchmark::DoNotOptimize(sink.checksum());
   }

@@ -91,10 +91,8 @@ int main() {
 
   // --- The streaming topology ------------------------------------------
   PollutionLog log;
-  PolluterOperator polluter(std::move(pipeline), /*seed=*/1,
-                            tuples.front().GetTimestamp().ValueOrDie(),
-                            tuples.back().GetTimestamp().ValueOrDie(), &log);
-  DeriveS3AndWeather derive;
+  const Timestamp first = tuples.front().GetTimestamp().ValueOrDie();
+  const Timestamp last = tuples.back().GetTimestamp().ValueOrDie();
 
   VectorSource source(schema, std::move(tuples));
   VectorSink sink;
@@ -102,7 +100,16 @@ int main() {
   // concurrent stages over bounded channels (order preserved here since
   // the topology runs at parallelism 1).
   PipelineRuntime runtime;
-  Status st = runtime.Run(&source, {&polluter, &derive}, &sink);
+  Status st = runtime.Run(
+      &source,
+      [&](int) {
+        OperatorChain chain;
+        chain.push_back(std::make_unique<PolluterOperator>(
+            std::move(pipeline), /*seed=*/1, first, last, &log));
+        chain.push_back(std::make_unique<DeriveS3AndWeather>());
+        return chain;
+      },
+      &sink);
   if (!st.ok()) {
     std::fprintf(stderr, "topology failed: %s\n", st.ToString().c_str());
     return 1;

@@ -256,8 +256,15 @@ class Analyzer {
     // never disagree about what parses.
     auto built = PolluterFromJson(json, path);
     if (!built.ok()) {
-      diags_->AddError("IW100", path,
-                       "config does not load: " + built.status().message());
+      // The loader rejects a negative delay as well; lint names it IW303.
+      const bool named = json.is_object() && json.Has("error") &&
+                         json.fields().at("error").is_object() &&
+                         CheckDuration(json.fields().at("error"),
+                                       PathOf(path, "error"));
+      if (!named) {
+        diags_->AddError("IW100", path,
+                         "config does not load: " + built.status().message());
+      }
       return;
     }
     const std::string type = json.GetString("type", "");
@@ -441,6 +448,32 @@ class Analyzer {
 
   // -- error functions ------------------------------------------------
 
+  /// IW303/IW304 on a duration error's seconds; true when IW303 fired.
+  bool CheckDuration(const Json& json, const std::string& path) {
+    const std::string type = json.GetString("type", "");
+    if (type != "delay" && type != "frozen_value" &&
+        type != "timestamp_jitter") {
+      return false;
+    }
+    const char* key = type == "delay" ? "delay_seconds"
+                      : type == "frozen_value" ? "hold_seconds"
+                                               : "max_jitter_seconds";
+    const int64_t seconds = json.GetInt(key, 0);
+    if (seconds < 0) {
+      diags_->AddError("IW303", PathOf(path, key),
+                       "negative duration (" + std::to_string(seconds) +
+                           "s)");
+      return true;
+    }
+    if (seconds > kShiftMagnitudeLimit) {
+      diags_->AddWarning(
+          "IW304", PathOf(path, key),
+          "duration of " + std::to_string(seconds) +
+              "s exceeds one week; check the unit (seconds expected)");
+    }
+    return false;
+  }
+
   ErrorTraits AnalyzeError(const Json& json, const std::string& path) {
     auto built = ErrorFunctionFromJson(json, path);
     if (!built.ok()) {
@@ -462,23 +495,7 @@ class Analyzer {
             "with fewer than 2 there is no wrong category to pick");
       }
     }
-    if (type == "delay" || type == "frozen_value" ||
-        type == "timestamp_jitter") {
-      const char* key = type == "delay" ? "delay_seconds"
-                        : type == "frozen_value" ? "hold_seconds"
-                                                 : "max_jitter_seconds";
-      const int64_t seconds = json.GetInt(key, 0);
-      if (seconds < 0) {
-        diags_->AddError("IW303", PathOf(path, key),
-                         "negative duration (" + std::to_string(seconds) +
-                             "s)");
-      } else if (seconds > kShiftMagnitudeLimit) {
-        diags_->AddWarning(
-            "IW304", PathOf(path, key),
-            "duration of " + std::to_string(seconds) +
-                "s exceeds one week; check the unit (seconds expected)");
-      }
-    }
+    CheckDuration(json, path);
     if (type == "timestamp_shift") {
       const int64_t shift = json.GetInt("shift_seconds", 0);
       if (std::abs(shift) > kShiftMagnitudeLimit) {

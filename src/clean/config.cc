@@ -1,10 +1,8 @@
 #include "clean/config.h"
 
-#include <fstream>
 #include <optional>
 #include <regex>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -416,15 +414,6 @@ Result<CleaningRules> RulesFromJsonString(const std::string& text,
                                           SchemaPtr bind_schema) {
   ICEWAFL_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
   return RulesFromJson(json, std::move(bind_schema));
-}
-
-Result<CleaningRules> RulesFromJsonFile(const std::string& path,
-                                        SchemaPtr bind_schema) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open file: " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return RulesFromJsonString(buf.str(), std::move(bind_schema));
 }
 
 Status BindRules(CleaningRules* rules, const Schema& schema,

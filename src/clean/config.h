@@ -61,10 +61,6 @@ Result<CleaningRules> RulesFromJson(const Json& json,
 Result<CleaningRules> RulesFromJsonString(const std::string& text,
                                           SchemaPtr bind_schema = nullptr);
 
-/// \brief Reads a JSON file and builds the rules.
-Result<CleaningRules> RulesFromJsonFile(const std::string& path,
-                                        SchemaPtr bind_schema = nullptr);
-
 /// \brief Binds every rule of `rules` against `schema`, rooting paths
 /// at "/rules/<i>" (and "/key"). Each failure is also reported into
 /// `diags` (when non-null) as IW703; returns the first one.

@@ -42,13 +42,6 @@ Json CompositePolluter::ChildrenToJson() const {
   return arr;
 }
 
-std::vector<PolluterPtr> CompositePolluter::CloneChildren() const {
-  std::vector<PolluterPtr> clones;
-  clones.reserve(children_.size());
-  for (const PolluterPtr& child : children_) clones.push_back(child->Clone());
-  return clones;
-}
-
 SequentialPolluter::SequentialPolluter(std::string label,
                                        ConditionPtr condition)
     : CompositePolluter(std::move(label), std::move(condition)) {}

@@ -35,7 +35,6 @@ class CompositePolluter : public Polluter {
 
  protected:
   Json ChildrenToJson() const;
-  std::vector<PolluterPtr> CloneChildren() const;
 
   ConditionPtr condition_;
   std::vector<PolluterPtr> children_;

@@ -254,8 +254,13 @@ Result<ErrorFunctionPtr> ErrorFunctionFromJson(const Json& json,
     return ErrorFunctionPtr(std::make_unique<SwapAttributesError>());
   }
   if (type == "delay") {
-    return ErrorFunctionPtr(
-        std::make_unique<DelayError>(json.GetInt("delay_seconds", 0)));
+    const int64_t delay = json.GetInt("delay_seconds", 0);
+    if (delay < 0) {
+      return Status::InvalidArgument("negative delay (" +
+                                     std::to_string(delay) + "s) at " +
+                                     Sub(path, "delay_seconds"));
+    }
+    return ErrorFunctionPtr(std::make_unique<DelayError>(delay));
   }
   if (type == "frozen_value") {
     return ErrorFunctionPtr(

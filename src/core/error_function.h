@@ -41,6 +41,9 @@ struct ErrorTraits {
   bool mutates_timestamp = false;
   /// Postpones the tuple's arrival time (delay).
   bool delays_arrival = false;
+  /// The most one application postpones the arrival time, in seconds;
+  /// bounds the reordering that Algorithm 1's step 3 has to do.
+  int64_t max_delay_seconds = 0;
 };
 
 /// \brief An error function e : dom(A) x 2^A x T -> dom(A) (Section 2.2).

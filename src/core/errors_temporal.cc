@@ -15,6 +15,16 @@ bool SeverityGate(PollutionContext* ctx) {
 DelayError::DelayError(int64_t delay_seconds)
     : delay_seconds_(delay_seconds) {}
 
+Status DelayError::Bind(BindContext& ctx, const std::vector<size_t>& attrs) {
+  if (delay_seconds_ < 0) {
+    BindContext::Scope scope(ctx, "delay_seconds");
+    return ctx.Error(StatusCode::kInvalidArgument,
+                     "negative delay (" + std::to_string(delay_seconds_) +
+                         "s)");
+  }
+  return ErrorFunction::Bind(ctx, attrs);
+}
+
 void DelayError::Apply(Tuple* tuple, const std::vector<size_t>& attrs,
                        PollutionContext* ctx) {
   (void)attrs;  // operates on tuple metadata, not attribute values

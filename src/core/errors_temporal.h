@@ -19,11 +19,15 @@ namespace icewafl {
 class DelayError : public ErrorFunction {
  public:
   explicit DelayError(int64_t delay_seconds);
+  /// Rejects a negative delay: arrival may only move later.
+  Status Bind(BindContext& ctx, const std::vector<size_t>& attrs) override;
   void Apply(Tuple* tuple, const std::vector<size_t>& attrs,
              PollutionContext* ctx) override;
   std::string name() const override { return "delay"; }
   ErrorTraits Describe() const override {
-    return {.domain = ErrorDomain::kMetadata, .delays_arrival = true};
+    return {.domain = ErrorDomain::kMetadata,
+            .delays_arrival = true,
+            .max_delay_seconds = delay_seconds_};
   }
   Json ToJson() const override;
   ErrorFunctionPtr Clone() const override;

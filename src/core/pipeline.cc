@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+
 #include "core/composite_polluter.h"
 
 namespace icewafl {
@@ -51,7 +53,28 @@ void PublishPolluter(const Polluter& polluter, const std::string& pipeline,
   }
 }
 
+/// The most `polluter` can postpone one tuple's arrival.
+int64_t PolluterDelay(const Polluter& polluter) {
+  if (const auto* standard = dynamic_cast<const StandardPolluter*>(&polluter)) {
+    return std::max<int64_t>(standard->error().Describe().max_delay_seconds, 0);
+  }
+  int64_t total = 0;
+  if (const auto* composite =
+          dynamic_cast<const CompositePolluter*>(&polluter)) {
+    for (const PolluterPtr& c : composite->children()) {
+      total += PolluterDelay(*c);
+    }
+  }
+  return total;
+}
+
 }  // namespace
+
+int64_t PollutionPipeline::MaxArrivalDelay() const {
+  int64_t total = 0;
+  for (const PolluterPtr& p : polluters_) total += PolluterDelay(*p);
+  return total;
+}
 
 void PollutionPipeline::Seed(uint64_t seed) {
   Rng master(seed);

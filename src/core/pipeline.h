@@ -49,6 +49,10 @@ class PollutionPipeline {
   /// against, or nullptr.
   const SchemaPtr& bound_schema() const { return bound_schema_; }
 
+  /// \brief The most this pipeline can postpone one tuple's arrival:
+  /// the sum of its delay errors' delays (Algorithm 1's lateness bound L).
+  int64_t MaxArrivalDelay() const;
+
   /// \brief Runs the tuple through all polluters in order.
   Status Apply(Tuple* tuple, PollutionContext* ctx, PollutionLog* log) const;
 

@@ -1,6 +1,7 @@
 #ifndef ICEWAFL_CORE_POLLUTER_OPERATOR_H_
 #define ICEWAFL_CORE_POLLUTER_OPERATOR_H_
 
+#include <algorithm>
 #include <utility>
 
 #include "core/pipeline.h"
@@ -14,18 +15,24 @@ namespace icewafl {
 /// This is how Icewafl plugs into an existing streaming topology (the
 /// paper's "seamless integration with existing data stream pipelines"):
 /// the operator prepares each tuple (id + event-time replica) if the
-/// upstream has not done so, applies the pipeline, and forwards the
-/// result. Stream bounds for stream-relative profiles must be supplied
-/// up front since an operator cannot see the end of the stream.
+/// upstream has not done so, tags it with its sub-stream, applies the
+/// pipeline, and forwards the result in ArrivesBefore order. Stream
+/// bounds for stream-relative profiles must be supplied up front since
+/// an operator cannot see the end of the stream. When the pipeline can
+/// delay arrival (L = MaxArrivalDelay() > 0), a tuple waits until an
+/// input's event time reaches its arrival time: input comes in event
+/// time order, and no tuple arrives before its event time.
 class PolluterOperator : public Operator {
  public:
   PolluterOperator(PollutionPipeline pipeline, uint64_t seed,
                    Timestamp stream_start = 0, Timestamp stream_end = 0,
-                   PollutionLog* log = nullptr)
+                   PollutionLog* log = nullptr, int substream = 0)
       : pipeline_(std::move(pipeline)),
         stream_start_(stream_start),
         stream_end_(stream_end),
-        log_(log) {
+        log_(log),
+        substream_(substream),
+        max_delay_(pipeline_.MaxArrivalDelay()) {
     pipeline_.Seed(seed);
   }
 
@@ -58,11 +65,9 @@ class PolluterOperator : public Operator {
   }
 
   Status Process(Tuple tuple, Emitter* out) override {
-    PollutionContext ctx;
-    ctx.stream_start = stream_start_;
-    ctx.stream_end = stream_end_;
-    ICEWAFL_RETURN_NOT_OK(PolluteOne(&tuple, &ctx));
-    return out->Emit(std::move(tuple));
+    TupleVector one;
+    one.push_back(std::move(tuple));
+    return ProcessBatch(&one, out);
   }
 
   /// \brief Batched fast path: the context (with its fixed stream
@@ -74,17 +79,18 @@ class PolluterOperator : public Operator {
     ctx.stream_end = stream_end_;
     for (Tuple& tuple : *batch) {
       ICEWAFL_RETURN_NOT_OK(PolluteOne(&tuple, &ctx));
-      ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
+      ICEWAFL_RETURN_NOT_OK(Forward(std::move(tuple), out));
     }
     batch->clear();
     return Status::OK();
   }
 
-  /// \brief End-of-stream hook: publishes the activation count of every
-  /// polluter in the tree to the bound registry. Counters are shared by
-  /// label set, so per-worker clones aggregate into one series.
+  /// \brief End-of-stream hook: emits the tuples still held back, then
+  /// publishes the activation count of every polluter in the tree to the
+  /// bound registry. Counters are shared by label set, so per-worker
+  /// clones aggregate into one series.
   Status Finish(Emitter* out) override {
-    (void)out;
+    while (!held_.empty()) ICEWAFL_RETURN_NOT_OK(EmitEarliest(out));
     pipeline_.PublishMetrics(metrics_);
     return Status::OK();
   }
@@ -92,10 +98,34 @@ class PolluterOperator : public Operator {
   const PollutionPipeline& pipeline() const { return pipeline_; }
 
  private:
+  static bool ArrivesAfter(const Tuple& a, const Tuple& b) {
+    return ArrivesBefore(b, a);
+  }
+
+  /// Emits `tuple` now (L = 0) or holds it in a min-heap by arrival and
+  /// emits every held tuple that no later input can precede.
+  Status Forward(Tuple tuple, Emitter* out) {
+    if (max_delay_ == 0) return out->Emit(std::move(tuple));
+    const Timestamp watermark = tuple.event_time();
+    held_.push_back(std::move(tuple));
+    std::push_heap(held_.begin(), held_.end(), ArrivesAfter);
+    while (!held_.empty() && held_.front().arrival_time() <= watermark) {
+      ICEWAFL_RETURN_NOT_OK(EmitEarliest(out));
+    }
+    return Status::OK();
+  }
+
+  Status EmitEarliest(Emitter* out) {
+    std::pop_heap(held_.begin(), held_.end(), ArrivesAfter);
+    Status st = out->Emit(std::move(held_.back()));
+    held_.pop_back();
+    return st;
+  }
+
   /// Prepares `*tuple` (id and event-time replica, if the upstream has
-  /// not done so), resets the per-tuple fields of `*ctx` and applies the
-  /// pipeline, counting the tuple as seen and, if any top-level polluter
-  /// fired, as polluted.
+  /// not done so), tags its sub-stream, resets the per-tuple fields of
+  /// `*ctx` and applies the pipeline, counting the tuple as seen and, if
+  /// any top-level polluter fired, as polluted.
   Status PolluteOne(Tuple* tuple, PollutionContext* ctx) {
     if (tuple->id() == kInvalidTupleId) {
       tuple->set_id(next_id_++);
@@ -103,6 +133,7 @@ class PolluterOperator : public Operator {
       tuple->set_event_time(ts);
       tuple->set_arrival_time(ts);
     }
+    tuple->set_substream(substream_);
     ctx->tau = tuple->event_time();
     ctx->severity = 1.0;
     ctx->rng = nullptr;
@@ -122,6 +153,9 @@ class PolluterOperator : public Operator {
   Timestamp stream_start_;
   Timestamp stream_end_;
   PollutionLog* log_;
+  int substream_;
+  int64_t max_delay_;
+  TupleVector held_;  // min-heap by ArrivesBefore while max_delay_ > 0
   TupleId next_id_ = 0;
   obs::MetricRegistry* metrics_ = nullptr;
   obs::Counter* tuples_seen_ = nullptr;

@@ -3,7 +3,47 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/polluter_operator.h"
+#include "stream/sink.h"
+
 namespace icewafl {
+
+Status RunSubstreams(Source* source, std::vector<PollutionPipeline> pipelines,
+                     uint64_t seed, double overlap_fraction,
+                     RuntimeOptions options, Timestamp stream_start,
+                     Timestamp stream_end, Sink* sink,
+                     std::vector<PollutionLog>* logs, RuntimeStats* stats) {
+  const int m = static_cast<int>(pipelines.size());
+  Rng master(seed);
+  Rng split = master.Fork();
+  std::vector<uint64_t> seeds;
+  for (int s = 0; s < m; ++s) seeds.push_back(master.Next());
+  if (logs != nullptr) logs->assign(pipelines.size(), PollutionLog());
+  options.parallelism = m;
+  if (m > 1 && overlap_fraction > 0.0) {
+    options.overlap_worker = [&split, m, overlap_fraction](int primary) {
+      if (!split.Bernoulli(overlap_fraction)) return -1;
+      const auto other = static_cast<int>(split.UniformInt(0, m - 2));
+      return other >= primary ? other + 1 : other;
+    };
+  }
+  PipelineRuntime runtime(options);
+  ICEWAFL_RETURN_NOT_OK(runtime.Run(
+      source,
+      [&](int s) {
+        const auto i = static_cast<size_t>(s);
+        auto polluter = std::make_unique<PolluterOperator>(
+            std::move(pipelines[i]), seeds[i], stream_start, stream_end,
+            logs != nullptr ? &(*logs)[i] : nullptr, s);
+        polluter->BindMetrics(options.metrics);
+        OperatorChain chain;
+        chain.push_back(std::move(polluter));
+        return chain;
+      },
+      sink));
+  if (stats != nullptr) *stats = runtime.stats();
+  return Status::OK();
+}
 
 PollutionProcess::PollutionProcess(ProcessOptions options)
     : options_(std::move(options)) {}
@@ -51,32 +91,25 @@ Result<PollutionResult> PollutionProcess::Run(Source* source) {
     t.set_event_time(ts);
     t.set_arrival_time(ts);
   }
+  auto earlier = [](const Tuple& a, const Tuple& b) {
+    return a.event_time() < b.event_time();
+  };
+  const TupleVector& clean = result.clean;
+  const bool in_order = std::is_sorted(clean.begin(), clean.end(), earlier);
 
   Timestamp stream_start = 0;
   Timestamp stream_end = 0;
   if (options_.stream_start.has_value()) {
     stream_start = *options_.stream_start;
     stream_end = *options_.stream_end;
-  } else if (!result.clean.empty()) {
+  } else if (!clean.empty()) {
     // Derive bounds from the prepared input.
-    stream_start = result.clean.front().event_time();
-    stream_end = stream_start;
-    for (const Tuple& t : result.clean) {
-      stream_start = std::min(stream_start, t.event_time());
-      stream_end = std::max(stream_end, t.event_time());
-    }
+    auto [first, last] =
+        std::minmax_element(clean.begin(), clean.end(), earlier);
+    stream_start = first->event_time();
+    stream_end = last->event_time();
   }
 
-  // --- Steps 2+3: split -> pollute -> collect, streamed ----------------
-  // The split (line 4) assigns tuples round-robin (deterministic and
-  // balanced); with probability overlap_fraction a tuple is copied into
-  // a second, different sub-stream drawn from the process RNG. Instead
-  // of materializing all m sub-streams and polluting them afterwards,
-  // each assigned copy flows straight into its sub-stream's pipeline
-  // (lines 5-9). Pipelines are independent, so interleaving sub-streams
-  // consumes each pipeline's random stream in exactly the order the
-  // sub-stream-at-a-time implementation did: seeded output does not
-  // change.
   // Bind every pipeline against the source schema up front (DESIGN.md
   // §8): misconfiguration fails here with a JSON-pointer path instead of
   // surfacing on the first tuple.
@@ -86,66 +119,18 @@ Result<PollutionResult> PollutionProcess::Run(Source* source) {
     }
   }
 
-  Rng master(options_.seed);
-  Rng assign_rng = master.Fork();
-  for (PollutionPipeline& pipeline : pipelines_) {
-    pipeline.Seed(master.Next());
-  }
-
-  std::vector<TupleVector> outputs(static_cast<size_t>(m));
-  for (TupleVector& out : outputs) {
-    out.reserve(result.clean.size() / static_cast<size_t>(m) + 1);
-  }
-  std::vector<PollutionLog> logs(static_cast<size_t>(m));
-  std::vector<PollutionContext> contexts(static_cast<size_t>(m));
-  for (PollutionContext& ctx : contexts) {
-    ctx.stream_start = stream_start;
-    ctx.stream_end = stream_end;
-  }
-  // Delivers one prepared copy to its sub-stream's pipeline, with the
-  // per-tuple context reset of the materializing implementation.
-  auto pollute = [&](int substream, Tuple tuple) -> Status {
-    const auto s = static_cast<size_t>(substream);
-    PollutionContext& ctx = contexts[s];
-    ctx.tau = tuple.event_time();
-    ctx.severity = 1.0;
-    ctx.rng = nullptr;
-    ICEWAFL_RETURN_NOT_OK(pipelines_[s].Apply(
-        &tuple, &ctx, options_.enable_log ? &logs[s] : nullptr));
-    outputs[s].push_back(std::move(tuple));
-    return Status::OK();
-  };
-  // Primary assignment first, then the optional overlap duplicate.
-  for (size_t i = 0; i < result.clean.size(); ++i) {
-    const int primary = static_cast<int>(i % static_cast<size_t>(m));
-    Tuple copy = result.clean[i];
-    copy.set_substream(primary);
-    ICEWAFL_RETURN_NOT_OK(pollute(primary, std::move(copy)));
-    if (m > 1 && assign_rng.Bernoulli(options_.overlap_fraction)) {
-      int other = static_cast<int>(
-          assign_rng.UniformInt(0, static_cast<int64_t>(m) - 2));
-      if (other >= primary) ++other;
-      Tuple dup = result.clean[i];
-      dup.set_substream(other);
-      ICEWAFL_RETURN_NOT_OK(pollute(other, std::move(dup)));
-    }
-  }
-
-  // --- Step 3: integrate and output (lines 10-11) ---------------------
-  size_t total = 0;
-  for (const TupleVector& s : outputs) total += s.size();
-  result.polluted.reserve(total);
-  for (TupleVector& s : outputs) {
-    for (Tuple& t : s) result.polluted.push_back(std::move(t));
-  }
-  auto arrival_order = [](const Tuple& a, const Tuple& b) {
-    return std::pair(a.arrival_time(), a.id()) <
-           std::pair(b.arrival_time(), b.id());
-  };
-  // Without delays or overlap the rows are already in order.
-  TupleVector& rows = result.polluted;
-  if (!std::is_sorted(rows.begin(), rows.end(), arrival_order)) {
-    std::stable_sort(rows.begin(), rows.end(), arrival_order);
+  // --- Steps 2+3 (lines 4-11) on the runtime ---------------------------
+  std::vector<PollutionLog> logs;
+  VectorSource rows(result.schema, result.clean);
+  VectorSink out;
+  ICEWAFL_RETURN_NOT_OK(RunSubstreams(
+      &rows, std::move(pipelines_), options_.seed, options_.overlap_fraction,
+      RuntimeOptions{}, stream_start, stream_end, &out,
+      options_.enable_log ? &logs : nullptr));
+  pipelines_.clear();
+  result.polluted = out.TakeTuples();
+  if (!in_order) {
+    std::sort(result.polluted.begin(), result.polluted.end(), ArrivesBefore);
   }
   for (PollutionLog& log : logs) {
     for (const PollutionLogEntry& e : log.entries()) {

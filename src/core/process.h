@@ -6,6 +6,7 @@
 
 #include "core/pipeline.h"
 #include "core/pollution_log.h"
+#include "stream/runtime.h"
 #include "stream/source.h"
 
 namespace icewafl {
@@ -49,6 +50,22 @@ struct PollutionResult {
   PollutionLog log;
 };
 
+/// \brief Algorithm 1's steps 2 and 3 over prepared rows on the
+/// pipelined runtime: the one implementation behind PollutionProcess::Run
+/// and every scenario run, served or offline. Runtime worker s runs
+/// sub-stream s of m = `pipelines.size()` (overriding
+/// `options.parallelism`): row i goes to sub-stream i mod m, plus, with
+/// probability `overlap_fraction`, to another one drawn from
+/// `Rng(seed).Fork()`. Pipeline s is seeded with that Rng's (s+1)-th
+/// Next() and records into `(*logs)[s]` when `logs` is set. The sink
+/// gets the union in ArrivesBefore order if the input is in time order.
+Status RunSubstreams(Source* source, std::vector<PollutionPipeline> pipelines,
+                     uint64_t seed, double overlap_fraction,
+                     RuntimeOptions options, Timestamp stream_start,
+                     Timestamp stream_end, Sink* sink,
+                     std::vector<PollutionLog>* logs = nullptr,
+                     RuntimeStats* stats = nullptr);
+
 /// \brief Icewafl's data stream pollution process (Algorithm 1).
 ///
 /// Step 1 prepares the data: every tuple receives a unique id and an
@@ -58,13 +75,9 @@ struct PollutionResult {
 /// polluted sub-streams (union of tuples, tagged with the sub-stream id)
 /// and orders the result by arrival time.
 ///
-/// Steps 2 and 3 are streamed: the split feeds each assigned copy
-/// straight into its sub-stream's pipeline instead of materializing
-/// every sub-stream up front. Output is byte-identical to the
-/// materializing implementation for the same seed and configuration.
-/// Parallel execution is the pipelined runtime's job
-/// (`scenarios::StreamPipelineToSink`); this process runs on the
-/// caller's thread.
+/// Step 1 runs on the caller's thread, steps 2 and 3 are one
+/// RunSubstreams call. Input that is not in timestamp order (a hand-made
+/// CSV) is sorted into arrival order at the end.
 class PollutionProcess {
  public:
   explicit PollutionProcess(ProcessOptions options);
@@ -73,7 +86,8 @@ class PollutionProcess {
   /// `options.num_substreams` pipelines must be added before Run.
   void AddPipeline(PollutionPipeline pipeline);
 
-  /// \brief Runs the three steps over a bounded source.
+  /// \brief Runs the three steps over a bounded source, once: the
+  /// registered pipelines move into the run.
   Result<PollutionResult> Run(Source* source);
 
   /// \brief Convenience entry point for the common single-pipeline case.

@@ -6,16 +6,15 @@
 #include <optional>
 #include <thread>
 
-#include "analysis/analyzer.h"
 #include "clean/cleaner.h"
 #include "clean/config.h"
 #include "core/composite_polluter.h"
 #include "core/config.h"
 #include "core/derived_error.h"
-#include "core/polluter_operator.h"
 #include "core/errors_numeric.h"
 #include "core/errors_temporal.h"
 #include "core/errors_value.h"
+#include "core/process.h"
 #include "data/airquality.h"
 #include "data/wearable.h"
 
@@ -230,29 +229,21 @@ Result<ResolvedScenario> ResolveScenario(const std::string& name,
 
 namespace {
 
-/// Runs `prototype` over `source` on a PipelineRuntime configured by
-/// `options`: one PolluterOperator per worker, seeded `seed + worker`.
-/// StreamPipelineToSink and the plan-segment runner differ only in the
-/// options they pass.
+/// Runs `prototype` over `source` as PollutionProcess::Run does with
+/// m = `options.parallelism` sub-streams and no overlap: one clone per
+/// sub-stream, seeded as Run seeds it. StreamPipelineToSink and the
+/// plan-segment runner differ only in the options they pass.
 Status RunPollutionRuntime(Source* source, const PollutionPipeline& prototype,
                            uint64_t seed, const RuntimeOptions& options,
                            Sink* sink, RuntimeStats* stats,
                            Timestamp stream_start, Timestamp stream_end) {
-  PipelineRuntime runtime(options);
-  ICEWAFL_RETURN_NOT_OK(runtime.Run(
-      source,
-      [&](int worker) {
-        OperatorChain chain;
-        auto polluter = std::make_unique<PolluterOperator>(
-            prototype.Clone(), seed + static_cast<uint64_t>(worker),
-            stream_start, stream_end);
-        polluter->BindMetrics(options.metrics);
-        chain.push_back(std::move(polluter));
-        return chain;
-      },
-      sink));
-  if (stats != nullptr) *stats = runtime.stats();
-  return Status::OK();
+  std::vector<PollutionPipeline> pipelines;
+  for (int s = 0; s < options.parallelism; ++s) {
+    pipelines.push_back(prototype.Clone());
+  }
+  return RunSubstreams(source, std::move(pipelines), seed,
+                       /*overlap_fraction=*/0.0, options, stream_start,
+                       stream_end, sink, /*logs=*/nullptr, stats);
 }
 
 }  // namespace
@@ -451,49 +442,6 @@ Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
   VectorSink out;
   ICEWAFL_RETURN_NOT_OK(RunPlanSegment(plan, &source, &out));
   return out.TakeTuples();
-}
-
-Status AnalyzeScenariosOrDie() {
-  struct Artifact {
-    const char* name;
-    PollutionPipeline pipeline;
-    std::optional<dq::ExpectationSuite> suite;
-    SchemaPtr schema;
-  };
-  const SchemaPtr wearable = data::WearableSchema();
-  const SchemaPtr airquality = data::AirQualitySchema();
-  Artifact artifacts[] = {
-      {"random_temporal", RandomTemporalErrorsPipeline(),
-       RandomTemporalErrorsSuite(), wearable},
-      {"software_update", SoftwareUpdatePipeline(), SoftwareUpdateSuite(),
-       wearable},
-      {"network_delay", NetworkDelayPipeline(), NetworkDelaySuite(),
-       wearable},
-      {"temporal_noise",
-       TemporalNoisePipeline(AirQualityNumericAttributes(), 0.5),
-       std::nullopt, airquality},
-      {"temporal_scale",
-       TemporalScalePipeline(AirQualityNumericAttributes(), 10.0, 0.1, 24),
-       std::nullopt, airquality},
-  };
-  for (const Artifact& artifact : artifacts) {
-    analysis::AnalyzeOptions options;
-    options.schema = artifact.schema;
-    Json suite_json;
-    const Json* suite = nullptr;
-    if (artifact.suite.has_value()) {
-      suite_json = artifact.suite->ToJson();
-      suite = &suite_json;
-    }
-    Diagnostics diags = analysis::AnalyzeArtifacts(
-        artifact.pipeline.ToJson(), suite, options);
-    if (diags.HasErrors()) {
-      return Status::InvalidArgument(
-          std::string("scenario '") + artifact.name +
-          "' rejected by static analysis:\n" + diags.ToReport());
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace scenarios

@@ -127,16 +127,13 @@ Result<ResolvedScenario> ResolveScenario(const std::string& name,
 
 /// \brief Runs a scenario pipeline over `source` on the pipelined
 /// runtime (`PipelineRuntime`) and pushes every output tuple into
-/// `sink` (which may fan out over TCP, write CSV, or materialize). The
-/// source, `parallelism` polluter workers (each owning a clone of
-/// `prototype` seeded `seed + worker`), and the sink run concurrently
-/// over bounded channels, so the scenario streams at steady-state
-/// memory instead of materializing.
-///
-/// With `parallelism` 1 the output preserves input order; above 1 it is
-/// the runtime's deterministic batch rotation. `parallelism` < 1 is the
-/// runtime's InvalidArgument. Optionally returns the run's RuntimeStats
-/// through `stats`.
+/// `sink` (which may fan out over TCP, write CSV, or materialize). It
+/// is PollutionProcess::Run with m = `parallelism` sub-streams, each a
+/// clone of `prototype`, and no overlap (RunSubstreams): the same
+/// seeds, sub-stream tags and arrival order, streamed at steady-state
+/// memory instead of materialized. `parallelism` < 1 is the runtime's
+/// InvalidArgument. Optionally returns the run's RuntimeStats through
+/// `stats`.
 ///
 /// When `metrics` / `trace` are non-null the runtime and every worker's
 /// PolluterOperator publish into them (stage counters, per-polluter
@@ -184,9 +181,8 @@ Result<std::shared_ptr<PlanSnapshot>> BuildPlanFromPipelineJson(
 /// offline runs of each segment's plan over its row slice (the cutover
 /// determinism contract the loopback tests enforce). Pacing
 /// (`tuples_per_sec`) delays rows and, through SegmentBatchSize, sets
-/// the batch size: at parallelism >= 2 a paced plan serves the same
-/// rows and values as its unpaced twin in a different interleave, and
-/// its offline replay (RunPlanSegmentOffline) matches it byte-for-byte.
+/// the batch size; the output order depends on neither, so a paced plan
+/// serves the bytes of its unpaced twin.
 Status ServePlanToSink(const PlanContext& ctx, Sink* sink);
 
 /// \brief Offline twin of one ServePlanToSink segment: runs `plan` over
@@ -204,23 +200,8 @@ Result<TupleVector> RunPlanSegmentOffline(const PlanSnapshot& plan,
 /// (`tuples_per_sec` <= 0) keep the runtime default of 256; a paced
 /// plan batches the rows one worker receives in 2 ms at that pace,
 /// floor(tuples_per_sec * 0.002 / parallelism) clamped to [1, 256], so
-/// a served row never waits long for its batch to fill. The result
-/// depends on the plan alone, never on the clock: at parallelism >= 2
-/// batch boundaries decide the output interleave, and serving and
-/// offline replay must cut the same batches.
+/// a served row never waits long for its batch to fill.
 size_t SegmentBatchSize(double tuples_per_sec, int parallelism);
-
-// ---------------------------------------------------------------------
-// Static analysis gate
-// ---------------------------------------------------------------------
-
-/// \brief Lints every built-in scenario pipeline (round-tripped through
-/// ToJson) against its dataset schema, cross-checked with its matching
-/// expectation suite where one exists. OK when no pipeline has
-/// error-severity findings; otherwise InvalidArgument carrying the
-/// offending pipeline's report. An opt-in pre-flight for harnesses:
-/// call it once before running experiments.
-Status AnalyzeScenariosOrDie();
 
 }  // namespace scenarios
 }  // namespace icewafl

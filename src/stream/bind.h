@@ -67,28 +67,6 @@ class BoundAccessor {
     }
   }
 
-  /// \brief Integer read; false unless the stored value is int64/bool.
-  bool Int64At(const Tuple& tuple, int64_t* out) const noexcept {
-    const Value& v = tuple.value(index_);
-    switch (v.type()) {
-      case ValueType::kInt64:
-        *out = v.AsInt64();
-        return true;
-      case ValueType::kBool:
-        *out = v.AsBool() ? 1 : 0;
-        return true;
-      default:
-        return false;
-    }
-  }
-
-  /// \brief Borrowed string read; nullptr unless the stored value is a
-  /// string. The pointer is valid while the tuple is.
-  const std::string* StringAt(const Tuple& tuple) const noexcept {
-    const Value& v = tuple.value(index_);
-    return v.is_string() ? &v.AsString() : nullptr;
-  }
-
  private:
   size_t index_ = 0;
   ValueType declared_type_ = ValueType::kDouble;
@@ -168,18 +146,6 @@ class BindContext {
                          ValueTypeName(accessor.declared_type()) +
                          ", expected a numeric column");
     }
-  }
-
-  /// \brief Resolve + require a string column.
-  Result<BoundAccessor> ResolveString(const std::string& attribute) const {
-    ICEWAFL_ASSIGN_OR_RETURN(BoundAccessor accessor, Resolve(attribute));
-    if (accessor.declared_type() != ValueType::kString) {
-      return Error(StatusCode::kTypeError,
-                   "attribute '" + attribute + "' has type " +
-                       ValueTypeName(accessor.declared_type()) +
-                       ", expected a string column");
-    }
-    return accessor;
   }
 
  private:

@@ -243,9 +243,12 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
     const StageHandles& obs_handles = handles.front();
     obs::ScopedSpan stage_span(trace, "source", "stage", 0);
     // Per-worker accumulators implementing tuple round-robin: tuple i
-    // goes to worker i % parallelism, batches flush once full.
+    // goes to worker i % parallelism, and a batch flushes once it holds
+    // batch_size such tuples. Overlap copies ride along uncounted, so
+    // every worker still gets one batch per round.
     std::vector<TupleVector> pending(workers);
     for (TupleVector& p : pending) p.reserve(batch_size);
+    std::vector<size_t> routed(workers, 0);
     // Hands pending[w] to worker w; false when the worker has aborted.
     auto push = [&](size_t w) {
       const size_t n = pending[w].size();
@@ -276,8 +279,13 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
       if (!more.ValueOrDie()) break;
       const size_t w = static_cast<size_t>(index % workers);
       ++index;
+      if (options_.overlap_worker != nullptr) {
+        const int other = options_.overlap_worker(static_cast<int>(w));
+        if (other >= 0) pending[static_cast<size_t>(other)].push_back(tuple);
+      }
       pending[w].push_back(std::move(tuple));
-      if (pending[w].size() >= batch_size) {
+      if (++routed[w] >= batch_size) {
+        routed[w] = 0;
         if (!push(w)) {
           // A worker aborted; the remaining stream cannot be processed.
           aborted = true;
@@ -301,7 +309,8 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
 
   // --- Sink stage (caller thread) ---------------------------------------
   // Deterministic rotation over worker output channels; a channel leaves
-  // the rotation once closed and drained.
+  // the rotation once closed and drained. Above P=1 every pop feeds the
+  // merge, and what it settles is written before the next pop.
   Status sink_status;
   {
     const StageHandles& obs_handles = handles.back();
@@ -311,6 +320,43 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
     size_t remaining = workers;
     size_t w = 0;
     TupleVector batch;
+    // The merge: worker k's rows not yet written are queued[k] from
+    // next[k] on, each queue in ArrivesBefore order. A row is settled once
+    // every open worker has a row queued to compare it with.
+    std::vector<TupleVector> queued(workers);
+    std::vector<size_t> next(workers, 0);
+    TupleVector merged;
+    auto drain = [&] {
+      while (true) {
+        size_t best = workers;
+        for (size_t k = 0; k < workers; ++k) {
+          if (next[k] == queued[k].size()) {
+            if (!done[k]) return;
+          } else if (best == workers ||
+                     ArrivesBefore(queued[k][next[k]],
+                                   queued[best][next[best]])) {
+            best = k;
+          }
+        }
+        if (best == workers) return;
+        merged.push_back(std::move(queued[best][next[best]++]));
+      }
+    };
+    auto write = [&](TupleVector* rows) {
+      const size_t n = rows->size();
+      if (n == 0) return;
+      Status st = sink->WriteBatch(rows);
+      rows->clear();
+      if (!st.ok()) {
+        sink_status = st;
+        poison_all();
+        return;
+      }
+      sink_stage.tuples_out += n;
+      if (obs_handles.tuples_out != nullptr) {
+        obs_handles.tuples_out->Increment(n);
+      }
+    };
     while (remaining > 0 && sink_status.ok()) {
       if (!done[w]) {
         if (!outputs[w]->Pop(&batch)) {
@@ -324,18 +370,20 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
             obs_handles.tuples_in->Increment(batch.size());
             obs_handles.batches->Increment();
           }
-          const size_t rows = batch.size();
-          Status st = sink->WriteBatch(&batch);
-          if (!st.ok()) {
-            sink_status = st;
-            poison_all();
+          if (workers == 1) {
+            write(&batch);
           } else {
-            sink_stage.tuples_out += rows;
-            if (obs_handles.tuples_out != nullptr) {
-              obs_handles.tuples_out->Increment(rows);
-            }
+            TupleVector& q = queued[w];
+            q.erase(q.begin(), q.begin() + static_cast<ptrdiff_t>(next[w]));
+            next[w] = 0;
+            if (q.empty()) q.swap(batch);
+            for (Tuple& t : batch) q.push_back(std::move(t));
+            batch.clear();
           }
-          batch.clear();
+        }
+        if (workers > 1 && sink_status.ok()) {
+          drain();
+          write(&merged);
         }
       }
       w = (w + 1) % workers;
@@ -405,49 +453,6 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
   for (const Status& st : worker_status) ICEWAFL_RETURN_NOT_OK(st);
   ICEWAFL_RETURN_NOT_OK(sink_status);
   return sink->Flush();
-}
-
-Status PipelineRuntime::Run(Source* source,
-                            const std::vector<Operator*>& ops, Sink* sink) {
-  RuntimeOptions single = options_;
-  single.parallelism = 1;
-  PipelineRuntime runtime(single);
-  // The raw operators are not owned; hand every worker (there is exactly
-  // one) an empty owned chain and reference them via a wrapper.
-  class Passthrough : public Operator {
-   public:
-    explicit Passthrough(const std::vector<Operator*>* ops) : ops_(ops) {}
-    Status Process(Tuple tuple, Emitter* out) override {
-      TupleVector batch;
-      batch.push_back(std::move(tuple));
-      return ProcessBatch(&batch, out);
-    }
-    Status ProcessBatch(TupleVector* batch, Emitter* out) override {
-      TupleVector result;
-      ICEWAFL_RETURN_NOT_OK(RunBatchThroughOps(*ops_, 0, batch, &result));
-      for (Tuple& t : result) ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(t)));
-      return Status::OK();
-    }
-    Status Finish(Emitter* out) override {
-      TupleVector result;
-      ICEWAFL_RETURN_NOT_OK(FinishOps(*ops_, &result));
-      for (Tuple& t : result) ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(t)));
-      return Status::OK();
-    }
-
-   private:
-    const std::vector<Operator*>* ops_;
-  };
-  Status st = runtime.Run(
-      source,
-      [&ops](int) {
-        OperatorChain chain;
-        chain.push_back(std::make_unique<Passthrough>(&ops));
-        return chain;
-      },
-      sink);
-  stats_ = runtime.stats();
-  return st;
 }
 
 }  // namespace icewafl

@@ -21,13 +21,17 @@ struct RuntimeOptions {
   /// partitioned round-robin (tuple i -> worker i % parallelism).
   int parallelism = 1;
 
-  /// Tuples per batch handed between stages. Batching amortizes channel
-  /// locking and per-operator virtual dispatch. A batch leaves the
-  /// source only when full (or at end of stream), so at a paced input a
-  /// tuple waits up to batch_size * parallelism input intervals; paced
-  /// plan segments size this from their pace
-  /// (`scenarios::SegmentBatchSize`). Above parallelism 1 the batch size
-  /// is part of the output order.
+  /// Optional overlapping split (Section 2.2.2): called once per tuple,
+  /// in input order, with its worker; a result >= 0 names a second
+  /// worker that also gets a copy.
+  std::function<int(int worker)> overlap_worker;
+
+  /// Tuples per batch handed between stages (overlap copies uncounted).
+  /// Batching amortizes channel locking and per-operator virtual
+  /// dispatch. A batch leaves the source only when full (or at end of
+  /// stream), so at a paced input a tuple waits up to batch_size *
+  /// parallelism input intervals; paced plan segments size this from
+  /// their pace (`scenarios::SegmentBatchSize`).
   size_t batch_size = 256;
 
   /// Batches each inter-stage channel may buffer before `Push` blocks.
@@ -97,17 +101,18 @@ struct RuntimeStats {
 ///    batch into its bounded output channel; after its input closes it
 ///    flushes `Finish()` state front-to-back through the remaining chain;
 ///  - the *sink stage* (caller thread) pops output batches in a
-///    deterministic worker rotation and moves the tuples into the sink.
+///    deterministic worker rotation; above parallelism 1 it merges them
+///    k-way by `ArrivesBefore`, writing what the merge has settled before
+///    its next pop.
 ///
 /// No stage ever holds the whole stream: peak buffering is bounded by
-/// the channel capacities, so an unbounded source streams at
-/// steady-state memory. Output order is deterministic — a pure function
-/// of the input order, parallelism, and batch size, since the sink takes
-/// one whole batch per worker in turn — but interleaves worker outputs;
-/// order-sensitive callers either run with parallelism 1 (exact input
-/// order, whatever the batch size) or re-sort downstream. Batches are
-/// cut by count, never by the clock: a timed flush would make the order
-/// depend on scheduling.
+/// the channel capacities (plus the rows that a delay may still reorder),
+/// so an unbounded source streams at steady-state memory. When every
+/// worker emits in `ArrivesBefore` order (a `PolluterOperator` does), so
+/// does the runtime, whatever the batch size or pace. Each worker gets
+/// one batch per `batch_size * parallelism` input tuples and emits one
+/// per input batch, so the rotation never waits on a worker that the
+/// source cannot feed.
 ///
 /// Errors from any stage cancel the run: channels are poisoned so every
 /// blocked stage wakes, and the first non-OK status (source before
@@ -133,10 +138,6 @@ class PipelineRuntime {
   /// \brief Runs the topology to completion (bounded source).
   /// `chain_factory` is invoked once per worker on the worker thread.
   Status Run(Source* source, const ChainFactory& chain_factory, Sink* sink);
-
-  /// \brief Convenience single-worker overload over non-owned operators;
-  /// preserves exact input order (parallelism is forced to 1).
-  Status Run(Source* source, const std::vector<Operator*>& ops, Sink* sink);
 
   /// \brief Statistics of the most recent Run.
   const RuntimeStats& stats() const { return stats_; }

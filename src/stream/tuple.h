@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "stream/schema.h"
@@ -24,8 +25,8 @@ constexpr int kNoSubstream = -1;
 /// Section 2.1: the unique id, the event-time replica tau (immutable copy
 /// of the original timestamp, used as event time during pollution and
 /// dropped from the output), the arrival time (initialized to tau; the
-/// DelayedTuple error shifts it, and the integration step orders the
-/// output stream by it), and the sub-stream id assigned in step 3.
+/// delay error postpones it, and step 3 orders the output stream by it,
+/// see ArrivesBefore), and the id of the sub-stream that polluted it.
 class Tuple {
  public:
   Tuple() = default;
@@ -83,6 +84,13 @@ class Tuple {
 
 /// \brief A bounded stream segment or micro-batch, materialized in memory.
 using TupleVector = std::vector<Tuple>;
+
+/// \brief Algorithm 1's output order (step 3): by arrival time, then id,
+/// then sub-stream. Every path that runs the process emits in it.
+inline bool ArrivesBefore(const Tuple& a, const Tuple& b) {
+  return std::tuple(a.arrival_time(), a.id(), a.substream()) <
+         std::tuple(b.arrival_time(), b.id(), b.substream());
+}
 
 }  // namespace icewafl
 

@@ -9,6 +9,7 @@
 
 #include "core/composite_polluter.h"
 #include "core/config.h"
+#include "core/errors_temporal.h"
 #include "core/errors_value.h"
 #include "dq/config.h"
 #include "test_helpers.h"
@@ -50,6 +51,17 @@ TEST(BindErrorsTest, ValidPipelineBindsAndRecordsSchema) {
       SensorSchema());
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
   EXPECT_NE(pipeline.ValueOrDie().bound_schema(), nullptr);
+}
+
+TEST(BindErrorsTest, NegativeDelayNamesItsField) {
+  // Built in code, past the loader: bind refuses it at the same pointer.
+  PollutionPipeline pipeline("t");
+  pipeline.Add(std::make_unique<StandardPolluter>(
+      "late", std::make_unique<DelayError>(-60),
+      std::make_unique<AlwaysCondition>(), std::vector<std::string>{}));
+  const Status status = pipeline.Bind(SensorSchema());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MessageContains(status, "/polluters/0/error/delay_seconds"));
 }
 
 TEST(BindErrorsTest, UnknownPolluterAttributeNamesThePath) {

@@ -122,6 +122,19 @@ TEST(ConfigErrorsTest, WrongTypedArrayRejected) {
   EXPECT_TRUE(MessageContains(polluter.status(), "/polluters/0/attributes"));
 }
 
+TEST(ConfigErrorsTest, NegativeDelayNamesItsField) {
+  // Arrival may only move later; Algorithm 1's lateness bound depends on
+  // it, so the loader refuses what lint reports as IW303.
+  auto pipeline = PipelineFromConfigString(
+      R"({"name": "t", "polluters": [
+          {"type": "standard", "label": "late",
+           "error": {"type": "delay", "delay_seconds": -7200}}]})");
+  ASSERT_FALSE(pipeline.ok());
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MessageContains(pipeline.status(),
+                              "/polluters/0/error/delay_seconds"));
+}
+
 TEST(ConfigErrorsTest, SuiteErrorsNameThePath) {
   auto suite = dq::SuiteFromConfigString(
       R"({"name": "s", "expectations": [

@@ -32,6 +32,18 @@ TupleVector InterleavedStream(const SchemaPtr& schema, int hours) {
   return tuples;
 }
 
+/// Runs `op` as the only operator of a single-worker runtime.
+Status RunAlone(Source* source, std::unique_ptr<Operator> op, Sink* sink) {
+  return PipelineRuntime().Run(
+      source,
+      [&](int) {
+        OperatorChain chain;
+        chain.push_back(std::move(op));
+        return chain;
+      },
+      sink);
+}
+
 PollutionPipeline NullPipeline(double p) {
   PollutionPipeline pipeline("nulls");
   pipeline.Add(std::make_unique<StandardPolluter>(
@@ -45,9 +57,10 @@ TEST(PolluterOperatorTest, PollutesWithinTopology) {
   SchemaPtr schema = SensorSchema();
   VectorSource source(schema, InterleavedStream(schema, 50));
   PollutionLog log;
-  PolluterOperator op(NullPipeline(1.0), /*seed=*/1, 0, 0, &log);
+  auto op = std::make_unique<PolluterOperator>(NullPipeline(1.0), /*seed=*/1,
+                                               0, 0, &log);
   VectorSink sink;
-  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(RunAlone(&source, std::move(op), &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 100u);
   for (const Tuple& t : sink.tuples()) {
     EXPECT_TRUE(t.value(2).is_null());
@@ -58,9 +71,11 @@ TEST(PolluterOperatorTest, PollutesWithinTopology) {
 TEST(PolluterOperatorTest, AssignsIdsWhenUpstreamDidNot) {
   SchemaPtr schema = SensorSchema();
   VectorSource source(schema, InterleavedStream(schema, 10));
-  PolluterOperator op(NullPipeline(0.0), 1);
   VectorSink sink;
-  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(RunAlone(&source,
+                       std::make_unique<PolluterOperator>(NullPipeline(0.0), 1),
+                       &sink)
+                  .ok());
   std::set<TupleId> ids;
   for (const Tuple& t : sink.tuples()) {
     EXPECT_NE(t.id(), kInvalidTupleId);
@@ -72,11 +87,11 @@ TEST(PolluterOperatorTest, AssignsIdsWhenUpstreamDidNot) {
 TEST(PolluterOperatorTest, BindMetricsCountsSeenAndPolluted) {
   SchemaPtr schema = SensorSchema();
   VectorSource source(schema, InterleavedStream(schema, 50));
-  PolluterOperator op(NullPipeline(0.5), /*seed=*/1);
+  auto op = std::make_unique<PolluterOperator>(NullPipeline(0.5), /*seed=*/1);
   obs::MetricRegistry registry;
-  op.BindMetrics(&registry);
+  op->BindMetrics(&registry);
   VectorSink sink;
-  ASSERT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
+  ASSERT_TRUE(RunAlone(&source, std::move(op), &sink).ok());
   ASSERT_EQ(sink.tuples().size(), 100u);
   uint64_t nulled = 0;
   for (const Tuple& t : sink.tuples()) {
@@ -109,11 +124,12 @@ TEST(PolluterOperatorTest, UnboundMetricsProduceIdenticalOutput) {
   SchemaPtr schema = SensorSchema();
   auto run = [&](bool instrument) {
     VectorSource source(schema, InterleavedStream(schema, 30));
-    PolluterOperator op(NullPipeline(0.3), /*seed=*/7);
+    auto op = std::make_unique<PolluterOperator>(NullPipeline(0.3),
+                                                 /*seed=*/7);
     obs::MetricRegistry registry;
-    if (instrument) op.BindMetrics(&registry);
+    if (instrument) op->BindMetrics(&registry);
     VectorSink sink;
-    EXPECT_TRUE(PipelineRuntime().Run(&source, {&op}, &sink).ok());
+    EXPECT_TRUE(RunAlone(&source, std::move(op), &sink).ok());
     std::vector<bool> nulls;
     for (const Tuple& t : sink.tuples()) nulls.push_back(t.value(2).is_null());
     return nulls;

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/errors_numeric.h"
@@ -294,6 +298,94 @@ TEST_P(CsvRoundTripProperty, PollutedStreamSurvivesCsv) {
     ASSERT_TRUE(reparsed.ValueOrDie()[i].ValuesEqual(polluted[i])) << i;
   }
 }
+
+// ---------------------------------------------------------------------
+// Property: every Value survives WriteCsvFile -> ReadCsvFile in bits.
+// Doubles are random bit patterns (denormals, infinities and NaNs come
+// up) plus the edge cases, of which NaN keeps only its sign.
+// ---------------------------------------------------------------------
+class CsvValueBitsProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CsvValueBitsProperty, RandomValuesRoundTripInBits) {
+  SchemaPtr schema = Schema::Make({{"i", ValueType::kInt64},
+                                   {"d", ValueType::kDouble},
+                                   {"b", ValueType::kBool},
+                                   {"s", ValueType::kString}},
+                                  "i")
+                         .ValueOrDie();
+  const double edges[] = {-0.0,
+                          0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min() / 3,
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          -std::numeric_limits<double>::quiet_NaN()};
+  const int64_t int_edges[] = {std::numeric_limits<int64_t>::min(),
+                               std::numeric_limits<int64_t>::max(), 0, -1};
+  const std::string chars = "ab,;\"-.09 xZ";
+  Rng rng(GetParam());
+  TupleVector rows;
+  for (size_t i = 0; i < 2000; ++i) {
+    double d = 0.0;
+    if (i < std::size(edges)) {
+      d = edges[i];
+    } else {
+      const uint64_t bits = rng.Next();
+      std::memcpy(&d, &bits, sizeof(d));
+    }
+    const int64_t n = i < std::size(int_edges)
+                          ? int_edges[i]
+                          : static_cast<int64_t>(rng.Next());
+    std::string s = "s";
+    for (int64_t k = rng.UniformInt(0, 6); k > 0; --k) {
+      s += chars[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(chars.size()) - 1))];
+    }
+    rows.emplace_back(schema, std::vector<Value>{Value(n), Value(d),
+                                                 Value(rng.Bernoulli(0.5)),
+                                                 Value(s)});
+  }
+  rows.emplace_back(schema, std::vector<Value>{Value(int64_t{1}), Value::Null(),
+                                               Value::Null(), Value::Null()});
+  const std::string path = testing::TempDir() + "/icewafl_csv_bits_" +
+                           std::to_string(GetParam()) + ".csv";
+  ASSERT_TRUE(WriteCsvFile(schema, rows, path).ok());
+  auto back = ReadCsvFile(schema, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back.ValueOrDie().size(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < 4; ++c) {
+      const Value& want = rows[r].value(c);
+      const Value& got = back.ValueOrDie()[r].value(c);
+      if (want.is_double() && std::isnan(want.AsDouble())) {
+        ASSERT_TRUE(got.is_double() && std::isnan(got.AsDouble())) << r;
+        EXPECT_EQ(std::signbit(got.AsDouble()), std::signbit(want.AsDouble()))
+            << "row " << r;
+      } else if (want.is_double()) {
+        uint64_t x = 0;
+        uint64_t y = 0;
+        const double dw = want.AsDouble();
+        ASSERT_TRUE(got.is_double()) << "row " << r;
+        const double dg = got.AsDouble();
+        std::memcpy(&x, &dw, sizeof(x));
+        std::memcpy(&y, &dg, sizeof(y));
+        EXPECT_EQ(x, y) << "row " << r << ": " << want.ToString() << " read as "
+                        << got.ToString();
+      } else {
+        EXPECT_TRUE(got == want) << "row " << r << ", column " << c << ": "
+                                 << want.ToString() << " read as "
+                                 << got.ToString();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsvValueBitsProperty,
+                         ::testing::Values(1u, 2u, 3u));
 
 INSTANTIATE_TEST_SUITE_P(
     Formats, CsvRoundTripProperty,

@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "../core/golden_digest.h"
 #include "core/config.h"
 #include "core/polluter_operator.h"
 #include "core/process.h"
 #include "data/wearable.h"
+#include "io/csv.h"
 #include "scenarios/scenarios.h"
 
 namespace icewafl {
@@ -142,6 +146,98 @@ TEST(ScenarioIntegrationTest, NetworkDelayPreservesTupleCount) {
   }
 }
 
+/// What Algorithm 1 decides for each row, in order: id, sub-stream,
+/// event and arrival time, and the bits of every value.
+uint64_t RowsDigest(const TupleVector& rows) {
+  golden::Digest digest;
+  digest.U64(rows.size());
+  for (const Tuple& t : rows) digest.TupleOf(t);
+  return digest.value();
+}
+
+// The served path and PollutionProcess are one implementation: a plan's
+// offline segment over all its rows is Run with m = P sub-streams.
+TEST(ScenarioIntegrationTest, PlanSegmentsAreAlgorithmOneRunsAtEveryP) {
+  for (const std::string& name : scenarios::ScenarioNames()) {
+    for (int parallelism : {1, 2}) {
+      SCOPED_TRACE(name + " at P=" + std::to_string(parallelism));
+      auto built = scenarios::BuildScenarioPlan(name, 5, parallelism);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const PlanSnapshot& plan = *built.ValueOrDie();
+      auto served =
+          scenarios::RunPlanSegmentOffline(plan, 0, plan.clean->size());
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+      ProcessOptions options;
+      options.num_substreams = parallelism;
+      options.seed = plan.seed;
+      options.enable_log = false;
+      options.stream_start = plan.stream_start;
+      options.stream_end = plan.stream_end;
+      PollutionProcess process(options);
+      for (int s = 0; s < parallelism; ++s) {
+        process.AddPipeline(plan.pipeline.Clone());
+      }
+      VectorSource source(plan.schema, *plan.clean);
+      auto run = process.Run(&source);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(RowsDigest(served.ValueOrDie()),
+                RowsDigest(run.ValueOrDie().polluted));
+    }
+  }
+}
+
+// Step 3 reaches every served stream: the §3.1.3 delays show as
+// timestamp inversions in the plan segment a subscriber receives.
+TEST(ScenarioIntegrationTest, ServedNetworkDelayShowsItsInversions) {
+  for (int parallelism : {1, 2}) {
+    SCOPED_TRACE("P=" + std::to_string(parallelism));
+    auto built = scenarios::BuildScenarioPlan("network_delay", 9, parallelism);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const PlanSnapshot& plan = *built.ValueOrDie();
+    auto served = scenarios::RunPlanSegmentOffline(plan, 0, plan.clean->size());
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    uint64_t injected = 0;
+    for (const Tuple& t : served.ValueOrDie()) {
+      if (t.arrival_time() != t.event_time()) ++injected;
+    }
+    EXPECT_GE(injected, 8u);
+    auto validation =
+        scenarios::NetworkDelaySuite().Validate(served.ValueOrDie());
+    ASSERT_TRUE(validation.ok());
+    const uint64_t detected = validation.ValueOrDie().TotalUnexpected();
+    EXPECT_GT(detected, 0u);
+    EXPECT_LE(detected, 2 * injected);
+  }
+}
+
+// The served order is a function of the plan alone: neither batch size
+// nor channel depth moves a byte, even with delays to reorder.
+TEST(ScenarioIntegrationTest, DelayedStreamBytesIgnoreBatchSizeAtPTwo) {
+  auto resolved = scenarios::ResolveScenario("network_delay", 7);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  const scenarios::ResolvedScenario& scenario = resolved.ValueOrDie();
+  auto run = [&](size_t batch_size) {
+    std::vector<PollutionPipeline> pipelines;
+    pipelines.push_back(scenario.pipeline.Clone());
+    pipelines.push_back(scenario.pipeline.Clone());
+    RuntimeOptions options;
+    options.batch_size = batch_size;
+    options.channel_capacity = 1;
+    VectorSource source(scenario.schema, scenario.clean);
+    VectorSink sink;
+    EXPECT_TRUE(RunSubstreams(&source, std::move(pipelines), 7, 0.0, options,
+                              scenario.stream_start, scenario.stream_end,
+                              &sink)
+                    .ok());
+    return ToCsvString(scenario.schema, sink.tuples());
+  };
+  const std::string reference = run(1);
+  for (size_t batch_size : {4, 8, 256}) {
+    EXPECT_TRUE(run(batch_size) == reference) << "batch size " << batch_size;
+  }
+}
+
 TEST(ScenarioIntegrationTest, AllScenarioPipelinesRoundTripThroughJson) {
   for (auto factory : {scenarios::RandomTemporalErrorsPipeline,
                        scenarios::SoftwareUpdatePipeline,
@@ -200,7 +296,8 @@ TEST(ScenarioIntegrationTest, ScalePipelineActivationsRampAndHold) {
 
 TEST(ScenarioIntegrationTest, StreamPipelineToSinkMatchesOperatorPath) {
   // The streaming runner at parallelism 1 must produce exactly what a
-  // PolluterOperator with the same seed produces tuple-by-tuple.
+  // PolluterOperator seeded as sub-stream 0 of the same seed (the seed
+  // Algorithm 1 gives it) produces tuple-by-tuple.
   VectorSource source(Wearable().front().schema(), Wearable());
   RuntimeStats stats;
   VectorSink sink;
@@ -218,7 +315,10 @@ TEST(ScenarioIntegrationTest, StreamPipelineToSinkMatchesOperatorPath) {
   EXPECT_LE(stats.peak_buffered_tuples, Wearable().size());
 
   VectorSource source2(Wearable().front().schema(), Wearable());
-  PolluterOperator op(scenarios::SoftwareUpdatePipeline().Clone(), 11);
+  Rng master(11);
+  master.Fork();  // the split's generator
+  PolluterOperator op(scenarios::SoftwareUpdatePipeline().Clone(),
+                      master.Next());
   VectorSink reference;
   Tuple t;
   while (source2.Next(&t).ValueOrDie()) {

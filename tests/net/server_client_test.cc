@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -900,7 +901,7 @@ PollutionServer::SessionFn MakeFatRuntimeSession(SchemaPtr schema,
     }
     VectorSource source(schema, std::move(rows));
     PipelineRuntime runtime;
-    return runtime.Run(&source, std::vector<Operator*>{}, sink);
+    return runtime.Run(&source, [](int) { return OperatorChain{}; }, sink);
   };
 }
 
@@ -1033,6 +1034,52 @@ TEST(PollutionServer, CleanerThatDropsRowsServesTheOfflineStream) {
     ASSERT_TRUE(served.status.ok()) << served.status.ToString();
     ASSERT_TRUE(server.Wait().ok());
     EXPECT_EQ(served.csv, ToCsvString(snapshot.schema, offline.ValueOrDie()));
+  }
+}
+
+TEST(PollutionServer, NegativeZeroDistancesServeTheOfflineBytes) {
+  // A sign flip turns the wearable stream's 0.0 distances into -0.0;
+  // the binary frames and the offline CSV must both keep the sign.
+  const Json flip = Json::Parse(R"({"name": "negative_zero", "polluters": [
+      {"type": "standard", "label": "flip", "attributes": ["Distance"],
+       "condition": {"type": "always"}, "error": {"type": "sign_flip"}}]})")
+                        .ValueOrDie();
+  for (const int parallelism : {1, 2}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    auto base =
+        scenarios::BuildScenarioPlan("random_temporal", 42, parallelism);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    auto plan = scenarios::BuildPlanFromPipelineJson(*base.ValueOrDie(), flip);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const PlanSnapshot& snapshot = *plan.ValueOrDie();
+    auto offline =
+        scenarios::RunPlanSegmentOffline(snapshot, 0, snapshot.clean->size());
+    ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+    const size_t distance = snapshot.schema->IndexOf("Distance").ValueOrDie();
+    size_t negative_zeros = 0;
+    for (const Tuple& t : offline.ValueOrDie()) {
+      const Value& v = t.value(distance);
+      if (v.is_double() && v.AsDouble() == 0.0 && std::signbit(v.AsDouble())) {
+        ++negative_zeros;
+      }
+    }
+    ASSERT_GT(negative_zeros, 0u);
+
+    PollutionServer server;
+    SessionOptions session;
+    session.max_runs = 1;
+    session.plan = plan.ValueOrDie();
+    ASSERT_TRUE(server
+                    .AddSession("flip", nullptr, scenarios::ServePlanToSink,
+                                std::move(session))
+                    .ok());
+    ASSERT_TRUE(server.Start().ok());
+    TailResult served = TailAll(server.port(), "flip");
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    ASSERT_TRUE(server.Wait().ok());
+    const std::string want = ToCsvString(snapshot.schema, offline.ValueOrDie());
+    EXPECT_NE(want.find(",-0,"), std::string::npos);
+    EXPECT_EQ(served.csv, want);
   }
 }
 

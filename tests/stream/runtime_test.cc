@@ -6,6 +6,8 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "stream/operator.h"
 #include "stream/sink.h"
@@ -45,15 +47,17 @@ std::unique_ptr<Operator> AddOne() {
   return std::make_unique<AddOneOperator>();
 }
 
-/// Keeps the tuples whose value(1) is an even integer.
-class KeepEvenOperator : public Operator {
+/// Tags every tuple with the worker that processed it.
+class TagOperator : public Operator {
  public:
+  explicit TagOperator(int worker) : worker_(worker) {}
   Status Process(Tuple tuple, Emitter* out) override {
-    if (static_cast<int64_t>(tuple.value(1).AsDouble()) % 2 != 0) {
-      return Status::OK();
-    }
+    tuple.set_substream(worker_);
     return out->Emit(std::move(tuple));
   }
+
+ private:
+  int worker_;
 };
 
 /// Buffers every tuple and re-emits the whole stream in Finish().
@@ -408,20 +412,6 @@ TEST(PipelineRuntimeTest, SinkErrorPartwayThroughABatchEndsTheRun) {
   EXPECT_EQ(sink.written(), 20u);
 }
 
-TEST(PipelineRuntimeTest, RawOperatorOverloadRunsChain) {
-  SchemaPtr schema = TestSchema();
-  VectorSource source(schema, MakeTuples(schema, 12));
-  VectorSink sink;
-  AddOneOperator add;
-  KeepEvenOperator keep_even;
-  PipelineRuntime runtime;
-  ASSERT_TRUE(runtime.Run(&source, {&add, &keep_even}, &sink).ok());
-  // Values 1..12 after AddOne; evens survive: 2,4,6,8,10,12.
-  ASSERT_EQ(sink.tuples().size(), 6u);
-  EXPECT_DOUBLE_EQ(sink.tuples().front().value(1).AsDouble(), 2.0);
-  EXPECT_DOUBLE_EQ(sink.tuples().back().value(1).AsDouble(), 12.0);
-}
-
 TEST(PipelineRuntimeTest, StatsAreConsistent) {
   SchemaPtr schema = TestSchema();
   VectorSource source(schema, MakeTuples(schema, 500));
@@ -570,18 +560,18 @@ TEST(PipelineRuntimeTest, MatchesSequentialResultSet) {
   EXPECT_EQ(run(4), sequential);
 }
 
-TEST(PipelineRuntimeTest, OrderDependsOnBatchSizeAboveParallelismOne) {
-  // The sink takes one whole batch per worker in turn, so above P=1 the
-  // batch boundaries are part of the output order. Batches are cut by
-  // count from the input alone; a flush timed by the clock would make
-  // this order depend on scheduling.
+TEST(PipelineRuntimeTest, OrderIsIndependentOfBatchSizeAboveParallelismOne) {
+  // Above P=1 the sink merges the workers' outputs by arrival time, id
+  // and sub-stream, so batch boundaries never reach the output: every
+  // batch size yields the same bytes, here the input order.
   SchemaPtr schema = TestSchema();
-  auto run = [&](int parallelism, size_t batch_size) {
+  auto run = [&](size_t batch_size) {
     VectorSource source(schema, MakeTuples(schema, 100));
     VectorSink sink;
     RuntimeOptions options;
-    options.parallelism = parallelism;
+    options.parallelism = 2;
     options.batch_size = batch_size;
+    options.channel_capacity = 1;
     PipelineRuntime runtime(options);
     EXPECT_TRUE(runtime
                     .Run(&source,
@@ -592,21 +582,54 @@ TEST(PipelineRuntimeTest, OrderDependsOnBatchSizeAboveParallelismOne) {
                          },
                          &sink)
                     .ok());
-    std::vector<double> values;
+    std::vector<std::pair<TupleId, double>> rows;
     for (const Tuple& t : sink.tuples()) {
-      values.push_back(t.value(1).AsDouble());
+      rows.emplace_back(t.id(), t.value(1).AsDouble());
     }
-    return values;
+    return rows;
   };
-  std::vector<double> small = run(2, 4);
-  std::vector<double> large = run(2, 8);
-  ASSERT_EQ(small.size(), 100u);
-  EXPECT_NE(small, large) << "P=2 order must follow the batch boundaries";
-  std::sort(small.begin(), small.end());
-  std::sort(large.begin(), large.end());
-  EXPECT_EQ(small, large) << "but the rows must not change";
+  const auto reference = run(1);
+  ASSERT_EQ(reference.size(), 100u);
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].first, i);
+    EXPECT_DOUBLE_EQ(reference[i].second, i + 1.0);
+  }
+  for (size_t batch_size : {4, 8, 256}) {
+    EXPECT_EQ(run(batch_size), reference) << "batch size " << batch_size;
+  }
+}
 
-  EXPECT_EQ(run(1, 4), run(1, 8)) << "P=1 keeps input order at any batch";
+TEST(PipelineRuntimeTest, OverlapCopiesReachTheNamedWorker) {
+  // Every tuple goes to worker i % 3 and, through overlap_worker, a copy
+  // to the next worker; batches still count routed tuples only, so the
+  // narrowest channels cannot stall the rotation.
+  SchemaPtr schema = TestSchema();
+  VectorSource source(schema, MakeTuples(schema, 60));
+  VectorSink sink;
+  RuntimeOptions options;
+  options.parallelism = 3;
+  options.batch_size = 1;
+  options.channel_capacity = 1;
+  options.overlap_worker = [](int worker) { return (worker + 1) % 3; };
+  PipelineRuntime runtime(options);
+  ASSERT_TRUE(runtime
+                  .Run(&source,
+                       [](int worker) {
+                         OperatorChain chain;
+                         chain.push_back(std::make_unique<TagOperator>(worker));
+                         return chain;
+                       },
+                       &sink)
+                  .ok());
+  ASSERT_EQ(sink.tuples().size(), 120u);
+  EXPECT_EQ(runtime.stats().source_tuples, 60u);
+  for (size_t i = 0; i < sink.tuples().size(); ++i) {
+    const Tuple& t = sink.tuples()[i];
+    EXPECT_EQ(t.id(), i / 2);
+    const int primary = static_cast<int>(t.id() % 3);
+    EXPECT_EQ(t.substream(), i % 2 == 0 ? std::min(primary, (primary + 1) % 3)
+                                        : std::max(primary, (primary + 1) % 3));
+  }
 }
 
 TEST(PipelineRuntimeTest, RejectsZeroParallelism) {

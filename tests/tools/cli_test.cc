@@ -168,6 +168,49 @@ TEST(CliExitCodes, LintRoutesServeConfigs) {
 // re-validate loop and prints the scorecard.
 // ---------------------------------------------------------------------
 
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// `run --scenario X` is Algorithm 1 over the generated stream: the same
+// bytes as `pollute` with X's shipped config over `generate` output.
+TEST(CliRun, ScenarioRunWritesThePolluteBytes) {
+  const std::string configs = ICEWAFL_CONFIG_DIR;
+  const std::string clean = UniqueTempPath("wearable7.csv");
+  ASSERT_EQ(RunCli("generate --dataset wearable --seed 7 --output " + clean)
+                .exit_code,
+            0);
+  for (const char* scenario :
+       {"random_temporal", "software_update", "network_delay"}) {
+    SCOPED_TRACE(scenario);
+    const std::string ran = UniqueTempPath("run.csv");
+    const std::string polluted = UniqueTempPath("pollute.csv");
+    CliRun run = RunCli(std::string("run --scenario ") + scenario +
+                        " --seed 7 --output " + ran);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    CliRun pollute = RunCli("pollute --schema " + configs +
+                            "/wearable_schema.json --config " + configs + "/" +
+                            scenario + ".json --input " + clean +
+                            " --seed 7 --output " + polluted);
+    ASSERT_EQ(pollute.exit_code, 0) << pollute.output;
+    const std::string ran_bytes = ReadWholeFile(ran);
+    EXPECT_FALSE(ran_bytes.empty());
+    EXPECT_TRUE(ran_bytes == ReadWholeFile(polluted));
+    if (std::string(scenario) == "network_delay") {
+      EXPECT_NE(run.output.find("expect_column_values_to_be_increasing(Time): "
+                                "18/1059 unexpected"),
+                std::string::npos)
+          << run.output;
+    }
+    std::remove(ran.c_str());
+    std::remove(polluted.c_str());
+  }
+  std::remove(clean.c_str());
+}
+
 TEST(CliClean, MissingInputsAreUsageErrors) {
   // File mode needs all three of --rules/--schema/--input.
   EXPECT_EQ(RunCli("clean").exit_code, 2);

@@ -47,8 +47,8 @@
 #                             # under an active tail, and require
 #                             # lint-rejected swaps to exit 1 with
 #                             # Diagnostics on stderr; a paced P=2 tail
-#                             # must carry the unpaced run's rows
-#                             # (compared sorted)
+#                             # must be byte-identical to the unpaced
+#                             # run
 #
 # The sanitizer presets compile with -Werror, so this script is also the
 # warning gate. (-Wmaybe-uninitialized is excluded there: GCC 12 emits
@@ -341,7 +341,7 @@ EOF
     >"${offdir}/aq_got.sha256"
   cat >"${offdir}/aq_want.sha256" <<'EOF'
 4b63332711634e559ba35bb7fa26d6a1c806f1833aa5423714f388b759cc425b  aq_clean.csv
-718bdd79d1683f49dc63562065d0fff2f74459cc98038f1383e1cd6a48b01d84  aq_run.csv
+fa5514b29ef2bd21b9917d31f8392cea4666a72133b6282f7d32974244a39b8d  aq_run.csv
 EOF
   cmp "${offdir}/aq_want.sha256" "${offdir}/aq_got.sha256"
   echo "=== bench: e2ebench smoke (served digests == offline reference) ==="
@@ -639,7 +639,7 @@ EOF
   grep -q 'icewafl_server_plan_version{session="random_temporal"} 3' \
     "${outdir}/serve2.prom"
 
-  echo "=== admin: paced P=2 tail carries the offline rows ==="
+  echo "=== admin: paced P=2 tail carries the offline bytes ==="
   "${cli}" serve --scenario random_temporal --seed 7 --parallelism 2 \
     --port 0 --admin-port 0 --max-sessions 1 >"${outdir}/serve3.log" 2>&1 &
   server_pid=$!
@@ -648,8 +648,6 @@ EOF
   admin_port=$(scrape_port "${outdir}/serve3.log" "admin channel on" \
     "${server_pid}")
   connect="--connect 127.0.0.1:${admin_port}"
-  # A paced plan batches by its pace, so at P=2 it serves the unpaced
-  # run's rows and values in another interleave: compare sorted.
   # shellcheck disable=SC2086
   "${cli}" admin set_rate ${connect} --session random_temporal \
     --rate 5000 >/dev/null
@@ -662,8 +660,8 @@ EOF
     cat "${outdir}/serve3.log"
     return 1
   fi
-  cmp <(sort "${outdir}/offline3.csv") <(sort "${outdir}/tail3.csv")
-  echo "admin: paced P=2 row match ($(wc -l <"${outdir}/tail3.csv") lines)"
+  cmp "${outdir}/offline3.csv" "${outdir}/tail3.csv"
+  echo "admin: paced P=2 byte match ($(wc -l <"${outdir}/tail3.csv") lines)"
   echo "=== admin: OK ==="
 }
 
