@@ -61,7 +61,7 @@ void BM_DecodeTupleFrames(benchmark::State& state) {
     net::FrameDecoder decoder;
     decoder.Feed(wire.data(), wire.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     Tuple decoded;
     while (true) {
       auto next = decoder.Next(&type, &payload);
@@ -93,7 +93,7 @@ void BM_FrameDecoderChunkedFeed(benchmark::State& state) {
   for (auto _ : state) {
     net::FrameDecoder decoder;
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     size_t frames = 0;
     for (size_t off = 0; off < wire.size(); off += chunk) {
       decoder.Feed(wire.data() + off, std::min(chunk, wire.size() - off));
@@ -170,7 +170,7 @@ void BM_DecodeBatchFrames(benchmark::State& state) {
     net::FrameDecoder decoder;
     decoder.Feed(wire.data(), wire.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     while (true) {
       auto next = decoder.Next(&type, &payload);
       if (!next.ok() || !next.ValueOrDie()) break;
@@ -242,7 +242,7 @@ bool WireCodecReport(const std::string& out) {
     net::FrameDecoder decoder;
     decoder.Feed(wire.data(), wire.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     while (true) {
       auto next = decoder.Next(&type, &payload);
       if (!next.ok() || !next.ValueOrDie()) break;
@@ -250,14 +250,14 @@ bool WireCodecReport(const std::string& out) {
     }
   };
   const double tuple_decode_s = best_of([&] {
-    drain(tuple_wire, [&](const std::string& payload) {
+    drain(tuple_wire, [&](std::string_view payload) {
       auto tuple = net::DecodeTuplePayload(payload, schema);
       if (!tuple.ok()) std::abort();
       benchmark::DoNotOptimize(tuple.ValueOrDie().id());
     });
   });
   const double batch_decode_s = best_of([&] {
-    drain(batch_wire, [&](const std::string& payload) {
+    drain(batch_wire, [&](std::string_view payload) {
       auto batch = net::DecodeBatchPayload(payload, schema);
       if (!batch.ok()) std::abort();
       benchmark::DoNotOptimize(batch.ValueOrDie().rows());

@@ -8,8 +8,10 @@ DerivedTemporalError::DerivedTemporalError(ErrorFunctionPtr base,
 
 Status DerivedTemporalError::Bind(BindContext& ctx,
                                   const std::vector<size_t>& attrs) {
-  // Delegate to the wrapped static error; the profile has no schema
+  // Delegate to the wrapped static error under its config field, so a
+  // bind error names /.../error/base; the profile has no schema
   // dependency (it reads only the tuple's event time via the context).
+  BindContext::Scope scope(ctx, "base");
   return base_->Bind(ctx, attrs);
 }
 

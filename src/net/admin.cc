@@ -168,7 +168,7 @@ void AdminServer::ServeConn(AdminConn* conn) {
   FrameDecoder decoder;
   while (true) {
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     Result<bool> read = ReadFrame(conn->fd.get(), &decoder, &type, &payload);
     if (!read.ok() || !read.ValueOrDie()) return;
     Json body;
@@ -386,7 +386,7 @@ Result<Json> AdminClient::Call(const std::string& method, const Json& params) {
   AppendFrame(kFrameAdminRequest, request.Dump(), &out);
   ICEWAFL_RETURN_NOT_OK(SendAll(fd_.get(), out));
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   ICEWAFL_ASSIGN_OR_RETURN(const bool have,
                            ReadFrame(fd_.get(), &decoder_, &type, &payload));
   if (!have) {

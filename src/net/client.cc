@@ -13,7 +13,7 @@ std::string ContextOf(const std::string& session_id, const std::string& peer) {
 /// Blocks for one complete frame. A stream only ends with an End or
 /// Error frame, so even an EOF on a frame boundary is a disconnect.
 Status ReadStreamFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                       std::string* payload) {
+                       std::string_view* payload) {
   ICEWAFL_ASSIGN_OR_RETURN(const bool have,
                            ReadFrame(fd, decoder, type, payload));
   if (!have) return Status::IOError("connection closed mid-stream");
@@ -39,11 +39,11 @@ Result<std::unique_ptr<StreamClient>> StreamClient::Connect(
   // Handshake: the server answers with the session's schema.
   FrameDecoder decoder;
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   ICEWAFL_RETURN_NOT_OK(ReadStreamFrame(fd.get(), &decoder, &type, &payload));
   if (type == kFrameError) {
     return Status::IOError(context + ": server error during handshake: " +
-                           payload);
+                           std::string(payload));
   }
   if (type != kFrameSchema) {
     return Status::ParseError(
@@ -61,16 +61,16 @@ Result<std::unique_ptr<StreamClient>> StreamClient::Connect(
 Result<bool> StreamClient::Next(Tuple* out) {
   // Rows unpacked from an earlier Batch frame are served first; the
   // socket is only read again once they are exhausted.
-  if (!pending_.empty()) {
-    *out = std::move(pending_.front());
-    pending_.pop_front();
+  if (batch_next_ < batch_rows_.size()) {
+    *out = std::move(batch_rows_[batch_next_++]);
     ++tuples_received_;
     return true;
   }
   if (finished_) return false;
   while (true) {
     uint8_t type = 0;
-    Status read = ReadStreamFrame(fd_.get(), &decoder_, &type, &payload_);
+    std::string_view payload;  // valid until the next read
+    Status read = ReadStreamFrame(fd_.get(), &decoder_, &type, &payload);
     if (!read.ok()) {
       // Attribute the failure: a bare "connection closed mid-stream" is
       // useless when one process tails many sessions.
@@ -78,7 +78,7 @@ Result<bool> StreamClient::Next(Tuple* out) {
     }
     switch (type) {
       case kFrameTuple: {
-        ICEWAFL_ASSIGN_OR_RETURN(*out, DecodeTuplePayload(payload_, schema_));
+        ICEWAFL_RETURN_NOT_OK(DecodeTupleInto(payload, schema_, out));
         ++tuples_received_;
         return true;
       }
@@ -89,17 +89,16 @@ Result<bool> StreamClient::Next(Tuple* out) {
               ": server sent a Batch frame this client did not negotiate");
         }
         ICEWAFL_ASSIGN_OR_RETURN(Batch batch,
-                                 DecodeBatchPayload(payload_, schema_));
-        TupleVector rows = batch.ToTuples();
-        for (Tuple& t : rows) pending_.push_back(std::move(t));
-        if (pending_.empty()) continue;  // tolerate an empty batch
-        *out = std::move(pending_.front());
-        pending_.pop_front();
+                                 DecodeBatchPayload(payload, schema_));
+        batch_rows_ = batch.ToTuples();
+        batch_next_ = 0;
+        if (batch_rows_.empty()) continue;  // tolerate an empty batch
+        *out = std::move(batch_rows_[batch_next_++]);
         ++tuples_received_;
         return true;
       }
       case kFrameEnd: {
-        ICEWAFL_ASSIGN_OR_RETURN(reported_total_, DecodeEndPayload(payload_));
+        ICEWAFL_ASSIGN_OR_RETURN(reported_total_, DecodeEndPayload(payload));
         finished_ = true;
         fd_.Reset();
         if (reported_total_ != tuples_received_) {
@@ -114,7 +113,8 @@ Result<bool> StreamClient::Next(Tuple* out) {
       case kFrameError:
         finished_ = true;
         fd_.Reset();
-        return Status::IOError(Context() + ": server error: " + payload_);
+        return Status::IOError(Context() + ": server error: " +
+                               std::string(payload));
       case kFrameSchema:
         return Status::ParseError(Context() +
                                   ": unexpected mid-stream Schema frame");

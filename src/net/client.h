@@ -2,7 +2,6 @@
 #define ICEWAFL_NET_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
@@ -43,6 +42,12 @@ class StreamClient : public Source {
 
   /// \brief Produces the next streamed tuple; false at graceful end of
   /// stream. A disconnect before the End frame is an error, not an end.
+  ///
+  /// A Tuple frame is decoded in place: the row in `*out` is overwritten
+  /// (DecodeTupleInto), so a caller that reads every row into one Tuple
+  /// pays no allocation per row. A caller that keeps rows moves each one
+  /// out of `*out` before the next call, as `tail` does; the moved-from
+  /// Tuple is rebuilt on the next decode.
   Result<bool> Next(Tuple* out) override;
 
   /// \brief Tuples received so far.
@@ -75,13 +80,13 @@ class StreamClient : public Source {
   std::string session_id_;
   std::string peer_;
   FrameDecoder decoder_;
-  /// The last frame's payload; one buffer reused for every frame.
-  std::string payload_;
   /// kCap* bits sent in the hello; a Batch frame from the server is a
   /// protocol violation unless kCapBatchFrames is set here.
   uint64_t capabilities_ = 0;
-  /// Rows of a decoded Batch frame not yet handed out by Next().
-  std::deque<Tuple> pending_;
+  /// Rows of the last decoded Batch frame; Next() hands out
+  /// batch_rows_[batch_next_] onward before it reads the socket again.
+  TupleVector batch_rows_;
+  size_t batch_next_ = 0;
   bool finished_ = false;
   uint64_t tuples_received_ = 0;
   uint64_t reported_total_ = 0;

@@ -787,7 +787,7 @@ bool PollutionServer::EnqueueFrame(
 // ---------------------------------------------------------------------
 
 void PollutionServer::HandleSubscribe(const ConnPtr& conn,
-                                      const std::string& payload) {
+                                      std::string_view payload) {
   // Rejections are answered on the spot: an Error frame into the write
   // buffer (the reactor owns it), then flush-and-close.
   auto reject = [&](const std::string& message) {
@@ -916,7 +916,7 @@ bool PollutionServer::ServiceConn(const ConnPtr& conn, short revents) {
     if (state == Connection::State::kHandshake) {
       conn->decoder.Feed(rbuf, static_cast<size_t>(n));
       uint8_t type = 0;
-      std::string payload;
+      std::string_view payload;
       Result<bool> next = conn->decoder.Next(&type, &payload);
       if (!next.ok()) {
         {

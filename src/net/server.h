@@ -384,7 +384,7 @@ class PollutionServer {
   void RetireLocked(const SessionPtr& session, const std::string& reason)
       REQUIRES(mu_, session->mu);
   /// Reactor: parses and answers the Subscribe hello in `payload`.
-  void HandleSubscribe(const ConnPtr& conn, const std::string& payload)
+  void HandleSubscribe(const ConnPtr& conn, std::string_view payload)
       EXCLUDES(mu_);
   /// Applies the slow-consumer policy to enqueue the frames of `chunk`
   /// for `conn`; frame k ends at `ends[k]` (empty `ends`: one frame).

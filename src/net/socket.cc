@@ -190,7 +190,7 @@ Status SendAll(int fd, const std::string& bytes) {
 }
 
 Result<bool> ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                       std::string* payload) {
+                       std::string_view* payload) {
   char buf[64 * 1024];
   while (true) {
     ICEWAFL_ASSIGN_OR_RETURN(const bool have, decoder->Next(type, payload));

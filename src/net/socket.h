@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "net/wire.h"
@@ -107,10 +108,12 @@ struct WakePipe {
 Status SendAll(int fd, const std::string& bytes);
 
 /// \brief Blocking read of the next frame from `fd` through `decoder`.
-/// \return true with `*type`/`*payload` filled; false on a clean EOF
-/// between frames; IOError on an EOF mid-frame or a transport failure.
+/// \return true with `*type`/`*payload` filled (`*payload` views the
+/// decoder's buffer until its next Feed()/Next(), as with
+/// FrameDecoder::Next); false on a clean EOF between frames; IOError on
+/// an EOF mid-frame or a transport failure.
 Result<bool> ReadFrame(int fd, FrameDecoder* decoder, uint8_t* type,
-                       std::string* payload);
+                       std::string_view* payload);
 
 }  // namespace net
 }  // namespace icewafl

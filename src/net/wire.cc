@@ -9,44 +9,62 @@ namespace {
 
 constexpr int kMaxVarintBytes = 10;
 
+// Every encoder writes through a raw cursor into a region already
+// resized to fit: the tuple encoder sizes a whole frame first, so it is
+// written in one pass.
+
+size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+char* PutVarint(uint64_t v, char* p) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+char* PutFixed64(uint64_t v, char* p) {
+  for (int i = 0; i < 8; ++i) {
+    *p++ = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+  return p;
+}
+
+/// Grows `*out` by `n` bytes and returns a cursor to the new region.
+char* Extend(std::string* out, size_t n) {
+  const size_t at = out->size();
+  out->resize(at + n);
+  return out->data() + at;
+}
+
 }  // namespace
 
 void AppendVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
+  if (v < 0x80) {  // the common one-byte case (per-row batch sub-streams)
+    out->push_back(static_cast<char>(v));
+    return;
   }
-  out->push_back(static_cast<char>(v));
+  char bytes[kMaxVarintBytes];
+  out->append(bytes, static_cast<size_t>(PutVarint(v, bytes) - bytes));
 }
 
 void AppendFixed64(uint64_t v, std::string* out) {
   char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out->append(bytes, sizeof(bytes));
+  out->append(bytes, static_cast<size_t>(PutFixed64(v, bytes) - bytes));
 }
 
-Result<uint8_t> ByteReader::U8() {
-  if (pos_ >= size_) return Status::ParseError("wire: truncated byte");
-  return data_[pos_++];
-}
-
-Result<uint64_t> ByteReader::Fixed64() {
-  if (size_ - pos_ < 8) return Status::ParseError("wire: truncated fixed64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<uint64_t> ByteReader::Varint() {
+Result<uint64_t> ByteReader::VarintSlow() {
   uint64_t v = 0;
   for (int i = 0; i < kMaxVarintBytes; ++i) {
-    if (pos_ >= size_) return Status::ParseError("wire: truncated varint");
+    if (pos_ >= size_) return Truncated("varint");
     const uint8_t byte = data_[pos_++];
     // The 10th byte may only carry the final bit of a 64-bit value.
     if (i == kMaxVarintBytes - 1 && (byte & 0xFE) != 0) {
@@ -66,15 +84,17 @@ Result<uint64_t> ByteReader::Varint() {
   return Status::ParseError("wire: varint too long");
 }
 
-Result<std::string> ByteReader::Bytes(size_t n) {
-  if (size_ - pos_ < n) return Status::ParseError("wire: truncated bytes");
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return out;
+Status ByteReader::Truncated(const char* what) {
+  return Status::ParseError(std::string("wire: truncated ") + what);
+}
+
+Status ByteReader::Trailing(size_t n) {
+  return Status::ParseError("wire: " + std::to_string(n) +
+                            " trailing payload byte(s)");
 }
 
 Status ByteReader::ReadRaw(void* dst, size_t n) {
-  if (size_ - pos_ < n) return Status::ParseError("wire: truncated bytes");
+  if (size_ - pos_ < n) return Truncated("bytes");
   if (n == 0) return Status::OK();  // dst may be null for an empty span
   std::memcpy(dst, data_ + pos_, n);
   pos_ += n;
@@ -90,15 +110,7 @@ Result<ByteReader> ByteReader::SubReader(size_t n) {
   return sub;
 }
 
-Status ByteReader::ExpectEnd() const {
-  if (pos_ != size_) {
-    return Status::ParseError("wire: " + std::to_string(size_ - pos_) +
-                              " trailing payload byte(s)");
-  }
-  return Status::OK();
-}
-
-void AppendFrame(uint8_t type, const std::string& payload, std::string* out) {
+void AppendFrame(uint8_t type, std::string_view payload, std::string* out) {
   out->push_back(static_cast<char>(type));
   AppendVarint(payload.size(), out);
   out->append(payload);
@@ -118,61 +130,92 @@ std::string EncodeSchemaPayload(const Schema& schema) {
 
 namespace {
 
-void AppendValue(const Value& v, std::string* out) {
-  out->push_back(static_cast<char>(v.type()));
+/// Bytes PutValue writes for `v`: its tag plus the type's payload.
+size_t ValueSize(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kBool:
+      return 2;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return 9;
+    case ValueType::kString: {
+      const size_t len = v.AsString().size();
+      return 1 + VarintSize(len) + len;
+    }
+  }
+  return 1;
+}
+
+char* PutValue(const Value& v, char* p) {
+  *p++ = static_cast<char>(v.type());
   switch (v.type()) {
     case ValueType::kNull:
       break;
     case ValueType::kBool:
-      out->push_back(v.AsBool() ? 1 : 0);
+      *p++ = v.AsBool() ? 1 : 0;
       break;
     case ValueType::kInt64:
-      AppendFixed64(static_cast<uint64_t>(v.AsInt64()), out);
+      p = PutFixed64(static_cast<uint64_t>(v.AsInt64()), p);
       break;
     case ValueType::kDouble: {
       uint64_t bits = 0;
       const double d = v.AsDouble();
       std::memcpy(&bits, &d, sizeof(bits));
-      AppendFixed64(bits, out);
+      p = PutFixed64(bits, p);
       break;
     }
     case ValueType::kString: {
-      const std::string& s = v.AsString();
-      AppendVarint(s.size(), out);
-      out->append(s);
+      const std::string& str = v.AsString();
+      p = PutVarint(str.size(), p);
+      if (!str.empty()) std::memcpy(p, str.data(), str.size());
+      p += str.size();
       break;
     }
   }
+  return p;
 }
 
-Result<Value> ReadValue(ByteReader* reader) {
+void AppendValue(const Value& v, std::string* out) {
+  PutValue(v, Extend(out, ValueSize(v)));
+}
+
+/// Decodes one self-describing value into `*slot`, in place when the
+/// slot already holds the value's type (a string keeps its buffer).
+Status ReadValueInto(ByteReader* reader, Value* slot) {
   ICEWAFL_ASSIGN_OR_RETURN(uint8_t tag, reader->U8());
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
-      return Value::Null();
+      if (!slot->is_null()) *slot = Value::Null();
+      return Status::OK();
     case ValueType::kBool: {
       ICEWAFL_ASSIGN_OR_RETURN(uint8_t b, reader->U8());
       if (b > 1) return Status::ParseError("wire: bool byte not 0/1");
-      return Value(b == 1);
+      slot->Assign(b == 1);
+      return Status::OK();
     }
     case ValueType::kInt64: {
       ICEWAFL_ASSIGN_OR_RETURN(uint64_t bits, reader->Fixed64());
-      return Value(static_cast<int64_t>(bits));
+      slot->Assign(static_cast<int64_t>(bits));
+      return Status::OK();
     }
     case ValueType::kDouble: {
       ICEWAFL_ASSIGN_OR_RETURN(uint64_t bits, reader->Fixed64());
       double d = 0;
       std::memcpy(&d, &bits, sizeof(d));
-      return Value(d);
+      slot->Assign(d);
+      return Status::OK();
     }
     case ValueType::kString: {
       ICEWAFL_ASSIGN_OR_RETURN(uint64_t len, reader->Varint());
       if (len > reader->remaining()) {
         return Status::ParseError("wire: string length exceeds payload");
       }
-      ICEWAFL_ASSIGN_OR_RETURN(std::string s,
+      ICEWAFL_ASSIGN_OR_RETURN(std::string_view bytes,
                                reader->Bytes(static_cast<size_t>(len)));
-      return Value(std::move(s));
+      slot->Assign(bytes);
+      return Status::OK();
     }
   }
   return Status::ParseError("wire: unknown value tag " + std::to_string(tag));
@@ -209,33 +252,37 @@ Status ReadFixed64Span(ByteReader* reader, void* dst, size_t n) {
 #endif
 }
 
-void AppendTuplePayload(const Tuple& tuple, std::string* out) {
-  AppendFixed64(tuple.id(), out);
-  AppendFixed64(static_cast<uint64_t>(tuple.event_time()), out);
-  AppendFixed64(static_cast<uint64_t>(tuple.arrival_time()), out);
-  AppendVarint(ZigzagEncode(tuple.substream()), out);
-  AppendVarint(tuple.num_values(), out);
-  for (const Value& v : tuple.values()) AppendValue(v, out);
+/// Bytes of the tuple payload (EncodeTuplePayload's layout).
+size_t TuplePayloadSize(const Tuple& tuple) {
+  size_t n = 3 * 8 + VarintSize(ZigzagEncode(tuple.substream())) +
+             VarintSize(tuple.num_values());
+  for (const Value& v : tuple.values()) n += ValueSize(v);
+  return n;
+}
+
+char* PutTuplePayload(const Tuple& tuple, char* p) {
+  p = PutFixed64(tuple.id(), p);
+  p = PutFixed64(static_cast<uint64_t>(tuple.event_time()), p);
+  p = PutFixed64(static_cast<uint64_t>(tuple.arrival_time()), p);
+  p = PutVarint(ZigzagEncode(tuple.substream()), p);
+  p = PutVarint(tuple.num_values(), p);
+  for (const Value& v : tuple.values()) p = PutValue(v, p);
+  return p;
 }
 
 }  // namespace
 
 std::string EncodeTuplePayload(const Tuple& tuple) {
   std::string out;
-  AppendTuplePayload(tuple, &out);
+  PutTuplePayload(tuple, Extend(&out, TuplePayloadSize(tuple)));
   return out;
 }
 
 void AppendTupleFrame(const Tuple& tuple, std::string* out) {
-  out->push_back(static_cast<char>(kFrameTuple));
-  // The payload is written in place behind a one-byte placeholder that
-  // becomes the length varint once the size is known.
-  const size_t prefix_at = out->size();
-  out->push_back('\0');
-  AppendTuplePayload(tuple, out);
-  std::string prefix;
-  AppendVarint(out->size() - prefix_at - 1, &prefix);
-  out->replace(prefix_at, 1, prefix);
+  const size_t size = TuplePayloadSize(tuple);
+  char* p = Extend(out, 1 + VarintSize(size) + size);
+  *p++ = static_cast<char>(kFrameTuple);
+  PutTuplePayload(tuple, PutVarint(size, p));
 }
 
 std::string EncodeBatchPayload(const Batch& batch) {
@@ -353,7 +400,7 @@ std::string EncodeBatchFrame(const Batch& batch) {
   return out;
 }
 
-Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload) {
+Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload) {
   ByteReader reader(payload);
   ICEWAFL_ASSIGN_OR_RETURN(uint64_t count, reader.Varint());
   // Each attribute takes at least 2 bytes, so `count` is bounded by the
@@ -368,14 +415,14 @@ Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload) {
     if (name_len > reader.remaining()) {
       return Status::ParseError("wire: attribute name length exceeds payload");
     }
-    ICEWAFL_ASSIGN_OR_RETURN(std::string name,
+    ICEWAFL_ASSIGN_OR_RETURN(std::string_view name,
                              reader.Bytes(static_cast<size_t>(name_len)));
     ICEWAFL_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
     if (type > static_cast<uint8_t>(ValueType::kString)) {
       return Status::ParseError("wire: unknown attribute type tag " +
                                 std::to_string(type));
     }
-    attributes.push_back({std::move(name), static_cast<ValueType>(type)});
+    attributes.push_back({std::string(name), static_cast<ValueType>(type)});
   }
   ICEWAFL_ASSIGN_OR_RETURN(uint64_t ts_index, reader.Varint());
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
@@ -388,8 +435,8 @@ Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload) {
   return Schema::Make(std::move(attributes), ts_name);
 }
 
-Result<Tuple> DecodeTuplePayload(const std::string& payload,
-                                 const SchemaPtr& schema) {
+Status DecodeTupleInto(std::string_view payload, const SchemaPtr& schema,
+                       Tuple* out) {
   if (schema == nullptr) {
     return Status::InvalidArgument("wire: tuple decode requires a schema");
   }
@@ -405,26 +452,34 @@ Result<Tuple> DecodeTuplePayload(const std::string& payload,
         " values, schema expects " +
         std::to_string(schema->num_attributes()));
   }
-  std::vector<Value> values;
-  values.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    ICEWAFL_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
-    values.push_back(std::move(v));
+  const size_t arity = static_cast<size_t>(count);
+  if (out->schema() != schema || out->num_values() != arity) {
+    *out = Tuple(schema, std::vector<Value>(arity));
+  }
+  std::vector<Value>& values = out->mutable_values();
+  for (size_t i = 0; i < arity; ++i) {
+    ICEWAFL_RETURN_NOT_OK(ReadValueInto(&reader, &values[i]));
   }
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
-  Tuple tuple(schema, std::move(values));
-  tuple.set_id(id);
-  tuple.set_event_time(static_cast<Timestamp>(event_time));
-  tuple.set_arrival_time(static_cast<Timestamp>(arrival_time));
   const int64_t substream = ZigzagDecode(substream_zz);
   if (substream < INT32_MIN || substream > INT32_MAX) {
     return Status::ParseError("wire: substream id out of range");
   }
-  tuple.set_substream(static_cast<int>(substream));
+  out->set_id(id);
+  out->set_event_time(static_cast<Timestamp>(event_time));
+  out->set_arrival_time(static_cast<Timestamp>(arrival_time));
+  out->set_substream(static_cast<int>(substream));
+  return Status::OK();
+}
+
+Result<Tuple> DecodeTuplePayload(std::string_view payload,
+                                 const SchemaPtr& schema) {
+  Tuple tuple;
+  ICEWAFL_RETURN_NOT_OK(DecodeTupleInto(payload, schema, &tuple));
   return tuple;
 }
 
-Result<Batch> DecodeBatchPayload(const std::string& payload,
+Result<Batch> DecodeBatchPayload(std::string_view payload,
                                  const SchemaPtr& schema) {
   if (schema == nullptr) {
     return Status::InvalidArgument("wire: batch decode requires a schema");
@@ -476,7 +531,7 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
           std::to_string(type_tag) + " does not match the schema");
     }
     Column& col = batch.column(i);
-    ICEWAFL_ASSIGN_OR_RETURN(std::string vbits, cr.Bytes(vbytes));
+    ICEWAFL_ASSIGN_OR_RETURN(std::string_view vbits, cr.Bytes(vbytes));
     if (rows % 8 != 0 &&
         (static_cast<uint8_t>(vbits[vbytes - 1]) >> (rows % 8)) != 0) {
       return Status::ParseError("wire: non-zero trailing validity bits");
@@ -530,8 +585,9 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
           if (len > cr.remaining()) {
             return Status::ParseError("wire: string length exceeds payload");
           }
-          ICEWAFL_ASSIGN_OR_RETURN(strs[r],
+          ICEWAFL_ASSIGN_OR_RETURN(std::string_view bytes,
                                    cr.Bytes(static_cast<size_t>(len)));
+          strs[r].assign(bytes);
         }
         break;
       }
@@ -567,7 +623,8 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
       if (col.IsValid(static_cast<size_t>(row))) {
         return Status::ParseError("wire: divergent entry for valid row");
       }
-      ICEWAFL_ASSIGN_OR_RETURN(Value v, ReadValue(&cr));
+      Value v;
+      ICEWAFL_RETURN_NOT_OK(ReadValueInto(&cr, &v));
       if (v.is_null() || v.type() == declared) {
         return Status::ParseError("wire: divergent value does not diverge");
       }
@@ -579,14 +636,14 @@ Result<Batch> DecodeBatchPayload(const std::string& payload,
   return batch;
 }
 
-Result<uint64_t> DecodeEndPayload(const std::string& payload) {
+Result<uint64_t> DecodeEndPayload(std::string_view payload) {
   ByteReader reader(payload);
   ICEWAFL_ASSIGN_OR_RETURN(uint64_t total, reader.Varint());
   ICEWAFL_RETURN_NOT_OK(reader.ExpectEnd());
   return total;
 }
 
-Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload) {
+Result<SubscribeRequest> DecodeSubscribePayload(std::string_view payload) {
   ByteReader reader(payload);
   SubscribeRequest request;
   ICEWAFL_ASSIGN_OR_RETURN(request.version, reader.Varint());
@@ -598,8 +655,9 @@ Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload) {
   if (id_len > reader.remaining()) {
     return Status::ParseError("wire: session id length exceeds payload");
   }
-  ICEWAFL_ASSIGN_OR_RETURN(request.session_id,
+  ICEWAFL_ASSIGN_OR_RETURN(std::string_view id,
                            reader.Bytes(static_cast<size_t>(id_len)));
+  request.session_id.assign(id);
   // Optional capabilities varint (absent in capability-less hellos).
   if (reader.remaining() > 0) {
     ICEWAFL_ASSIGN_OR_RETURN(request.capabilities, reader.Varint());
@@ -617,7 +675,7 @@ void FrameDecoder::Feed(const void* data, size_t n) {
   buffer_.append(static_cast<const char*>(data), n);
 }
 
-Result<bool> FrameDecoder::Next(uint8_t* type, std::string* payload) {
+Result<bool> FrameDecoder::Next(uint8_t* type, std::string_view* payload) {
   const size_t avail = buffer_.size() - consumed_;
   if (avail < 2) return false;  // type byte + at least one length byte
   const uint8_t frame_type = static_cast<uint8_t>(buffer_[consumed_]);
@@ -652,7 +710,8 @@ Result<bool> FrameDecoder::Next(uint8_t* type, std::string* payload) {
                               " bytes exceeds limit");
   }
   if (avail - header < len) return false;  // partial payload
-  payload->assign(buffer_, consumed_ + header, static_cast<size_t>(len));
+  *payload = std::string_view(buffer_).substr(consumed_ + header,
+                                             static_cast<size_t>(len));
   *type = frame_type;
   consumed_ += header + static_cast<size_t>(len);
   return true;

@@ -2,7 +2,9 @@
 #define ICEWAFL_NET_WIRE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "stream/batch.h"
 #include "stream/schema.h"
@@ -88,31 +90,68 @@ inline int64_t ZigzagDecode(uint64_t v) {
 /// \brief Bounds-checked sequential reader over one frame payload.
 ///
 /// Every accessor returns a Status instead of reading past the end, so
-/// decoding a hostile buffer degrades to an error, never UB.
+/// decoding a hostile buffer degrades to an error, never UB. The
+/// per-value accessors are inline: the tuple decoder calls them once
+/// per field, and their error paths stay out of line.
 class ByteReader {
  public:
   ByteReader(const void* data, size_t size)
       : data_(static_cast<const uint8_t*>(data)), size_(size) {}
-  explicit ByteReader(const std::string& buf)
+  explicit ByteReader(std::string_view buf)
       : ByteReader(buf.data(), buf.size()) {}
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
 
-  Result<uint8_t> U8();
-  Result<uint64_t> Fixed64();
-  Result<uint64_t> Varint();
-  /// \brief Reads `n` raw bytes into a string.
-  Result<std::string> Bytes(size_t n);
+  Result<uint8_t> U8() {
+    if (pos_ >= size_) return Truncated("byte");
+    return data_[pos_++];
+  }
+  Result<uint64_t> Fixed64() {
+    if (size_ - pos_ < 8) return Truncated("fixed64");
+    uint64_t v = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    std::memcpy(&v, data_ + pos_, 8);
+#else
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
+           << (8 * i);
+    }
+#endif
+    pos_ += 8;
+    return v;
+  }
+  Result<uint64_t> Varint() {
+    // One-byte values (lengths, counts, small sub-stream ids) are the
+    // common case; longer ones take the checked loop.
+    if (pos_ < size_ && data_[pos_] < 0x80) return data_[pos_++];
+    return VarintSlow();
+  }
+  /// \brief A view of the next `n` raw bytes; valid as long as the
+  /// buffer the reader was built over.
+  Result<std::string_view> Bytes(size_t n) {
+    if (size_ - pos_ < n) return Truncated("bytes");
+    std::string_view out(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return out;
+  }
   /// \brief Copies `n` raw bytes into `dst` (bulk fixed-width arrays).
   Status ReadRaw(void* dst, size_t n);
   /// \brief Splits off a bounds-checked reader over the next `n` bytes
   /// and advances past them (length-prefixed sub-blobs).
   Result<ByteReader> SubReader(size_t n);
   /// \brief Error unless the payload was consumed exactly.
-  Status ExpectEnd() const;
+  Status ExpectEnd() const {
+    if (pos_ != size_) return Trailing(size_ - pos_);
+    return Status::OK();
+  }
 
  private:
+  Result<uint64_t> VarintSlow();
+  /// "wire: truncated <what>".
+  static Status Truncated(const char* what);
+  static Status Trailing(size_t n);
+
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
@@ -123,7 +162,7 @@ class ByteReader {
 // ---------------------------------------------------------------------
 
 /// \brief Appends one complete frame (type + length prefix + payload).
-void AppendFrame(uint8_t type, const std::string& payload, std::string* out);
+void AppendFrame(uint8_t type, std::string_view payload, std::string* out);
 
 /// \brief Schema payload: attr_count:varint, then per attribute
 /// name_len:varint name:bytes type:u8, then timestamp_index:varint.
@@ -136,9 +175,11 @@ std::string EncodeSchemaPayload(const Schema& schema);
 /// null has no payload).
 std::string EncodeTuplePayload(const Tuple& tuple);
 
-/// \brief Appends one complete Tuple frame to `*out`, encoding the
-/// payload in place (the bytes of EncodeTupleFrame, without its
-/// temporaries); the fan-out encodes a batch's frames into one buffer.
+/// \brief Appends one complete Tuple frame to `*out` in one pass: the
+/// payload size is computed first, so the length prefix and payload are
+/// written once into one resized region (the bytes of
+/// AppendFrame(kFrameTuple, EncodeTuplePayload(tuple))). The fan-out
+/// encodes a batch's frames into one buffer.
 void AppendTupleFrame(const Tuple& tuple, std::string* out);
 
 /// \brief End payload: total tuples sent in this stream, as a varint.
@@ -191,12 +232,22 @@ std::string EncodeSubscribeFrame(uint64_t version,
 // ---------------------------------------------------------------------
 
 /// \brief Validates and decodes a schema payload.
-Result<SchemaPtr> DecodeSchemaPayload(const std::string& payload);
+Result<SchemaPtr> DecodeSchemaPayload(std::string_view payload);
 
-/// \brief Validates and decodes a tuple payload against `schema` (the
-/// value count must match the schema arity; value types are
-/// self-describing, since polluters may NULL any attribute).
-Result<Tuple> DecodeTuplePayload(const std::string& payload,
+/// \brief Validates and decodes a tuple payload against `schema` into
+/// `*out`, in place: its value slots, id, times and sub-stream are
+/// overwritten, and a slot that already holds a string keeps its
+/// buffer. `*out` is rebuilt (reallocated) only when its schema pointer
+/// or arity differs from `schema`'s, as for a default or moved-from
+/// Tuple. The value count must match the schema arity; value types are
+/// self-describing, since polluters may NULL any attribute. On an error
+/// `*out` holds an unspecified mix of old and new values, and the next
+/// successful decode into it is complete.
+Status DecodeTupleInto(std::string_view payload, const SchemaPtr& schema,
+                       Tuple* out);
+
+/// \brief DecodeTupleInto a fresh Tuple.
+Result<Tuple> DecodeTuplePayload(std::string_view payload,
                                  const SchemaPtr& schema);
 
 /// \brief Validates and decodes a batch payload against `schema`. The
@@ -206,11 +257,11 @@ Result<Tuple> DecodeTuplePayload(const std::string& payload,
 /// validity bit is clear and whose value type actually diverges —
 /// anything else is a ParseError, so served batch bytes have exactly
 /// one accepted spelling.
-Result<Batch> DecodeBatchPayload(const std::string& payload,
+Result<Batch> DecodeBatchPayload(std::string_view payload,
                                  const SchemaPtr& schema);
 
 /// \brief Decodes the total-count payload of an End frame.
-Result<uint64_t> DecodeEndPayload(const std::string& payload);
+Result<uint64_t> DecodeEndPayload(std::string_view payload);
 
 /// \brief Decoded Subscribe hello.
 struct SubscribeRequest {
@@ -221,13 +272,14 @@ struct SubscribeRequest {
 
 /// \brief Decodes a Subscribe payload. Rejects ids longer than
 /// kMaxSessionIdBytes; version compatibility is the server's call.
-Result<SubscribeRequest> DecodeSubscribePayload(const std::string& payload);
+Result<SubscribeRequest> DecodeSubscribePayload(std::string_view payload);
 
 /// \brief Incremental frame splitter over a byte stream.
 ///
 /// Feed() appends raw received bytes; Next() extracts the next complete
-/// frame. A partial frame is not an error — Next() returns false until
-/// the rest arrives — but a malformed header (overlong varint, payload
+/// frame as a view into the decoder's buffer, so no payload is copied.
+/// A partial frame is not an error — Next() returns false until the
+/// rest arrives — but a malformed header (overlong varint, payload
 /// length above kMaxFramePayload) is a Status, because no amount of
 /// further input can repair it.
 class FrameDecoder {
@@ -235,8 +287,10 @@ class FrameDecoder {
   void Feed(const void* data, size_t n);
 
   /// \return true and fills `*type` / `*payload` when a complete frame
-  /// was extracted; false when more bytes are needed.
-  Result<bool> Next(uint8_t* type, std::string* payload);
+  /// was extracted; false when more bytes are needed. `*payload` views
+  /// the decoder's buffer and stays valid only until the next Feed() or
+  /// Next(); a caller that keeps the bytes copies them.
+  Result<bool> Next(uint8_t* type, std::string_view* payload);
 
   size_t buffered() const { return buffer_.size() - consumed_; }
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "util/result.h"
@@ -57,6 +59,21 @@ class Value {
   int64_t AsInt64() const { return std::get<int64_t>(data_); }
   double AsDouble() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
+
+  /// \brief Overwrites this value with `v`: a bool, int64_t or double,
+  /// or a std::string_view for a string. A value that already holds that
+  /// type is overwritten in place, and a string keeps its buffer
+  /// (in-place decoding of a reused row).
+  template <typename T>
+  void Assign(T v) {
+    using Stored = std::conditional_t<std::is_same_v<T, std::string_view>,
+                                      std::string, T>;
+    if (Stored* held = std::get_if<Stored>(&data_)) {
+      *held = v;
+    } else {
+      data_.template emplace<Stored>(v);
+    }
+  }
 
   /// \brief Numeric coercion: int64/double/bool widen to double; NULL and
   /// strings are errors.

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -88,7 +89,7 @@ class Json {
   std::string DumpPretty() const;
 
   /// \brief Parses a JSON document (strict: whole input consumed).
-  static Result<Json> Parse(const std::string& text);
+  static Result<Json> Parse(std::string_view text);
 
   bool operator==(const Json& other) const;
 

@@ -9,6 +9,7 @@
 
 #include "core/composite_polluter.h"
 #include "core/config.h"
+#include "core/derived_error.h"
 #include "core/errors_temporal.h"
 #include "core/errors_value.h"
 #include "dq/config.h"
@@ -64,6 +65,20 @@ TEST(BindErrorsTest, NegativeDelayNamesItsField) {
   EXPECT_TRUE(MessageContains(status, "/polluters/0/error/delay_seconds"));
 }
 
+TEST(BindErrorsTest, DerivedNegativeDelayNamesItsBaseField) {
+  PollutionPipeline pipeline("t");
+  pipeline.Add(std::make_unique<StandardPolluter>(
+      "late",
+      std::make_unique<DerivedTemporalError>(
+          std::make_unique<DelayError>(-60),
+          std::make_unique<ConstantProfile>(1.0)),
+      std::make_unique<AlwaysCondition>(), std::vector<std::string>{}));
+  const Status status = pipeline.Bind(SensorSchema());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      MessageContains(status, "/polluters/0/error/base/delay_seconds"));
+}
+
 TEST(BindErrorsTest, UnknownPolluterAttributeNamesThePath) {
   const Status status = BindPipeline(
       R"({"name": "t", "polluters": [
@@ -93,6 +108,19 @@ TEST(BindErrorsTest, StringErrorOnNumericColumnNamesThePath) {
            "error": {"type": "typo"}}]})");
   EXPECT_EQ(status.code(), StatusCode::kTypeError);
   EXPECT_TRUE(MessageContains(status, "/polluters/0/error"));
+  EXPECT_TRUE(MessageContains(status, "temp"));
+}
+
+TEST(BindErrorsTest, DerivedErrorNamesItsBasePath) {
+  // The base's own bind error sits under the derived error's "base".
+  const Status status = BindPipeline(
+      R"({"name": "t", "polluters": [
+          {"type": "standard", "label": "p", "attributes": ["temp"],
+           "error": {"type": "derived",
+                     "base": {"type": "case"},
+                     "profile": {"type": "constant", "value": 1.0}}}]})");
+  EXPECT_EQ(status.code(), StatusCode::kTypeError);
+  EXPECT_TRUE(MessageContains(status, "at /polluters/0/error/base:"));
   EXPECT_TRUE(MessageContains(status, "temp"));
 }
 

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -383,9 +384,13 @@ void RawHello(uint16_t port, const std::string& frame, uint8_t* type,
   FrameDecoder decoder;
   char buf[4096];
   while (true) {
-    auto have = decoder.Next(type, payload);
+    std::string_view view;  // points into `decoder`: copied out below
+    auto have = decoder.Next(type, &view);
     ASSERT_TRUE(have.ok()) << have.status().ToString();
-    if (have.ValueOrDie()) return;
+    if (have.ValueOrDie()) {
+      payload->assign(view);
+      return;
+    }
     const ssize_t n = ::recv(fd.ValueOrDie().get(), buf, sizeof(buf), 0);
     ASSERT_GT(n, 0) << "server closed before answering the hello";
     decoder.Feed(buf, static_cast<size_t>(n));
@@ -806,7 +811,7 @@ std::string RecordedCsv(const std::string& bytes, int* batch_frames) {
   SchemaPtr schema;
   TupleVector rows;
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     auto have = decoder.Next(&type, &payload);
     EXPECT_TRUE(have.ok()) << have.status().ToString();
@@ -1083,6 +1088,76 @@ TEST(PollutionServer, NegativeZeroDistancesServeTheOfflineBytes) {
   }
 }
 
+TEST(StreamClient, ReusedRowDecodesEveryServedRowInPlace) {
+  // A subscriber that reads every row into one Tuple takes the in-place
+  // decode: string slots (the air-quality `station` and `WD` columns)
+  // and NULL/double slots (random_temporal's `Distance`) are overwritten
+  // row by row, and each row equals the offline segment's.
+  auto same_value = [](const Value& a, const Value& b) {
+    if (a.type() != b.type()) return false;
+    if (!a.is_double()) return a == b;
+    const double ad = a.AsDouble(), bd = b.AsDouble();
+    return std::memcmp(&ad, &bd, sizeof(ad)) == 0;
+  };
+  for (const std::string name : {"temporal_noise", "random_temporal"}) {
+    for (const int parallelism : {1, 2}) {
+      SCOPED_TRACE(name + " at parallelism " + std::to_string(parallelism));
+      auto plan = scenarios::BuildScenarioPlan(name, 42, parallelism);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const PlanSnapshot& snapshot = *plan.ValueOrDie();
+      auto offline = scenarios::RunPlanSegmentOffline(snapshot, 0,
+                                                      snapshot.clean->size());
+      ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+      const TupleVector& want = offline.ValueOrDie();
+
+      PollutionServer server;
+      SessionOptions session;
+      session.max_runs = 1;
+      session.plan = plan.ValueOrDie();
+      ASSERT_TRUE(server
+                      .AddSession("reuse", nullptr, scenarios::ServePlanToSink,
+                                  std::move(session))
+                      .ok());
+      ASSERT_TRUE(server.Start().ok());
+      auto client = StreamClient::Connect("127.0.0.1", server.port(), "reuse");
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      StreamClient& stream = *client.ValueOrDie();
+      Tuple row;
+      const Value* slots = nullptr;
+      size_t rows = 0, strings = 0, nulls = 0;
+      while (true) {
+        auto next = stream.Next(&row);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        if (!next.ValueOrDie()) break;
+        ASSERT_LT(rows, want.size()) << "more rows than the offline run";
+        // The first decode builds the row; every later one reuses it.
+        if (slots == nullptr) slots = row.values().data();
+        EXPECT_EQ(row.values().data(), slots) << "row " << rows;
+        const Tuple& expected = want[rows];
+        EXPECT_EQ(row.id(), expected.id()) << "row " << rows;
+        EXPECT_EQ(row.arrival_time(), expected.arrival_time())
+            << "row " << rows;
+        EXPECT_EQ(row.substream(), expected.substream()) << "row " << rows;
+        ASSERT_EQ(row.num_values(), expected.num_values());
+        for (size_t i = 0; i < row.num_values(); ++i) {
+          EXPECT_TRUE(same_value(row.value(i), expected.value(i)))
+              << "row " << rows << " value " << i;
+          strings += row.value(i).is_string() ? 1 : 0;
+          nulls += row.value(i).is_null() ? 1 : 0;
+        }
+        ++rows;
+      }
+      ASSERT_TRUE(server.Wait().ok());
+      EXPECT_EQ(rows, want.size());
+      if (name == "temporal_noise") {
+        EXPECT_GT(strings, 0u) << "no string column reached the client";
+      } else {
+        EXPECT_GT(nulls, 0u) << "no NULL reached the client";
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Server lifecycle edges
 // ---------------------------------------------------------------------
@@ -1111,7 +1186,7 @@ TEST(PollutionServer, DrainTellsAPendingHandshakeTheServerIsShuttingDown) {
   FrameDecoder decoder;
   char buf[4096];
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   while (true) {
     auto have = decoder.Next(&type, &payload);
     ASSERT_TRUE(have.ok()) << have.status().ToString();

@@ -101,9 +101,10 @@ Value RandomValue(Rng* rng) {
     case 7:
       return Value(std::string());  // empty string
     case 8: {
-      // Binary-hostile string: embedded NUL, newline, quote, high bytes.
+      // Binary-hostile string: embedded NUL, newline, quote, high bytes;
+      // lengths past 127 take a two-byte length varint.
       std::string s;
-      const int len = static_cast<int>(rng->UniformInt(1, 64));
+      const int len = static_cast<int>(rng->UniformInt(1, 200));
       for (int i = 0; i < len; ++i) {
         s.push_back(static_cast<char>(rng->UniformInt(0, 255)));
       }
@@ -139,6 +140,27 @@ void ExpectTuplesEqual(const Tuple& a, const Tuple& b) {
     EXPECT_TRUE(ValuesBitEqual(a.value(i), b.value(i)))
         << "value " << i << " diverged";
   }
+}
+
+/// A Tuple frame as the generic framing spells it, after `prefix`.
+std::string ReferenceTupleFrame(const std::string& prefix, const Tuple& t) {
+  std::string out = prefix;
+  AppendFrame(kFrameTuple, EncodeTuplePayload(t), &out);
+  return out;
+}
+
+/// DecodeTupleInto `*target`, checked against a fresh
+/// DecodeTuplePayload of the same payload: same Status (code and
+/// message), and on success the same row, bound to `schema`.
+void ExpectDecodeIntoMatchesFresh(const std::string& payload,
+                                  const SchemaPtr& schema, Tuple* target) {
+  const Result<Tuple> fresh = DecodeTuplePayload(payload, schema);
+  const Status status = DecodeTupleInto(payload, schema, target);
+  EXPECT_EQ(status, fresh.status())
+      << status.ToString() << " vs " << fresh.status().ToString();
+  if (!status.ok() || !fresh.ok()) return;
+  EXPECT_EQ(target->schema(), schema);
+  ExpectTuplesEqual(*target, fresh.ValueOrDie());
 }
 
 // ---------------------------------------------------------------------
@@ -233,7 +255,15 @@ TEST(WirePrimitives, NonCanonicalVarintRejected) {
 // ---------------------------------------------------------------------
 
 TEST(WireProperty, FiveHundredSeedRoundTrip) {
+  // Every tuple is also decoded into one reused row that crosses every
+  // seed's schema switch; every 50th seed moves it out first, and every
+  // 7th row is preceded by a failed (truncated) decode into it.
+  Tuple reused;
+  size_t long_payloads = 0, long_strings = 0, decodes = 0;
   for (uint64_t seed = 1; seed <= 500; ++seed) {
+    if (seed % 50 == 0) {
+      Tuple taken = std::move(reused);  // the target is now moved-from
+    }
     Rng rng(seed);
     SchemaPtr schema = RandomSchema(&rng);
 
@@ -250,7 +280,16 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
     std::string stream = EncodeSchemaFrame(*schema);
     for (int i = 0; i < count; ++i) {
       tuples.push_back(RandomTuple(&rng, schema));
-      stream += EncodeTupleFrame(tuples.back());
+      // The one-pass frame writer appends the generic framing's bytes.
+      const std::string before = stream;
+      AppendTupleFrame(tuples.back(), &stream);
+      ASSERT_EQ(stream, ReferenceTupleFrame(before, tuples.back()))
+          << "seed " << seed;
+      const size_t payload_bytes = EncodeTuplePayload(tuples.back()).size();
+      long_payloads += payload_bytes >= 128 ? 1 : 0;
+      for (const Value& v : tuples.back().values()) {
+        long_strings += v.is_string() && v.AsString().size() >= 128 ? 1 : 0;
+      }
     }
     stream += EncodeEndFrame(static_cast<uint64_t>(count));
 
@@ -261,7 +300,7 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
     bool saw_schema = false, saw_end = false;
     while (true) {
       uint8_t type = 0;
-      std::string payload;
+      std::string_view payload;
       auto next = decoder.Next(&type, &payload);
       ASSERT_TRUE(next.ok()) << "seed " << seed << ": "
                              << next.status().ToString();
@@ -279,6 +318,12 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
         auto tuple = DecodeTuplePayload(payload, schema);
         ASSERT_TRUE(tuple.ok()) << "seed " << seed << ": "
                                 << tuple.status().ToString();
+        const std::string bytes(payload);
+        if (++decodes % 7 == 0) {
+          ExpectDecodeIntoMatchesFresh(bytes.substr(0, bytes.size() / 2),
+                                       schema, &reused);
+        }
+        ExpectDecodeIntoMatchesFresh(bytes, schema, &reused);
         decoded.push_back(std::move(tuple).ValueOrDie());
       } else if (type == kFrameEnd) {
         auto total = DecodeEndPayload(payload);
@@ -296,6 +341,75 @@ TEST(WireProperty, FiveHundredSeedRoundTrip) {
     }
     EXPECT_EQ(decoder.buffered(), 0u) << "seed " << seed;
   }
+  // The rows reach two-byte length varints in both places.
+  EXPECT_GT(long_payloads, 0u);
+  EXPECT_GT(long_strings, 0u);
+}
+
+TEST(WireProperty, ReusedRowFollowsEverySlotTypeChange) {
+  // Slot i of row r holds kCycle[(r + i) % 5], so every slot steps
+  // through double -> string -> NULL -> bool -> int64 and back, with
+  // strings short and long. The sequence switches schema (same arity
+  // and a wider one), decodes into a moved-from row, and decodes
+  // right after a failed decode.
+  static const ValueType kCycle[] = {ValueType::kDouble, ValueType::kString,
+                                     ValueType::kNull, ValueType::kBool,
+                                     ValueType::kInt64};
+  auto make_schema = [](size_t width, const std::string& tag) {
+    std::vector<Attribute> attributes = {{"ts", ValueType::kInt64}};
+    for (size_t i = 0; i < width; ++i) {
+      attributes.push_back({tag + std::to_string(i), ValueType::kDouble});
+    }
+    return Schema::Make(std::move(attributes), "ts").ValueOrDie();
+  };
+  const SchemaPtr narrow = make_schema(4, "a");
+  const SchemaPtr twin = make_schema(4, "b");  // same arity, other schema
+  const SchemaPtr wide = make_schema(6, "c");
+  Rng rng(33);
+  auto make_row = [&](const SchemaPtr& schema, int r) {
+    std::vector<Value> values = {Value(static_cast<int64_t>(r))};
+    for (size_t i = 1; i < schema->num_attributes(); ++i) {
+      switch (kCycle[(static_cast<size_t>(r) + i) % 5]) {
+        case ValueType::kDouble:
+          values.push_back(Value(rng.Uniform(-1e6, 1e6)));
+          break;
+        case ValueType::kString:
+          values.push_back(Value(std::string(
+              static_cast<size_t>(rng.UniformInt(0, 300)),
+              static_cast<char>('a' + r % 26))));
+          break;
+        case ValueType::kNull:
+          values.push_back(Value::Null());
+          break;
+        case ValueType::kBool:
+          values.push_back(Value(rng.Bernoulli(0.5)));
+          break;
+        case ValueType::kInt64:
+          values.push_back(Value(static_cast<int64_t>(rng.Next())));
+          break;
+      }
+    }
+    Tuple tuple(schema, std::move(values));
+    tuple.set_id(static_cast<TupleId>(r));
+    tuple.set_event_time(r * 60);
+    tuple.set_arrival_time(r * 60 + 5);
+    tuple.set_substream(r % 3 - 1);
+    return EncodeTuplePayload(tuple);
+  };
+  Tuple reused;
+  for (int r = 0; r < 40; ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    const SchemaPtr& schema = r < 12 ? narrow : r < 24 ? twin : wide;
+    if (r == 30) {
+      Tuple taken = std::move(reused);  // the target is now moved-from
+    }
+    const std::string payload = make_row(schema, r);
+    if (r % 9 == 4) {
+      // A failed decode (trailing byte) leaves a half-written row behind.
+      ExpectDecodeIntoMatchesFresh(payload + "x", schema, &reused);
+    }
+    ExpectDecodeIntoMatchesFresh(payload, schema, &reused);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -310,7 +424,7 @@ TEST(WireFuzz, EveryFramePrefixWaitsForMoreBytes) {
     FrameDecoder decoder;
     decoder.Feed(frame.data(), cut);
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     auto next = decoder.Next(&type, &payload);
     ASSERT_TRUE(next.ok()) << "prefix of " << cut << " bytes errored: "
                            << next.status().ToString();
@@ -346,7 +460,7 @@ TEST(WireFuzz, OversizedFrameLengthRejectedBeforeAllocation) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   EXPECT_FALSE(decoder.Next(&type, &payload).ok());
 }
 
@@ -358,7 +472,7 @@ TEST(WireFuzz, OverlongFrameLengthVarintRejected) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   EXPECT_FALSE(decoder.Next(&type, &payload).ok());
 }
 
@@ -374,7 +488,7 @@ TEST(WireFuzz, NonCanonicalFrameLengthVarintRejected) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   auto next = decoder.Next(&type, &payload);
   ASSERT_FALSE(next.ok());
   EXPECT_NE(next.status().ToString().find("non-canonical varint"),
@@ -386,6 +500,10 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
   Rng rng(13);
   SchemaPtr schema = RandomSchema(&rng);
   const std::string good = EncodeTuplePayload(RandomTuple(&rng, schema));
+  // Each corrupt payload below is also decoded in place, through a fresh
+  // target and through one reused across them (last holding `good`):
+  // both give DecodeTuplePayload's code and message.
+  std::vector<std::string> corrupt;
 
   // Unknown value tag.
   {
@@ -398,6 +516,7 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
     if (result.ok()) {
       EXPECT_EQ(EncodeTuplePayload(result.ValueOrDie()).size(), bad.size());
     }
+    corrupt.push_back(bad);
   }
   // Value-count mismatch against the schema arity.
   {
@@ -408,6 +527,7 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
     AppendVarint(ZigzagEncode(kNoSubstream), &bad);
     AppendVarint(schema->num_attributes() + 1, &bad);
     EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    corrupt.push_back(bad);
   }
   // Bool byte out of domain.
   {
@@ -422,6 +542,7 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
       bad.push_back(2);  // not 0/1
     }
     EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    corrupt.push_back(bad);
   }
   // String length pointing past the payload end.
   {
@@ -434,12 +555,46 @@ TEST(WireFuzz, CorruptTuplePayloadsReturnStatus) {
     bad.push_back(static_cast<char>(ValueType::kString));
     AppendVarint(1 << 30, &bad);
     EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    corrupt.push_back(bad);
   }
   // Trailing garbage after a well-formed tuple.
   {
     std::string bad = good + "garbage";
     EXPECT_FALSE(DecodeTuplePayload(bad, schema).ok());
+    corrupt.push_back(bad);
   }
+  // Sub-stream id beyond int32, checked after every value was read.
+  {
+    std::string bad;
+    AppendFixed64(1, &bad);
+    AppendFixed64(2, &bad);
+    AppendFixed64(3, &bad);
+    AppendVarint(ZigzagEncode(int64_t{1} << 40), &bad);
+    AppendVarint(schema->num_attributes(), &bad);
+    for (size_t i = 0; i < schema->num_attributes(); ++i) {
+      bad.push_back(static_cast<char>(ValueType::kNull));
+    }
+    auto result = DecodeTuplePayload(bad, schema);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().message(), "wire: substream id out of range");
+    corrupt.push_back(bad);
+  }
+  // Every proper prefix of the good payload.
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    corrupt.push_back(good.substr(0, cut));
+  }
+  Tuple reused;
+  for (size_t k = 0; k < corrupt.size(); ++k) {
+    SCOPED_TRACE("corrupt payload " + std::to_string(k));
+    Tuple fresh;
+    ExpectDecodeIntoMatchesFresh(corrupt[k], schema, &fresh);
+    ExpectDecodeIntoMatchesFresh(good, schema, &reused);
+    ExpectDecodeIntoMatchesFresh(corrupt[k], schema, &reused);
+  }
+  // A null schema is the caller's error, before any byte is read.
+  Tuple target;
+  EXPECT_EQ(DecodeTupleInto(good, nullptr, &target).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireFuzz, CorruptSchemaPayloadsReturnStatus) {
@@ -677,7 +832,7 @@ TEST(WireFrames, SubscribeRoundTrip) {
     FrameDecoder decoder;
     decoder.Feed(frame.data(), frame.size());
     uint8_t type = 0;
-    std::string payload;
+    std::string_view payload;
     auto next = decoder.Next(&type, &payload);
     ASSERT_TRUE(next.ok());
     ASSERT_TRUE(next.ValueOrDie());
@@ -740,7 +895,7 @@ TEST(WireFrames, ErrorFrameCarriesMessage) {
   FrameDecoder decoder;
   decoder.Feed(frame.data(), frame.size());
   uint8_t type = 0;
-  std::string payload;
+  std::string_view payload;
   auto next = decoder.Next(&type, &payload);
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(next.ValueOrDie());

@@ -411,6 +411,31 @@ run_net() {
     fi
   done
 
+  echo "=== net: air-quality strings over Tuple frames ==="
+  # The air-quality stream carries string columns (station, WD), so this
+  # compares served string values byte for byte with the offline run.
+  "${cli}" run --scenario temporal_noise --output "${outdir}/aq_offline.csv" \
+    >/dev/null
+  "${cli}" serve --scenario temporal_noise --port 0 --max-sessions 1 \
+    >"${outdir}/serve_aq.log" 2>&1 &
+  server_pid=$!
+  port=$(scrape_port "${outdir}/serve_aq.log" "serving scenario" \
+    "${server_pid}")
+  if [ -z "${port}" ]; then
+    echo "net: air-quality server never reported its port:"
+    cat "${outdir}/serve_aq.log"
+    kill "${server_pid}" 2>/dev/null || true
+    return 1
+  fi
+  "${cli}" tail --connect "127.0.0.1:${port}" --csv-out "${outdir}/aq_tail.csv"
+  if ! wait "${server_pid}"; then
+    echo "net: air-quality server exited non-zero:"
+    cat "${outdir}/serve_aq.log"
+    return 1
+  fi
+  cmp "${outdir}/aq_offline.csv" "${outdir}/aq_tail.csv"
+  echo "net: air-quality digest match ($(wc -c <"${outdir}/aq_tail.csv")B)"
+
   echo "=== net: two named sessions on one server ==="
   cat >"${outdir}/two_sessions.json" <<'EOF'
 {
