@@ -1,9 +1,9 @@
-// Cleaning-engine microbench: per-rule-family detection throughput,
-// the cost of a stateful (windowed-repair) document next to a pure
-// stateless one, and the split runner's parallel scaling on the pure
-// subset. The stream is a synthetic wearable trace with deterministic
+// Cleaning-engine microbench: per-rule-family detection throughput of
+// the sequential cleaner (clean::CleanTuples), and the cost of a
+// stateful (windowed-repair) document next to a pure stateless one.
+// The stream is a synthetic wearable trace with deterministic
 // arithmetic pollution (no RNG), so every run evaluates the same rule
-// firings and the cross-parallelism checksum assertion is exact.
+// firings.
 //
 // Alongside the human-readable table it emits a machine-readable JSON
 // report (BENCH_clean.json in CI, validated by tools/check.sh bench) so
@@ -13,8 +13,6 @@
 // Built-in assertions (exit 1 on violation, so CI turns a regression
 // into a red build instead of a silently worse number):
 //   - every family measures > 0 tuples/s and fires at least once
-//   - the pure-rule document produces checksum-identical output at
-//     parallelism 1, 2, and 4 (the determinism contract of CleanTuples)
 //
 // Usage: bench_clean [--tuples N] [--out PATH]
 
@@ -111,18 +109,14 @@ clean::CleaningRules RulesFromText(const SchemaPtr& schema,
 struct Measurement {
   double seconds = 0.0;
   uint64_t fired = 0;
-  uint64_t out = 0;
-  uint64_t checksum = 0;
 };
 
-Measurement Run(const clean::CleaningRules& rules, const TupleVector& input,
-                int parallelism) {
+Measurement Run(const clean::CleaningRules& rules, const TupleVector& input) {
   CountingSink sink;
   clean::CleanStats stats;
   const auto start = std::chrono::steady_clock::now();
-  Status st = clean::CleanTuples(rules, input, parallelism, &sink,
-                                 /*metrics=*/nullptr, /*log=*/nullptr,
-                                 &stats);
+  Status st = clean::CleanTuples(rules, input, &sink, /*metrics=*/nullptr,
+                                 /*log=*/nullptr, &stats);
   const auto end = std::chrono::steady_clock::now();
   if (!st.ok()) {
     std::fprintf(stderr, "clean run failed: %s\n", st.ToString().c_str());
@@ -131,8 +125,6 @@ Measurement Run(const clean::CleaningRules& rules, const TupleVector& input,
   Measurement m;
   m.seconds = std::chrono::duration<double>(end - start).count();
   m.fired = stats.fired;
-  m.out = sink.count();
-  m.checksum = sink.checksum();
   return m;
 }
 
@@ -190,7 +182,7 @@ int main(int argc, char** argv) {
   Json family_json = Json::MakeObject();
   for (const Family& family : families) {
     clean::CleaningRules rules = RulesFromText(schema, family.doc);
-    const Measurement m = Run(rules, input, 1);
+    const Measurement m = Run(rules, input);
     std::printf("%-16s %10.3f %10.2f %12llu\n", family.name, m.seconds,
                 Mtps(m), static_cast<unsigned long long>(m.fired));
     if (m.seconds <= 0.0 || m.fired == 0) {
@@ -207,8 +199,8 @@ int main(int argc, char** argv) {
   }
 
   // Stateless vs stateful: the same three detections, once with pure
-  // repairs (runs fully parallel) and once with windowed repairs (the
-  // sequential tail).
+  // repairs and once with windowed repairs, which keep a per-column
+  // value history.
   const char* pure_doc = R"({"name": "pure", "rules": [
       {"label": "bpm_range", "column": "BPM",
        "detect": {"type": "range", "min": 30, "max": 220},
@@ -230,8 +222,8 @@ int main(int argc, char** argv) {
   clean::CleaningRules pure = RulesFromText(schema, pure_doc);
   clean::CleaningRules stateful = RulesFromText(schema, stateful_doc);
 
-  const Measurement pure_run = Run(pure, input, 1);
-  const Measurement stateful_run = Run(stateful, input, 1);
+  const Measurement pure_run = Run(pure, input);
+  const Measurement stateful_run = Run(stateful, input);
   const double overhead =
       pure_run.seconds > 0.0 ? stateful_run.seconds / pure_run.seconds : 0.0;
   std::printf("\n%-16s %10.3f %10.2f\n", "pure x3", pure_run.seconds,
@@ -240,32 +232,6 @@ int main(int argc, char** argv) {
               "stateful x3", stateful_run.seconds, Mtps(stateful_run),
               overhead);
 
-  // Parallel scaling on the pure document — and the determinism
-  // contract: the checksum must not depend on the worker count.
-  std::printf("\n%-16s %10s %10s %9s\n", "pure document", "P", "seconds",
-              "speedup");
-  Json parallel_json = Json::MakeArray();
-  for (int p : {1, 2, 4}) {
-    const Measurement m = Run(pure, input, p);
-    const double speedup = m.seconds > 0.0 ? pure_run.seconds / m.seconds : 0;
-    std::printf("%-16s %10d %10.3f %8.2fx\n", "", p, m.seconds, speedup);
-    if (m.checksum != pure_run.checksum || m.out != pure_run.out) {
-      std::fprintf(stderr,
-                   "parallelism %d broke determinism: checksum %llx vs "
-                   "%llx, %llu vs %llu tuples\n",
-                   p, static_cast<unsigned long long>(m.checksum),
-                   static_cast<unsigned long long>(pure_run.checksum),
-                   static_cast<unsigned long long>(m.out),
-                   static_cast<unsigned long long>(pure_run.out));
-      return 1;
-    }
-    Json run = Json::MakeObject();
-    run.Set("parallelism", Json(static_cast<int64_t>(p)));
-    run.Set("seconds", Json(m.seconds));
-    run.Set("speedup", Json(speedup));
-    parallel_json.Append(std::move(run));
-  }
-
   Json report = Json::MakeObject();
   report.Set("bench", Json("clean"));
   report.Set("tuples", Json(static_cast<int64_t>(kTuples)));
@@ -273,7 +239,6 @@ int main(int argc, char** argv) {
   report.Set("pure_seconds", Json(pure_run.seconds));
   report.Set("stateful_seconds", Json(stateful_run.seconds));
   report.Set("stateful_overhead", Json(overhead));
-  report.Set("parallel", std::move(parallel_json));
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {

@@ -898,13 +898,6 @@ Diagnostics AnalyzePipeline(const Json& pipeline_json,
   return diags;
 }
 
-Diagnostics AnalyzeSuite(const Json& suite_json,
-                         const AnalyzeOptions& options) {
-  Diagnostics diags;
-  Analyzer(options, &diags).AnalyzeSuiteDoc(suite_json, "");
-  return diags;
-}
-
 Diagnostics AnalyzeArtifacts(const Json& pipeline_json, const Json* suite_json,
                              const AnalyzeOptions& options) {
   Diagnostics diags;

@@ -61,11 +61,6 @@ struct AnalyzeOptions {
 Diagnostics AnalyzePipeline(const Json& pipeline_json,
                             const AnalyzeOptions& options = {});
 
-/// \brief Analyzes an expectation-suite document
-/// {"name": ..., "expectations": [...]}.
-Diagnostics AnalyzeSuite(const Json& suite_json,
-                         const AnalyzeOptions& options = {});
-
 /// \brief Analyzes a pipeline together with an optional suite; with both
 /// present, additionally cross-checks detection coverage (IW502: an
 /// injected error class that no expectation can observe). Suite

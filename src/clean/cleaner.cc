@@ -4,9 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "stream/runtime.h"
-#include "stream/source.h"
-
 namespace icewafl {
 namespace clean {
 
@@ -60,11 +57,6 @@ size_t RepairLog::DistinctTupleCount() const {
   return std::unique(ids.begin(), ids.end()) - ids.begin();
 }
 
-void RepairLog::Merge(const RepairLog& other) {
-  entries_.insert(entries_.end(), other.entries_.begin(),
-                  other.entries_.end());
-}
-
 void RepairLog::SortByTuple() {
   std::stable_sort(entries_.begin(), entries_.end(),
                    [](const RepairLogEntry& a, const RepairLogEntry& b) {
@@ -79,29 +71,6 @@ Json RepairLog::ToJson() const {
   j.Set("entries", std::move(arr));
   j.Set("count", static_cast<int64_t>(entries_.size()));
   return j;
-}
-
-void CleanStats::Merge(const CleanStats& other) {
-  tuples_in += other.tuples_in;
-  tuples_out += other.tuples_out;
-  tuples_dropped += other.tuples_dropped;
-  fired += other.fired;
-  repaired += other.repaired;
-  if (rules.empty()) {
-    rules = other.rules;
-    return;
-  }
-  for (const RuleStats& r : other.rules) {
-    auto it = std::find_if(rules.begin(), rules.end(),
-                           [&](const RuleStats& m) { return m.label == r.label; });
-    if (it == rules.end()) {
-      rules.push_back(r);
-    } else {
-      it->fired += r.fired;
-      it->repaired += r.repaired;
-      it->dropped += r.dropped;
-    }
-  }
 }
 
 Json CleanStats::ToJson() const {
@@ -124,16 +93,9 @@ Json CleanStats::ToJson() const {
   return j;
 }
 
-CleanerOperator::CleanerOperator(const CleaningRules& rules, RulePhase phase,
-                                 RepairLog* log, CleanStats* finish_stats)
-    : rules_(rules.Clone()),
-      phase_(phase),
-      log_(log),
-      finish_stats_(finish_stats) {
+CleanerOperator::CleanerOperator(const CleaningRules& rules, RepairLog* log)
+    : rules_(rules.Clone()), log_(log) {
   // History slots: one per distinct column any stateful rule touches.
-  // Only phases that run stateful rules maintain history — the pure
-  // stateless phase must not, so the split runner's windowed pass sees
-  // exactly the history a single-operator run would.
   auto slot_for = [&](size_t column_index) {
     for (size_t s = 0; s < history_columns_.size(); ++s) {
       if (history_columns_[s] == column_index) return static_cast<int>(s);
@@ -147,8 +109,6 @@ CleanerOperator::CleanerOperator(const CleaningRules& rules, RulePhase phase,
       bool stateful = rule->stateful();
       if (pass == 0 && stateful) continue;
       if (pass == 1 && !stateful) continue;
-      if (phase_ == RulePhase::kStatelessOnly && stateful) continue;
-      if (phase_ == RulePhase::kStatefulOnly && !stateful) continue;
       BoundRule bound;
       bound.rule = rule.get();
       bound.history_slot =
@@ -164,13 +124,10 @@ CleanerOperator::CleanerOperator(const CleaningRules& rules, RulePhase phase,
 
 void CleanerOperator::BindMetrics(obs::MetricRegistry* registry) {
   if (registry == nullptr || tuples_seen_ != nullptr) return;
-  bool ok = true;
-  if (phase_ != RulePhase::kStatefulOnly) {
-    tuples_seen_ = registry->GetCounter(
-        "icewafl_cleaner_tuples_total", {{"rules", rules_.name}},
-        "Tuples examined by the cleaning engine");
-    ok = tuples_seen_ != nullptr;
-  }
+  tuples_seen_ = registry->GetCounter(
+      "icewafl_cleaner_tuples_total", {{"rules", rules_.name}},
+      "Tuples examined by the cleaning engine");
+  bool ok = tuples_seen_ != nullptr;
   for (BoundRule& bound : active_) {
     obs::Labels labels{{"rule", bound.rule->label()},
                        {"rules", rules_.name}};
@@ -310,7 +267,7 @@ bool CleanerOperator::Clean(Tuple* tuple, Partition* partition) {
     if (bound.repaired != nullptr) bound.repaired->Increment();
   }
   // The accepted tuple's final values extend the per-key history (only
-  // phases owning stateful rules track any).
+  // documents with stateful rules track any).
   for (size_t s = 0; s < history_columns_.size(); ++s) {
     double v = 0.0;
     if (WidenNumeric(tuple->value(history_columns_[s]), &v)) {
@@ -328,12 +285,6 @@ Status CleanerOperator::Process(Tuple tuple, Emitter* out) {
   if (!Clean(&tuple, partition)) return Status::OK();
   ++stats_.tuples_out;
   return out->Emit(std::move(tuple));
-}
-
-Status CleanerOperator::Finish(Emitter* out) {
-  (void)out;
-  if (finish_stats_ != nullptr) finish_stats_->Merge(stats_);
-  return Status::OK();
 }
 
 Status CleanerOperator::ProcessBatch(TupleVector* batch, Emitter* out) {
@@ -358,101 +309,17 @@ Status CleaningSink::WriteBatch(TupleVector* rows) {
   return status;
 }
 
-Status CleaningSink::Flush() {
-  ICEWAFL_RETURN_NOT_OK(op_.Finish(&emitter_));
-  return emitter_.sink()->Flush();
-}
+Status CleaningSink::Flush() { return emitter_.sink()->Flush(); }
 
-Status CleanTuples(const CleaningRules& rules, TupleVector input,
-                   int parallelism, Sink* sink,
+Status CleanTuples(const CleaningRules& rules, TupleVector input, Sink* sink,
                    obs::MetricRegistry* metrics, RepairLog* log,
                    CleanStats* stats) {
-  if (parallelism < 1) {
-    return Status::InvalidArgument("parallelism must be >= 1");
-  }
-  if (input.empty()) return sink->Flush();
-  // Deterministic ids: assigned in source order before any partitioning
-  // so the parallel stages can be merged back to input order.
-  TupleId next_id = 0;
-  for (Tuple& t : input) {
-    if (t.id() == kInvalidTupleId) {
-      t.set_id(next_id);
-      ICEWAFL_ASSIGN_OR_RETURN(Timestamp ts, t.GetTimestamp());
-      t.set_event_time(ts);
-      t.set_arrival_time(ts);
-    }
-    next_id = std::max<TupleId>(next_id, t.id() + 1);
-  }
-
-  const bool split =
-      parallelism > 1 && rules.HasStateless();
-  if (!split) {
-    CleaningSink cleaning(rules, sink, RulePhase::kAll, log);
-    cleaning.op().BindMetrics(metrics);
-    for (Tuple& t : input) ICEWAFL_RETURN_NOT_OK(cleaning.Write(std::move(t)));
-    if (log != nullptr) log->SortByTuple();
-    if (stats != nullptr) *stats = cleaning.op().stats();
-    return cleaning.Flush();
-  }
-
-  // Phase 1: pure stateless rules on the pipelined runtime. Workers own
-  // private operator clones; metric handles aggregate through the
-  // shared registry; logs stay per-worker and merge afterwards.
-  SchemaPtr schema = input.front().schema();
-  std::vector<RepairLog> worker_logs(parallelism);
-  std::vector<CleanStats> worker_stats(parallelism);
-  VectorSource source(schema, std::move(input));
-  VectorSink collected;
-  RuntimeOptions options;
-  options.parallelism = parallelism;
-  options.metrics = metrics;
-  PipelineRuntime runtime(options);
-  auto factory = [&](int worker_index) {
-    auto op = std::make_unique<CleanerOperator>(
-        rules, RulePhase::kStatelessOnly,
-        log != nullptr ? &worker_logs[worker_index] : nullptr,
-        &worker_stats[worker_index]);
-    op->BindMetrics(metrics);
-    OperatorChain chain;
-    chain.push_back(std::move(op));
-    return chain;
-  };
-  ICEWAFL_RETURN_NOT_OK(runtime.Run(&source, factory, &collected));
-
-  TupleVector staged = collected.TakeTuples();
-  std::stable_sort(staged.begin(), staged.end(),
-                   [](const Tuple& a, const Tuple& b) {
-                     return a.id() < b.id();
-                   });
-
-  RepairLog merged_log;
-  if (log != nullptr) {
-    for (RepairLog& wl : worker_logs) merged_log.Merge(wl);
-  }
-
-  // Phase 2: the stateful tail runs sequentially over the re-ordered
-  // stream, exactly as the single-operator reference would see it.
-  CleaningSink tail(rules, sink, RulePhase::kStatefulOnly,
-                    log != nullptr ? &merged_log : nullptr);
-  tail.op().BindMetrics(metrics);
-  for (Tuple& t : staged) ICEWAFL_RETURN_NOT_OK(tail.Write(std::move(t)));
-
-  if (log != nullptr) {
-    merged_log.SortByTuple();
-    log->Merge(merged_log);
-  }
-  if (stats != nullptr) {
-    CleanStats merged;
-    for (const CleanStats& ws : worker_stats) merged.Merge(ws);
-    // The tail re-counts the staged survivors; the run's totals are the
-    // stateless phase's intake and the tail's output.
-    uint64_t phase1_in = merged.tuples_in;
-    merged.Merge(tail.op().stats());
-    merged.tuples_in = phase1_in;
-    merged.tuples_out = tail.op().stats().tuples_out;
-    *stats = merged;
-  }
-  return tail.Flush();
+  CleaningSink cleaning(rules, sink, log);
+  cleaning.op().BindMetrics(metrics);
+  for (Tuple& t : input) ICEWAFL_RETURN_NOT_OK(cleaning.Write(std::move(t)));
+  if (log != nullptr) log->SortByTuple();
+  if (stats != nullptr) *stats = cleaning.op().stats();
+  return cleaning.Flush();
 }
 
 }  // namespace clean

@@ -18,14 +18,12 @@ namespace icewafl {
 namespace clean {
 
 /// \file
-/// The cleaning operator and its deterministic runner (DESIGN.md
-/// section 15). A CleanerOperator evaluates the document's rules in
-/// canonical order — pure stateless rules in document order, then
-/// stateful (windowed-detect or windowed-repair) rules in document
-/// order — applying each repair before the next rule sees the tuple.
-/// CleanTuples exploits that split: pure rules run on the pipelined
-/// runtime at any parallelism, the stateful tail runs sequentially, and
-/// the output is byte-identical at every parallelism level.
+/// The cleaning operator (DESIGN.md section 15). A CleanerOperator
+/// evaluates the document's rules in canonical order — pure stateless
+/// rules in document order, then stateful (windowed-detect or
+/// windowed-repair) rules in document order — applying each repair
+/// before the next rule sees the tuple. It runs sequentially, as a
+/// CleaningSink on whatever thread writes the stream.
 
 /// \brief One detection/repair event, the cleaner's mirror of
 /// PollutionLogEntry: which rule fired on which tuple and what was done.
@@ -45,8 +43,7 @@ struct RepairLogEntry {
 
 /// \brief Ordered record of every rule firing of one cleaning run —
 /// the detection side of the closed pollute → clean loop, consumed by
-/// the scenario scorer. Not thread-safe; parallel runners keep one log
-/// per worker and merge by tuple id.
+/// the scenario scorer. Not thread-safe.
 class RepairLog {
  public:
   void Record(RepairLogEntry entry) { entries_.push_back(std::move(entry)); }
@@ -58,12 +55,9 @@ class RepairLog {
   /// \brief Number of distinct tuples with at least one firing.
   size_t DistinctTupleCount() const;
 
-  /// \brief Appends all entries of `other`.
-  void Merge(const RepairLog& other);
-
   /// \brief Stable-sorts entries by tuple id (rule order within one
-  /// tuple is preserved), restoring canonical order after a parallel
-  /// run's per-worker logs are merged.
+  /// tuple is preserved), so a stream that arrives out of id order
+  /// still logs in id order.
   void SortByTuple();
 
   Json ToJson() const;
@@ -72,8 +66,7 @@ class RepairLog {
   std::vector<RepairLogEntry> entries_;
 };
 
-/// \brief Per-rule firing counters of one CleanerOperator (or one
-/// merged run).
+/// \brief Per-rule firing counters of one CleanerOperator.
 struct RuleStats {
   std::string label;
   uint64_t fired = 0;
@@ -90,42 +83,25 @@ struct CleanStats {
   uint64_t repaired = 0;
   std::vector<RuleStats> rules;
 
-  void Merge(const CleanStats& other);
   Json ToJson() const;
 };
 
-/// \brief Which rule subset an operator instance evaluates. The split
-/// runner gives workers the pure subset and the sequential tail the
-/// stateful subset; both together equal kAll on one thread.
-enum class RulePhase { kAll, kStatelessOnly, kStatefulOnly };
-
 /// \brief The stream repair operator. Owns a deep copy of the rules
-/// (bind-once accessors) plus the bounded per-key value histories; the
-/// runtime clones one instance per worker via the chain factory.
+/// (bind-once accessors) plus the bounded per-key value histories.
 class CleanerOperator : public Operator {
  public:
   /// \param rules bound cleaning document (deep-copied).
-  /// \param phase rule subset this instance evaluates.
   /// \param log optional repair log (borrowed, not thread-safe).
-  /// \param finish_stats optional slot the operator merges its counters
-  ///   into at Finish() — how the split runner collects per-worker
-  ///   stats after the chains are torn down (each worker gets its own
-  ///   slot; the runtime's join is the synchronization point).
   explicit CleanerOperator(const CleaningRules& rules,
-                           RulePhase phase = RulePhase::kAll,
-                           RepairLog* log = nullptr,
-                           CleanStats* finish_stats = nullptr);
+                           RepairLog* log = nullptr);
 
   /// \brief Registers the icewafl_cleaner_* series, labeled by the
   /// document name; follows the PolluterOperator contract (idempotent,
-  /// all-or-nothing on name/type conflicts). A kStatefulOnly instance
-  /// sees another phase's survivors, so it leaves
-  /// icewafl_cleaner_tuples_total to the phase that took them in.
+  /// all-or-nothing on name/type conflicts).
   void BindMetrics(obs::MetricRegistry* registry);
 
   Status Process(Tuple tuple, Emitter* out) override;
   Status ProcessBatch(TupleVector* batch, Emitter* out) override;
-  Status Finish(Emitter* out) override;
 
   const CleanStats& stats() const { return stats_; }
   const CleaningRules& rules() const { return rules_; }
@@ -146,17 +122,15 @@ class CleanerOperator : public Operator {
 
   Status Prepare(Tuple* tuple);
   Partition* PartitionFor(const Tuple& tuple);
-  /// \brief Runs the phase's rules over the tuple; false = dropped.
+  /// \brief Runs the rules over the tuple; false = dropped.
   bool Clean(Tuple* tuple, Partition* partition);
   void ApplyRepair(const BoundRule& bound, Tuple* tuple,
                    const ValueHistory* history);
 
   CleaningRules rules_;
-  RulePhase phase_;
   RepairLog* log_;
-  CleanStats* finish_stats_;
 
-  /// Rules of this phase, canonical order (pure first, then stateful).
+  /// The rules in canonical order (pure first, then stateful).
   std::vector<BoundRule> active_;
   /// Column index per history slot, in slot order.
   std::vector<size_t> history_columns_;
@@ -175,12 +149,12 @@ class CleanerOperator : public Operator {
 /// \brief Sink decorator running one sequential CleanerOperator over
 /// every tuple written and forwarding the survivors to `inner`: a
 /// written row's survivor row by row, a batch's survivors as one batch.
-/// Flush finishes the operator, then flushes `inner`.
+/// Flush flushes `inner`.
 class CleaningSink : public Sink {
  public:
   CleaningSink(const CleaningRules& rules, Sink* inner,
-               RulePhase phase = RulePhase::kAll, RepairLog* log = nullptr)
-      : op_(rules, phase, log), emitter_(inner) {}
+               RepairLog* log = nullptr)
+      : op_(rules, log), emitter_(inner) {}
 
   Status Write(const Tuple& tuple) override {
     return op_.Process(tuple, &emitter_);
@@ -210,21 +184,12 @@ class CleaningSink : public Sink {
   TupleVector survivors_;
 };
 
-/// \brief Deterministic cleaning runner: applies `rules` to `input`
-/// and writes surviving tuples to `sink` in input order.
-///
-/// Pure stateless rules run on the pipelined runtime at `parallelism`
-/// (round-robin partitioning, per-worker operator clones); the workers'
-/// interleaved output is stable-sorted back to input order by tuple id
-/// before the stateful rules run sequentially. Output is therefore
-/// byte-identical across parallelism levels and to the single-operator
-/// kAll reference. Tuples without ids are assigned sequential ids
-/// (source order) before partitioning.
-///
-/// `metrics` and `log` may be null; per-worker logs are merged and
-/// sorted by tuple id. InvalidArgument when `parallelism` < 1.
-Status CleanTuples(const CleaningRules& rules, TupleVector input,
-                   int parallelism, Sink* sink,
+/// \brief Offline cleaning runner: writes `input` through one
+/// CleaningSink over `sink`, so the survivors reach `sink` in input
+/// order, then sorts `log` by tuple id. Tuples without ids get
+/// sequential ids (source order). `metrics`, `log` and `stats` may be
+/// null.
+Status CleanTuples(const CleaningRules& rules, TupleVector input, Sink* sink,
                    obs::MetricRegistry* metrics = nullptr,
                    RepairLog* log = nullptr, CleanStats* stats = nullptr);
 

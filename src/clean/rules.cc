@@ -180,8 +180,7 @@ Json CleanRule::ToJson() const {
 namespace {
 
 /// Copies accessors, guards, and other bind-produced state onto a
-/// clone, so cloning a bound rule yields a bound rule (the worker-clone
-/// path of the parallel runner).
+/// clone, so cloning a bound rule yields a bound rule.
 template <typename T>
 std::unique_ptr<CleanRule> FinishClone(std::unique_ptr<T> clone,
                                        const CleanRule& original) {
@@ -354,20 +353,6 @@ Json CleaningRules::ToJson() const {
   for (const auto& r : rules) arr.Append(r->ToJson());
   j.Set("rules", std::move(arr));
   return j;
-}
-
-bool CleaningRules::HasStateless() const {
-  for (const auto& r : rules) {
-    if (!r->stateful()) return true;
-  }
-  return false;
-}
-
-bool CleaningRules::HasStateful() const {
-  for (const auto& r : rules) {
-    if (r->stateful()) return true;
-  }
-  return false;
 }
 
 }  // namespace clean

@@ -48,7 +48,7 @@ const char* RepairActionName(RepairAction action);
 Result<RepairAction> RepairActionFromName(const std::string& name);
 
 /// \brief True if the action consults the value history (and therefore
-/// forces its rule into the sequential stateful phase).
+/// makes its rule stateful).
 bool RepairNeedsHistory(RepairAction action);
 
 /// \brief Comparison vocabulary shared by guards and cross-field rules.
@@ -117,8 +117,9 @@ class CleanRule {
   /// \brief True if detection itself consults the value history.
   virtual bool windowed() const { return false; }
 
-  /// \brief True if the rule must run in the sequential stateful phase
-  /// (windowed detection or history-consuming repair).
+  /// \brief True if the rule reads the value history (windowed
+  /// detection or history-consuming repair); the cleaner evaluates
+  /// stateful rules after every pure one.
   bool stateful() const { return windowed() || RepairNeedsHistory(repair_); }
 
   /// \brief True if the detect reads any column type (not_null, regex,
@@ -375,15 +376,12 @@ struct CleaningRules {
   CleaningRules(CleaningRules&&) = default;
   CleaningRules& operator=(CleaningRules&&) = default;
 
-  /// \brief Deep copy (each worker clone of the CleanerOperator owns
-  /// its own rule instances).
+  /// \brief Deep copy (each CleanerOperator owns its own rule
+  /// instances).
   CleaningRules Clone() const;
 
   /// \brief Canonical JSON form; round-trips through RulesFromJson.
   Json ToJson() const;
-
-  bool HasStateless() const;
-  bool HasStateful() const;
 };
 
 }  // namespace clean

@@ -106,14 +106,6 @@ void PollutionPipeline::ResetStats() {
   for (const PolluterPtr& p : polluters_) p->ResetStats();
 }
 
-std::map<std::string, uint64_t> PollutionPipeline::AppliedCounts() const {
-  std::map<std::string, uint64_t> counts;
-  for (const PolluterPtr& p : polluters_) {
-    counts[p->label()] += p->applied_count();
-  }
-  return counts;
-}
-
 uint64_t PollutionPipeline::TotalAppliedCount() const {
   uint64_t total = 0;
   for (const PolluterPtr& p : polluters_) total += p->applied_count();

@@ -1,7 +1,6 @@
 #ifndef ICEWAFL_CORE_PIPELINE_H_
 #define ICEWAFL_CORE_PIPELINE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -58,10 +57,6 @@ class PollutionPipeline {
 
   /// \brief Clears the applied counters of all polluters.
   void ResetStats();
-
-  /// \brief Applied counts per polluter label (top-level polluters only;
-  /// for nested counts use the pollution log).
-  std::map<std::string, uint64_t> AppliedCounts() const;
 
   /// \brief Sum of the top-level polluters' applied counts; cheap enough
   /// to sample per tuple, which is how the operator adapters count

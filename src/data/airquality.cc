@@ -149,22 +149,6 @@ Result<TupleVector> GenerateAirQuality(const AirQualityOptions& options) {
   return tuples;
 }
 
-std::vector<std::string> PaperRegions() {
-  return {"Gucheng", "Wanshouxigong", "Wanliu"};
-}
-
-Result<std::vector<TupleVector>> GenerateAllRegions(
-    const AirQualityOptions& base) {
-  std::vector<TupleVector> streams;
-  for (const std::string& region : PaperRegions()) {
-    AirQualityOptions options = base;
-    options.station = region;
-    ICEWAFL_ASSIGN_OR_RETURN(TupleVector stream, GenerateAirQuality(options));
-    streams.push_back(std::move(stream));
-  }
-  return streams;
-}
-
 Result<std::vector<double>> ColumnAsDoubles(const TupleVector& tuples,
                                             const std::string& column) {
   std::vector<double> out;

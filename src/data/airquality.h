@@ -50,14 +50,6 @@ SchemaPtr AirQualitySchema();
 /// \brief Generates one station's stream.
 Result<TupleVector> GenerateAirQuality(const AirQualityOptions& options = {});
 
-/// \brief The three regions of the paper's Experiment 2.
-std::vector<std::string> PaperRegions();
-
-/// \brief Generates the streams of all three paper regions with shared
-/// non-station options; returned in PaperRegions() order.
-Result<std::vector<TupleVector>> GenerateAllRegions(
-    const AirQualityOptions& base = {});
-
 /// \brief Extracts an attribute as a double series (NULLs forbidden —
 /// impute first).
 Result<std::vector<double>> ColumnAsDoubles(const TupleVector& tuples,

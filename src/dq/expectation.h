@@ -40,13 +40,6 @@ struct ExpectationResult {
   /// Observed aggregate (mean/stdev expectations); NaN otherwise.
   double observed = std::nan("");
 
-  /// \brief Fraction of evaluated elements that were unexpected.
-  double UnexpectedFraction() const {
-    return evaluated == 0
-               ? 0.0
-               : static_cast<double>(unexpected) / static_cast<double>(evaluated);
-  }
-
   /// \brief Failures per hour-of-day (24 buckets; Figure 4's measured
   /// series).
   std::vector<uint64_t> FailureHourHistogram() const;

@@ -33,11 +33,6 @@ struct ColumnProfile {
   /// The distinct values themselves while under the cap (categorical
   /// domains).
   std::vector<std::string> distinct_values;
-
-  double NullFraction() const {
-    return total == 0 ? 0.0
-                      : static_cast<double>(nulls) / static_cast<double>(total);
-  }
 };
 
 /// \brief Options for profiling and suite suggestion.

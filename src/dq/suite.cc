@@ -1,7 +1,5 @@
 #include "dq/suite.h"
 
-#include <set>
-
 #include "util/strings.h"
 
 namespace icewafl {
@@ -18,14 +16,6 @@ uint64_t SuiteResult::TotalUnexpected() const {
   uint64_t total = 0;
   for (const ExpectationResult& r : results) total += r.unexpected;
   return total;
-}
-
-uint64_t SuiteResult::DistinctFlaggedTuples() const {
-  std::set<TupleId> flagged;
-  for (const ExpectationResult& r : results) {
-    for (const FailedRecord& f : r.failures) flagged.insert(f.id);
-  }
-  return flagged.size();
 }
 
 std::vector<uint64_t> SuiteResult::FailureHourHistogram() const {

@@ -20,9 +20,6 @@ struct SuiteResult {
   /// \brief Total unexpected element count across expectations.
   uint64_t TotalUnexpected() const;
 
-  /// \brief Distinct tuples flagged by at least one expectation.
-  uint64_t DistinctFlaggedTuples() const;
-
   /// \brief Per-hour histogram of all failures across expectations.
   std::vector<uint64_t> FailureHourHistogram() const;
 

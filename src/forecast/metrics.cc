@@ -32,27 +32,5 @@ Result<double> MeanAbsoluteError(const std::vector<double>& actual,
   return sum / static_cast<double>(actual.size());
 }
 
-Result<double> RootMeanSquaredError(const std::vector<double>& actual,
-                                    const std::vector<double>& predicted) {
-  ICEWAFL_RETURN_NOT_OK(CheckSizes(actual, predicted));
-  double sum = 0.0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    const double d = actual[i] - predicted[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum / static_cast<double>(actual.size()));
-}
-
-Result<double> SymmetricMape(const std::vector<double>& actual,
-                             const std::vector<double>& predicted) {
-  ICEWAFL_RETURN_NOT_OK(CheckSizes(actual, predicted));
-  double sum = 0.0;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    const double denom = (std::abs(actual[i]) + std::abs(predicted[i])) / 2.0;
-    if (denom > 0.0) sum += std::abs(actual[i] - predicted[i]) / denom;
-  }
-  return 100.0 * sum / static_cast<double>(actual.size());
-}
-
 }  // namespace forecast
 }  // namespace icewafl

@@ -12,15 +12,6 @@ namespace forecast {
 Result<double> MeanAbsoluteError(const std::vector<double>& actual,
                                  const std::vector<double>& predicted);
 
-/// \brief Root mean squared error.
-Result<double> RootMeanSquaredError(const std::vector<double>& actual,
-                                    const std::vector<double>& predicted);
-
-/// \brief Symmetric mean absolute percentage error in [0, 200] (%).
-/// Pairs where both values are 0 contribute 0.
-Result<double> SymmetricMape(const std::vector<double>& actual,
-                             const std::vector<double>& predicted);
-
 }  // namespace forecast
 }  // namespace icewafl
 

@@ -277,9 +277,9 @@ Result<ClosedLoopReport> RunClosedLoop(const std::string& scenario,
       clean::RulesFromJson(cleaner.rules, resolved.schema));
   VectorSink cleaned_sink;
   clean::RepairLog repair_log;
-  ICEWAFL_RETURN_NOT_OK(clean::CleanTuples(
-      rules, polluted.polluted, options.parallelism, &cleaned_sink, metrics,
-      &repair_log, &report.clean_stats));
+  ICEWAFL_RETURN_NOT_OK(clean::CleanTuples(rules, polluted.polluted,
+                                           &cleaned_sink, metrics, &repair_log,
+                                           &report.clean_stats));
   TupleVector cleaned = cleaned_sink.TakeTuples();
   report.cleaned_rows = cleaned.size();
   report.detections = repair_log.size();

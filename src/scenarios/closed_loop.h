@@ -63,14 +63,15 @@ struct FamilyScore {
   Json ToJson() const;
 };
 
+/// \brief How one closed loop runs. The stock cleaner always runs as
+/// one sequential clean::CleanerOperator (clean::CleanTuples), so no
+/// option sets cleaning parallelism.
 struct ClosedLoopOptions {
   /// Dataset seed for ResolveScenario (0 keeps the dataset default —
   /// the stock scenario the acceptance thresholds are stated against).
   uint64_t dataset_seed = 0;
   /// Pollution seed (condition randomness).
   uint64_t seed = 42;
-  /// Cleaning parallelism (output is byte-identical at every level).
-  int parallelism = 1;
   /// Tumbling re-validation window (seconds of event time).
   int64_t window_seconds = 6 * 3600;
   int64_t allowed_lateness_seconds = 0;

@@ -343,7 +343,7 @@ class PlanSegmentSource : public Source {
 
 /// The one plan-segment runner behind both ServePlanToSink and
 /// RunPlanSegmentOffline: pollutes `source` with `plan` into `sink`,
-/// through a fresh sequential kAll cleaner when the plan has one.
+/// through a fresh sequential cleaner when the plan has one.
 /// Compiling the cleaner per call keeps its history from crossing a
 /// segment boundary, and the batch size is a function of the plan alone
 /// (SegmentBatchSize), so a served segment equals its offline replay by

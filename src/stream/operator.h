@@ -36,9 +36,9 @@ class VectorEmitter : public Emitter {
 ///
 /// The pipelines run two kinds: the polluter (PolluterOperator), which
 /// emits every input tuple, possibly altered, and the cleaner
-/// (clean::CleanerOperator), which repairs tuples, may drop them, and
-/// publishes its statistics in Finish(). An operator may emit any number
-/// of tuples per input and may hold some back until Finish().
+/// (clean::CleanerOperator), which repairs tuples and may drop them. An
+/// operator may emit any number of tuples per input and may hold some
+/// back until Finish().
 class Operator {
  public:
   virtual ~Operator() = default;

@@ -331,7 +331,8 @@ TEST(AnalyzerTest, IW503EmptyExpectationRange) {
   Json suite = P(R"({"name": "s", "expectations": [
       {"type": "expect_column_values_to_be_between", "column": "Temp",
        "min": 10, "max": 5}]})");
-  Diagnostics diags = AnalyzeSuite(suite, SchemaOptions());
+  Diagnostics diags =
+      AnalyzeArtifacts(P(Pipeline("")), &suite, SchemaOptions());
   EXPECT_TRUE(diags.HasCode("IW503")) << diags.ToReport();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../core/golden_digest.h"
 #include "clean/config.h"
 #include "io/csv.h"
 #include "util/rng.h"
@@ -36,12 +37,12 @@ CleaningRules LoadRules(const std::string& text, const SchemaPtr& schema) {
 }
 
 Result<TupleVector> RunClean(const CleaningRules& rules, TupleVector input,
-                             int parallelism = 1, RepairLog* log = nullptr,
+                             RepairLog* log = nullptr,
                              CleanStats* stats = nullptr,
                              obs::MetricRegistry* metrics = nullptr) {
   VectorSink sink;
-  ICEWAFL_RETURN_NOT_OK(CleanTuples(rules, std::move(input), parallelism,
-                                    &sink, metrics, log, stats));
+  ICEWAFL_RETURN_NOT_OK(
+      CleanTuples(rules, std::move(input), &sink, metrics, log, stats));
   return sink.TakeTuples();
 }
 
@@ -59,7 +60,7 @@ TEST(CleanerOperatorTest, DropRemovesViolatingTuples) {
 
   CleanStats stats;
   RepairLog log;
-  Result<TupleVector> out = RunClean(rules, std::move(input), 1, &log, &stats);
+  Result<TupleVector> out = RunClean(rules, std::move(input), &log, &stats);
   ASSERT_TRUE(out.ok()) << out.status().message();
   ASSERT_EQ(out.ValueOrDie().size(), 2u);
   EXPECT_EQ(out.ValueOrDie()[0].id(), 0u);
@@ -152,28 +153,34 @@ TEST(CleanerOperatorTest, RepairedValueEntersHistoryNotThePollutedOne) {
 TEST(CleanerOperatorTest, EarlierRuleRepairsBeforeLaterRuleSees) {
   SchemaPtr schema = WearableLikeSchema();
   // Canonical order: clamp (stateless) runs before the stateful
-  // rate_of_change rule, so the clamped value is what rate-of-change
-  // compares — it must not fire on the already-repaired 250.
-  CleaningRules rules = LoadRules(
-      R"({"rules": [
-        {"label": "clamp_bpm", "column": "BPM",
-         "detect": {"type": "range", "min": 20, "max": 250},
-         "repair": "clamp"},
-        {"label": "jump", "column": "BPM",
-         "detect": {"type": "rate_of_change", "max_change": 300},
-         "repair": "last_good"}]})",
-      schema);
-  TupleVector input;
-  input.push_back(Row(schema, 0, Value(70.0), 0, Value(0.0)));
-  input.push_back(Row(schema, 1, Value(9000.0), 0, Value(0.0)));
-  CleanStats stats;
-  Result<TupleVector> out =
-      RunClean(rules, std::move(input), 1, nullptr, &stats);
-  ASSERT_TRUE(out.ok());
-  EXPECT_DOUBLE_EQ(out.ValueOrDie()[1].value(1).ToDouble().ValueOrDie(), 250.0);
-  ASSERT_EQ(stats.rules.size(), 2u);
-  EXPECT_EQ(stats.rules[0].fired, 1u);
-  EXPECT_EQ(stats.rules[1].fired, 0u);
+  // rate_of_change rule whatever their document order, so the clamped
+  // value is what rate-of-change compares — it must not fire on the
+  // already-repaired 250.
+  const std::string clamp = R"({"label": "clamp_bpm", "column": "BPM",
+      "detect": {"type": "range", "min": 20, "max": 250},
+      "repair": "clamp"})";
+  const std::string jump = R"({"label": "jump", "column": "BPM",
+      "detect": {"type": "rate_of_change", "max_change": 300},
+      "repair": "last_good"})";
+  for (const std::string& order :
+       {clamp + "," + jump, jump + "," + clamp}) {
+    SCOPED_TRACE(order);
+    CleaningRules rules =
+        LoadRules(R"({"rules": [)" + order + "]}", schema);
+    TupleVector input;
+    input.push_back(Row(schema, 0, Value(70.0), 0, Value(0.0)));
+    input.push_back(Row(schema, 1, Value(9000.0), 0, Value(0.0)));
+    CleanStats stats;
+    Result<TupleVector> out =
+        RunClean(rules, std::move(input), nullptr, &stats);
+    ASSERT_TRUE(out.ok());
+    EXPECT_DOUBLE_EQ(out.ValueOrDie()[1].value(1).ToDouble().ValueOrDie(),
+                     250.0);
+    ASSERT_EQ(stats.rules.size(), 2u);
+    EXPECT_EQ(stats.rules[0].label, "clamp_bpm");
+    EXPECT_EQ(stats.rules[0].fired, 1u);
+    EXPECT_EQ(stats.rules[1].fired, 0u);
+  }
 }
 
 TEST(CleanerOperatorTest, KeyPartitionsKeepSeparateHistories) {
@@ -227,7 +234,7 @@ TEST(CleanerOperatorTest, PerRuleCountersPublishedThroughRegistry) {
   input.push_back(Row(schema, 1, Value(70.0), 0, Value(999.0)));
   obs::MetricRegistry registry;
   Result<TupleVector> out =
-      RunClean(rules, std::move(input), 1, nullptr, nullptr, &registry);
+      RunClean(rules, std::move(input), nullptr, nullptr, &registry);
   ASSERT_TRUE(out.ok());
   const std::string text = registry.ToPrometheusText();
   EXPECT_NE(text.find("icewafl_cleaner_tuples_total"), std::string::npos);
@@ -238,12 +245,63 @@ TEST(CleanerOperatorTest, PerRuleCountersPublishedThroughRegistry) {
   EXPECT_NE(text.find("rule=\"bpm\""), std::string::npos) << text;
   EXPECT_NE(text.find("rule=\"toss\""), std::string::npos) << text;
   EXPECT_NE(text.find("rules=\"unit\""), std::string::npos) << text;
+  // Each input tuple is counted once, and each rule's series reads its
+  // own firings.
+  auto counter = [&](const char* name, obs::Labels labels) {
+    obs::Counter* c = registry.GetCounter(name, std::move(labels));
+    return c == nullptr ? uint64_t{0} : c->value();
+  };
+  EXPECT_EQ(counter("icewafl_cleaner_tuples_total", {{"rules", "unit"}}), 2u);
+  std::vector<uint64_t> series;
+  for (const char* rule : {"bpm", "toss"}) {
+    const obs::Labels labels{{"rule", rule}, {"rules", "unit"}};
+    for (const char* name :
+         {"icewafl_cleaner_fired_total", "icewafl_cleaner_repaired_total",
+          "icewafl_cleaner_dropped_total"}) {
+      series.push_back(counter(name, labels));
+    }
+  }
+  EXPECT_EQ(series, (std::vector<uint64_t>{1, 1, 0, 1, 0, 1}));
 }
 
-// The determinism contract: byte-identical output at every parallelism,
-// including documents mixing pure and stateful rules (the split runner)
-// and pure-only documents (fully parallel path).
-TEST(CleanTuplesTest, ByteIdenticalAcrossParallelism) {
+uint64_t CsvDigest(const SchemaPtr& schema, const TupleVector& tuples) {
+  golden::Digest d;
+  d.Str(ToCsvString(schema, tuples));
+  return d.value();
+}
+
+uint64_t LogDigest(const RepairLog& log) {
+  golden::Digest d;
+  d.U64(log.size());
+  for (const RepairLogEntry& e : log.entries()) {
+    d.U64(e.tuple_id);
+    d.Str(e.rule);
+    d.Str(e.column);
+    d.Str(e.action);
+  }
+  return d.value();
+}
+
+uint64_t StatsDigest(const CleanStats& stats) {
+  golden::Digest d;
+  for (uint64_t v : {stats.tuples_in, stats.tuples_out, stats.tuples_dropped,
+                     stats.fired, stats.repaired}) {
+    d.U64(v);
+  }
+  d.U64(stats.rules.size());
+  for (const RuleStats& r : stats.rules) {
+    d.Str(r.label);
+    d.U64(r.fired);
+    d.U64(r.repaired);
+    d.U64(r.dropped);
+  }
+  return d.value();
+}
+
+// A document mixing pure and stateful rules over a stream with
+// pollution sprinkled in: the digests pin every byte of the cleaned
+// CSV, the repair log and the counters.
+TEST(CleanTuplesTest, MixedDocumentOutputPinned) {
   SchemaPtr schema = WearableLikeSchema();
   CleaningRules rules = LoadRules(
       R"({"history": 8, "rules": [
@@ -260,7 +318,6 @@ TEST(CleanTuplesTest, ByteIdenticalAcrossParallelism) {
          "repair": "window_median"}]})",
       schema);
 
-  // A deterministic pseudo-random stream with pollution sprinkled in.
   Rng rng(7);
   TupleVector input;
   for (int64_t i = 0; i < 500; ++i) {
@@ -274,60 +331,22 @@ TEST(CleanTuplesTest, ByteIdenticalAcrossParallelism) {
                         std::move(distance)));
   }
 
-  RepairLog log1;
-  CleanStats stats1;
-  Result<TupleVector> p1 = RunClean(rules, input, 1, &log1, &stats1);
-  ASSERT_TRUE(p1.ok()) << p1.status().message();
-  const std::string golden = ToCsvString(schema, p1.ValueOrDie());
-  ASSERT_GT(stats1.fired, 0u);
-  ASSERT_GT(stats1.tuples_dropped, 0u);
-
-  for (int parallelism : {2, 4}) {
-    RepairLog log;
-    CleanStats stats;
-    Result<TupleVector> pn = RunClean(rules, input, parallelism, &log, &stats);
-    ASSERT_TRUE(pn.ok()) << pn.status().message();
-    EXPECT_EQ(ToCsvString(schema, pn.ValueOrDie()), golden)
-        << "parallelism " << parallelism;
-    EXPECT_EQ(stats.fired, stats1.fired) << "parallelism " << parallelism;
-    EXPECT_EQ(stats.tuples_dropped, stats1.tuples_dropped);
-    // Merged per-worker logs equal the sequential log after the sort.
-    ASSERT_EQ(log.size(), log1.size());
-    EXPECT_EQ(log.entries(), log1.entries());
-  }
+  RepairLog log;
+  CleanStats stats;
+  Result<TupleVector> out = RunClean(rules, std::move(input), &log, &stats);
+  ASSERT_TRUE(out.ok()) << out.status().message();
+  EXPECT_EQ(stats.tuples_in, 500u);
+  EXPECT_EQ(stats.tuples_dropped, 17u);
+  EXPECT_EQ(log.size(), 87u);
+  EXPECT_EQ(CsvDigest(schema, out.ValueOrDie()), 0x2101d942268201d4ULL);
+  EXPECT_EQ(LogDigest(log), 0xdb9ec6668330f212ULL);
+  EXPECT_EQ(StatsDigest(stats), 0x598e58793ee45196ULL);
 }
 
-TEST(CleanTuplesTest, PureOnlyDocumentRunsParallel) {
-  SchemaPtr schema = WearableLikeSchema();
-  CleaningRules rules = LoadRules(
-      R"({"rules": [
-        {"label": "clamp_bpm", "column": "BPM",
-         "detect": {"type": "range", "min": 20, "max": 250},
-         "repair": "clamp"},
-        {"label": "drop_dist", "column": "Distance",
-         "detect": {"type": "range", "min": 0, "max": 50},
-         "repair": "drop"}]})",
-      schema);
-  ASSERT_TRUE(rules.HasStateless());
-  ASSERT_FALSE(rules.HasStateful());
-
-  TupleVector input;
-  for (int64_t i = 0; i < 200; ++i) {
-    input.push_back(Row(schema, i, Value(i % 5 == 0 ? 500.0 : 70.0), 0,
-                        Value(i % 7 == 0 ? 90.0 : 1.0)));
-  }
-  Result<TupleVector> p1 = RunClean(rules, input, 1);
-  Result<TupleVector> p4 = RunClean(rules, input, 4);
-  ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(p4.ok());
-  EXPECT_EQ(ToCsvString(schema, p1.ValueOrDie()),
-            ToCsvString(schema, p4.ValueOrDie()));
-}
-
-// The split runner's stateless workers and stateful tail both publish
-// into one registry; each input tuple is still counted once, and every
-// rule's series reads the same at any parallelism.
-TEST(CleanTuplesTest, CountersIdenticalAcrossParallelism) {
+// A pure rule and a stateful rule publish into one registry; each input
+// tuple is counted once. "toss" drops every tenth tuple (100); "jump"
+// repairs every thirteenth tuple that survives the toss (77 - 8 = 69).
+TEST(CleanTuplesTest, MixedDocumentCountersPinned) {
   SchemaPtr schema = WearableLikeSchema();
   CleaningRules rules = LoadRules(
       R"({"name": "count", "rules": [
@@ -338,76 +357,48 @@ TEST(CleanTuplesTest, CountersIdenticalAcrossParallelism) {
          "detect": {"type": "rate_of_change", "max_change": 30},
          "repair": "last_good"}]})",
       schema);
-  ASSERT_TRUE(rules.HasStateless());
-  ASSERT_TRUE(rules.HasStateful());
   TupleVector input;
   for (int64_t i = 0; i < 1000; ++i) {
     input.push_back(Row(schema, i, Value(i % 13 == 0 ? 200.0 : 70.0), 0,
                         Value(i % 10 == 0 ? 90.0 : 1.0)));
   }
-  // {tuples, then fired/repaired/dropped of "toss" and of "jump"}.
-  auto run = [&](int parallelism) {
-    obs::MetricRegistry registry;
-    EXPECT_TRUE(
-        RunClean(rules, input, parallelism, nullptr, nullptr, &registry).ok());
-    auto counter = [&](const char* name, obs::Labels labels) {
-      obs::Counter* c = registry.GetCounter(name, std::move(labels));
-      return c == nullptr ? uint64_t{0} : c->value();
-    };
-    std::vector<uint64_t> series{
-        counter("icewafl_cleaner_tuples_total", {{"rules", "count"}})};
-    for (const char* rule : {"toss", "jump"}) {
-      const obs::Labels labels{{"rule", rule}, {"rules", "count"}};
-      for (const char* name :
-           {"icewafl_cleaner_fired_total", "icewafl_cleaner_repaired_total",
-            "icewafl_cleaner_dropped_total"}) {
-        series.push_back(counter(name, labels));
-      }
-    }
-    return series;
+  obs::MetricRegistry registry;
+  ASSERT_TRUE(
+      RunClean(rules, std::move(input), nullptr, nullptr, &registry).ok());
+  auto counter = [&](const char* name, obs::Labels labels) {
+    obs::Counter* c = registry.GetCounter(name, std::move(labels));
+    return c == nullptr ? uint64_t{0} : c->value();
   };
-  const std::vector<uint64_t> sequential = run(1);
-  EXPECT_EQ(sequential[0], 1000u);
-  EXPECT_GT(sequential[3], 0u);  // "toss" dropped
-  EXPECT_GT(sequential[5], 0u);  // "jump" repaired
-  for (int parallelism : {2, 4}) {
-    const std::vector<uint64_t> parallel = run(parallelism);
-    EXPECT_EQ(parallel[0], 1000u) << "parallelism " << parallelism;
-    EXPECT_EQ(parallel, sequential) << "parallelism " << parallelism;
+  // {tuples, then fired/repaired/dropped of "toss" and of "jump"}.
+  std::vector<uint64_t> series{
+      counter("icewafl_cleaner_tuples_total", {{"rules", "count"}})};
+  for (const char* rule : {"toss", "jump"}) {
+    const obs::Labels labels{{"rule", rule}, {"rules", "count"}};
+    for (const char* name :
+         {"icewafl_cleaner_fired_total", "icewafl_cleaner_repaired_total",
+          "icewafl_cleaner_dropped_total"}) {
+      series.push_back(counter(name, labels));
+    }
   }
+  EXPECT_EQ(series, (std::vector<uint64_t>{1000, 100, 0, 100, 69, 69, 0}));
 }
 
-TEST(CleanTuplesTest, RejectsZeroParallelism) {
-  SchemaPtr schema = WearableLikeSchema();
-  CleaningRules rules = LoadRules(
-      R"({"rules": [{"label": "bpm", "column": "BPM",
-          "detect": {"type": "range", "min": 20, "max": 250},
-          "repair": "drop"}]})",
-      schema);
-  TupleVector input;
-  input.push_back(Row(schema, 0, Value(70.0), 0, Value(0.0)));
-  EXPECT_EQ(RunClean(rules, std::move(input), 0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(RepairLogTest, MergeSortAndDistinctCount) {
-  RepairLog a;
-  a.Record({3, "r", "BPM", "set_null"});
-  a.Record({1, "r", "BPM", "set_null"});
-  RepairLog b;
-  b.Record({2, "s", "BPM", "drop"});
-  b.Record({1, "s", "BPM", "drop"});
-  a.Merge(b);
-  a.SortByTuple();
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.entries()[0].tuple_id, 1u);
-  EXPECT_EQ(a.entries()[1].tuple_id, 1u);
-  // Stable: within tuple 1, log-a's entry precedes log-b's.
-  EXPECT_EQ(a.entries()[0].rule, "r");
-  EXPECT_EQ(a.entries()[1].rule, "s");
-  EXPECT_EQ(a.entries()[3].tuple_id, 3u);
-  EXPECT_EQ(a.DistinctTupleCount(), 3u);
-  const Json json = a.ToJson();
+TEST(RepairLogTest, SortAndDistinctCount) {
+  RepairLog log;
+  log.Record({3, "r", "BPM", "set_null"});
+  log.Record({1, "r", "BPM", "set_null"});
+  log.Record({2, "s", "BPM", "drop"});
+  log.Record({1, "s", "BPM", "drop"});
+  log.SortByTuple();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.entries()[0].tuple_id, 1u);
+  EXPECT_EQ(log.entries()[1].tuple_id, 1u);
+  // Stable: within tuple 1, the earlier record stays first.
+  EXPECT_EQ(log.entries()[0].rule, "r");
+  EXPECT_EQ(log.entries()[1].rule, "s");
+  EXPECT_EQ(log.entries()[3].tuple_id, 3u);
+  EXPECT_EQ(log.DistinctTupleCount(), 3u);
+  const Json json = log.ToJson();
   EXPECT_EQ(json.GetInt("count", 0), 4);
   EXPECT_EQ(json.Get("entries").ValueOrDie().size(), 4u);
 }

@@ -281,8 +281,8 @@ TEST(CleaningRulesTest, ToJsonRoundTripsShape) {
   EXPECT_EQ(json.GetInt("history", 0), 8);
   ASSERT_TRUE(json.Has("rules"));
   EXPECT_EQ(json.Get("rules").ValueOrDie().size(), 2u);
-  EXPECT_TRUE(rules.HasStateless());
-  EXPECT_TRUE(rules.HasStateful());
+  EXPECT_FALSE(rules.rules[0]->stateful());  // clamp: pure
+  EXPECT_TRUE(rules.rules[1]->stateful());   // last_good reads history
 
   CleaningRules copy = rules.Clone();
   EXPECT_EQ(copy.rules.size(), 2u);

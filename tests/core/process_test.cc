@@ -69,10 +69,14 @@ TEST(PipelineTest, AppliedCountsPerLabel) {
     ctx.tau = t.event_time();
     ASSERT_TRUE(pipeline.Apply(&t, &ctx, nullptr).ok());
   }
-  auto counts = pipeline.AppliedCounts();
-  EXPECT_EQ(counts["nuller"], 7u);
+  ASSERT_EQ(pipeline.polluters().size(), 1u);
+  const Polluter& nuller = *pipeline.polluters()[0];
+  EXPECT_EQ(nuller.label(), "nuller");
+  EXPECT_EQ(nuller.applied_count(), 7u);
+  EXPECT_EQ(pipeline.TotalAppliedCount(), 7u);
   pipeline.ResetStats();
-  EXPECT_EQ(pipeline.AppliedCounts()["nuller"], 0u);
+  EXPECT_EQ(nuller.applied_count(), 0u);
+  EXPECT_EQ(pipeline.TotalAppliedCount(), 0u);
 }
 
 TEST(ProcessTest, PreparesIdsAndEventTimes) {

@@ -101,6 +101,10 @@ TEST(AirQualityTest, StationsDiffer) {
   const auto nb = ColumnAsDoubles(sb, "NO2").ValueOrDie();
   EXPECT_NE(na, nb);
   EXPECT_EQ(sa.front().Get("station").ValueOrDie().AsString(), "Gucheng");
+  // Extraction refuses a series with a gap.
+  TupleVector gappy = sb;
+  ASSERT_TRUE(gappy[50].Set("NO2", Value::Null()).ok());
+  EXPECT_FALSE(ColumnAsDoubles(gappy, "NO2").ok());
 }
 
 TEST(AirQualityTest, UnknownStationGetsStableProfile) {
@@ -122,27 +126,6 @@ TEST(AirQualityTest, InvalidOptionsRejected) {
   AirQualityOptions zero;
   zero.hours = 0;
   EXPECT_FALSE(GenerateAirQuality(zero).ok());
-}
-
-TEST(AirQualityTest, GenerateAllRegionsCoversPaperRegions) {
-  AirQualityOptions base = SmallOptions(100);
-  auto streams = GenerateAllRegions(base);
-  ASSERT_TRUE(streams.ok());
-  const auto regions = PaperRegions();
-  ASSERT_EQ(streams.ValueOrDie().size(), regions.size());
-  for (size_t i = 0; i < regions.size(); ++i) {
-    const TupleVector& stream = streams.ValueOrDie()[i];
-    ASSERT_EQ(stream.size(), 100u);
-    EXPECT_EQ(stream.front().Get("station").ValueOrDie().AsString(),
-              regions[i]);
-  }
-  // Streams differ across regions.
-  EXPECT_NE(ColumnAsDoubles(streams.ValueOrDie()[0], "NO2").ValueOrDie(),
-            ColumnAsDoubles(streams.ValueOrDie()[2], "NO2").ValueOrDie());
-  // Extraction refuses a series with a gap.
-  TupleVector gappy = streams.ValueOrDie()[1];
-  ASSERT_TRUE(gappy[50].Set("NO2", Value::Null()).ok());
-  EXPECT_FALSE(ColumnAsDoubles(gappy, "NO2").ok());
 }
 
 TEST(SplitsTest, TableTwoSemantics) {

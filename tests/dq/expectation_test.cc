@@ -375,7 +375,7 @@ TEST(ExpectationResultTest, FailureHourHistogram) {
   const auto hist = r.ValueOrDie().FailureHourHistogram();
   EXPECT_EQ(hist[0], 1u);
   EXPECT_EQ(hist[1], 2u);
-  EXPECT_DOUBLE_EQ(r.ValueOrDie().UnexpectedFraction(), 1.0);
+  EXPECT_EQ(r.ValueOrDie().unexpected, r.ValueOrDie().evaluated);
 }
 
 }  // namespace

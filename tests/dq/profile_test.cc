@@ -49,7 +49,7 @@ TEST(ProfileTest, BasicStatistics) {
   EXPECT_DOUBLE_EQ(p[1].min, 10.0);
   EXPECT_DOUBLE_EQ(p[1].max, 18.0);
   EXPECT_DOUBLE_EQ(p[1].mean, 14.0);
-  EXPECT_NEAR(p[1].NullFraction(), 0.1, 1e-12);
+  EXPECT_EQ(p[1].total, 10u);
 
   EXPECT_EQ(p[2].distinct, 2u);
   EXPECT_EQ(p[2].distinct_values,

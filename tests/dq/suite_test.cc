@@ -51,17 +51,6 @@ TEST(SuiteTest, AllCleanMeansSuccess) {
   EXPECT_EQ(r.ValueOrDie().TotalUnexpected(), 0u);
 }
 
-TEST(SuiteTest, DistinctFlaggedTuplesDeduplicatesAcrossExpectations) {
-  ExpectationSuite suite;
-  // Both expectations flag the same tuple (the NULL at id 3).
-  suite.Expect<ExpectColumnValuesToNotBeNull>("v")
-      .Expect<ExpectColumnValuesToNotBeNull>("v");
-  auto r = suite.Validate(TestTuples());
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie().TotalUnexpected(), 2u);
-  EXPECT_EQ(r.ValueOrDie().DistinctFlaggedTuples(), 1u);
-}
-
 TEST(SuiteTest, FailureHourHistogramAggregates) {
   ExpectationSuite suite;
   suite.Expect<ExpectColumnValuesToNotBeNull>("v");

@@ -8,7 +8,7 @@
 // tags honest.
 //
 // Also here: the cleaner soundness sweep (a document the loader accepts
-// runs, deterministically across parallelism), the IW616 admin gate,
+// runs without a Status error), the IW616 admin gate,
 // and a seeded mutation test over the shipped documents.
 #include <gtest/gtest.h>
 
@@ -639,8 +639,7 @@ TEST(AdminCleanerLintTest, RulesObjectGetsFullIW70xAnalysis) {
 }
 
 // --------------------------------------------------------------------
-// Soundness sweep: every document the loader accepts also runs, with
-// equal output at two parallelism levels.
+// Soundness sweep: every document the loader accepts also runs.
 // --------------------------------------------------------------------
 
 const std::vector<std::string>& ColumnFragments() {
@@ -734,14 +733,12 @@ TEST(CleanerLintSoundnessTest, LintCleanDocumentsBindAndRun) {
       continue;
     }
     ++accepted;
-    // An accepted document runs over a stream with NULLs, at two
-    // parallelism levels, deterministically.
-    VectorSink p1, p2;
-    ASSERT_TRUE(clean::CleanTuples(loaded.ValueOrDie(), stream, 1, &p1).ok())
+    // An accepted document runs over a stream with NULLs; it may drop
+    // rows but never adds any.
+    VectorSink cleaned;
+    ASSERT_TRUE(clean::CleanTuples(loaded.ValueOrDie(), stream, &cleaned).ok())
         << text;
-    ASSERT_TRUE(clean::CleanTuples(loaded.ValueOrDie(), stream, 2, &p2).ok())
-        << text;
-    ASSERT_EQ(p1.tuples().size(), p2.tuples().size()) << text;
+    ASSERT_LE(cleaned.tuples().size(), stream.size()) << text;
   }
   EXPECT_GT(accepted, 20u);
   EXPECT_GT(rejected, 20u);

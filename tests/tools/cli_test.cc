@@ -79,6 +79,13 @@ TEST(CliExitCodes, UnknownFlagIsUsageError) {
     SCOPED_TRACE(args);
     EXPECT_EQ(RunCli(args).exit_code, 2);
   }
+  // clean runs one sequential cleaner; it has no --parallelism.
+  CliRun clean = RunCli(
+      "clean --rules r.json --schema s.json --input i.csv --parallelism 2");
+  EXPECT_EQ(clean.exit_code, 2) << clean.output;
+  EXPECT_NE(clean.output.find("unknown flag --parallelism"),
+            std::string::npos)
+      << clean.output;
 }
 
 TEST(CliExitCodes, MissingRequiredFlagIsUsageError) {
@@ -94,8 +101,6 @@ TEST(CliExitCodes, MalformedIntegerFlagIsUsageError) {
   const std::string out = " --output " + UniqueTempPath("out.csv");
   const std::string pollute =
       "pollute --schema s.json --config c.json --input i.csv" + out;
-  const std::string clean_file =
-      "clean --rules r.json --schema s.json --input i.csv";
   for (const std::string& args : std::vector<std::string>{
            "serve --scenario random_temporal --port 80x",
            "tail --connect 127.0.0.1:notaport",
@@ -110,9 +115,9 @@ TEST(CliExitCodes, MalformedIntegerFlagIsUsageError) {
            "generate --dataset airquality --hours abc" + out,
            "generate --dataset airquality --hours 0" + out,
            "generate --dataset wearable --seed x1" + out,
-           "clean --scenario software_update --parallelism 0",
+           "clean --scenario software_update --window-seconds -60",
            "clean --scenario software_update --seed 1.5",
-           clean_file + " --parallelism two",
+           "clean --scenario software_update --seed 18446744073709551616",
        }) {
     CliRun run = RunCli(args);
     EXPECT_EQ(run.exit_code, 2) << args << "\n" << run.output;

@@ -24,14 +24,14 @@
 //              suite, and optionally exports Prometheus metrics and a
 //              Chrome trace_event JSON)
 //   clean     --rules R.json --schema s.json --input in.csv
-//             [--output out.csv] [--log repairs.json] [--parallelism P]
+//             [--output out.csv] [--log repairs.json]
 //             [--metrics-out F.prom] [--null-repr STR]
 //             (rule-based stream repair: loads the cleaning document —
-//              IW70x — against the schema, then detects and repairs;
-//              output is byte-identical at every --parallelism)
+//              IW70x — against the schema, then one sequential cleaner
+//              detects and repairs)
 //             OR
 //             --scenario software_update|random_temporal [--seed N]
-//             [--parallelism P] [--output out.csv] [--report F.json]
+//             [--output out.csv] [--report F.json]
 //             [--metrics-out F.prom] [--window-seconds N]
 //             (the closed pollute -> detect -> clean -> re-validate
 //              loop with the scenario's stock cleaner; prints the
@@ -145,10 +145,10 @@ int Usage() {
       "              [--seed N] [--parallelism P] [--output OUT.csv]\n"
       "              [--metrics-out F.prom] [--trace-out F.json]\n"
       "  icewafl_cli clean --rules R.json --schema S.json --input IN.csv\n"
-      "              [--output OUT.csv] [--log L.json] [--parallelism P]\n"
+      "              [--output OUT.csv] [--log L.json]\n"
       "              [--metrics-out F.prom] [--null-repr STR]\n"
       "  icewafl_cli clean --scenario software_update|random_temporal\n"
-      "              [--seed N] [--parallelism P] [--output OUT.csv]\n"
+      "              [--seed N] [--output OUT.csv]\n"
       "              [--report F.json] [--metrics-out F.prom]\n"
       "              [--window-seconds N]\n"
       "  icewafl_cli serve --scenario NAME [--port P] [--host H] [--seed N]\n"
@@ -559,7 +559,6 @@ int RunCleanScenario(const std::map<std::string, std::string>& flags) {
   const std::string name = flags.at("scenario");
   scenarios::ClosedLoopOptions options;
   if (!ReadIntFlag<uint64_t>(flags, "clean", "seed", 0, &options.seed) ||
-      !ReadIntFlag(flags, "clean", "parallelism", 1, &options.parallelism) ||
       !ReadIntFlag<int64_t>(flags, "clean", "window-seconds", 1,
                             &options.window_seconds)) {
     return 2;
@@ -578,13 +577,12 @@ int RunCleanScenario(const std::map<std::string, std::string>& flags) {
   const scenarios::ClosedLoopReport& r = report.ValueOrDie();
 
   std::printf("closed loop %s: %llu rows, %llu injections, %llu "
-              "detections (seed %llu, parallelism %d)\n",
+              "detections (seed %llu)\n",
               name.c_str(),
               static_cast<unsigned long long>(r.polluted_rows),
               static_cast<unsigned long long>(r.injections),
               static_cast<unsigned long long>(r.detections),
-              static_cast<unsigned long long>(options.seed),
-              options.parallelism);
+              static_cast<unsigned long long>(options.seed));
   for (const scenarios::FamilyScore& f : r.families) {
     std::printf("  %-24s P %.3f  R %.3f  F1 %.3f  (gt %llu%s)\n",
                 f.family.c_str(), f.precision, f.recall, f.f1,
@@ -628,8 +626,6 @@ int RunClean(const std::map<std::string, std::string>& flags) {
       return 2;
     }
   }
-  int parallelism = 1;
-  if (!ReadIntFlag(flags, "clean", "parallelism", 1, &parallelism)) return 2;
   CsvOptions csv;
   csv.null_repr = FlagOr(flags, "null-repr", "");
   auto schema = SchemaFromJsonFile(flags.at("schema"));
@@ -655,8 +651,8 @@ int RunClean(const std::map<std::string, std::string>& flags) {
   clean::RepairLog log;
   clean::CleanStats stats;
   Status st = clean::CleanTuples(rules.ValueOrDie(),
-                                 std::move(tuples).ValueOrDie(), parallelism,
-                                 &cleaned, metrics_ptr, &log, &stats);
+                                 std::move(tuples).ValueOrDie(), &cleaned,
+                                 metrics_ptr, &log, &stats);
   if (!st.ok()) return Fail(st);
 
   std::printf("cleaned %zu tuples: %llu kept, %llu dropped, %llu rule "
@@ -1134,8 +1130,8 @@ int main(int argc, char** argv) {
   if (command == "clean") {
     if (!CheckFlags("clean", flags,
                     {"rules", "schema", "input", "output", "log",
-                     "parallelism", "metrics-out", "null-repr", "scenario",
-                     "seed", "report", "window-seconds"}))
+                     "metrics-out", "null-repr", "scenario", "seed",
+                     "report", "window-seconds"}))
       return 2;
     return RunClean(flags);
   }
