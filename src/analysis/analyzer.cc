@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "clean/config.h"
+#include "core/composite_polluter.h"
 #include "core/config.h"
-#include "core/error_function.h"
-#include "core/time_profile.h"
 #include "dq/config.h"
 #include "util/strings.h"
 
@@ -56,139 +55,43 @@ struct Injection {
   ErrorTraits traits;
 };
 
-/// Per-node-type allowlists of config keys, used by the IW402
-/// unknown-key check. Matches exactly what the ToJson() serializers
-/// emit (plus loader-accepted aliases like "<key>_type").
-const std::map<std::string, std::set<std::string>>& ErrorKeys() {
-  static const auto* keys = new std::map<std::string, std::set<std::string>>{
-      {"gaussian_noise", {"type", "stddev", "multiplicative"}},
-      {"uniform_noise", {"type", "lo", "hi"}},
-      {"scale", {"type", "factor"}},
-      {"offset", {"type", "delta"}},
-      {"round", {"type", "precision"}},
-      {"unit_conversion", {"type", "factor", "from_unit", "to_unit"}},
-      {"outlier", {"type", "min_factor", "max_factor"}},
-      {"missing_value", {"type"}},
-      {"set_constant", {"type", "value", "value_type"}},
-      {"incorrect_category", {"type", "categories"}},
-      {"typo", {"type"}},
-      {"digit_swap", {"type"}},
-      {"sign_flip", {"type"}},
-      {"case", {"type", "flip_probability"}},
-      {"truncate", {"type", "max_length"}},
-      {"swap_attributes", {"type"}},
-      {"delay", {"type", "delay_seconds"}},
-      {"frozen_value", {"type", "hold_seconds"}},
-      {"timestamp_shift", {"type", "shift_seconds"}},
-      {"timestamp_jitter", {"type", "max_jitter_seconds"}},
-      {"derived", {"type", "base", "profile"}},
-  };
-  return *keys;
-}
-
-const std::map<std::string, std::set<std::string>>& ConditionKeys() {
-  static const auto* keys = new std::map<std::string, std::set<std::string>>{
-      {"always", {"type"}},
-      {"never", {"type"}},
-      {"random", {"type", "p"}},
-      {"value", {"type", "attribute", "op", "operand", "operand_type"}},
-      {"time_window", {"type", "start", "end"}},
-      {"daily_window", {"type", "start_minute", "end_minute"}},
-      {"profile_probability", {"type", "profile"}},
-      {"and", {"type", "children"}},
-      {"or", {"type", "children"}},
-      {"not", {"type", "child"}},
-      {"window_aggregate",
-       {"type", "attribute", "window_seconds", "agg", "op", "threshold"}},
-      {"hold", {"type", "inner", "hold_seconds"}},
-  };
-  return *keys;
-}
-
-const std::map<std::string, std::set<std::string>>& PolluterKeys() {
-  static const auto* keys = new std::map<std::string, std::set<std::string>>{
-      {"standard", {"type", "label", "error", "condition", "attributes"}},
-      {"sequential", {"type", "label", "condition", "children"}},
-      {"exclusive", {"type", "label", "condition", "children", "weights"}},
-  };
-  return *keys;
-}
-
-const std::map<std::string, std::set<std::string>>& ExpectationKeys() {
-  static const auto* keys = new std::map<std::string, std::set<std::string>>{
-      {"expect_column_values_to_not_be_null", {"type", "column"}},
-      {"expect_column_values_to_be_null", {"type", "column"}},
-      {"expect_column_values_to_be_between", {"type", "column", "min", "max"}},
-      {"expect_column_values_to_match_regex", {"type", "column", "regex"}},
-      {"expect_column_values_to_be_increasing",
-       {"type", "column", "strictly"}},
-      {"expect_column_pair_values_a_to_be_greater_than_b",
-       {"type", "column_a", "column_b", "or_equal"}},
-      {"expect_multicolumn_sum_to_equal",
-       {"type", "columns", "total", "tolerance", "where_column",
-        "where_value"}},
-      {"expect_column_values_to_be_in_set", {"type", "column", "values"}},
-      {"expect_column_values_to_be_unique", {"type", "column"}},
-      {"expect_column_mean_to_be_between", {"type", "column", "min", "max"}},
-      {"expect_column_stdev_to_be_between", {"type", "column", "min", "max"}},
-      {"expect_column_value_lengths_to_be_between",
-       {"type", "column", "min_length", "max_length"}},
-      {"expect_column_values_to_be_of_type", {"type", "column", "value_type"}},
-  };
-  return *keys;
-}
-
 bool IsNumericType(ValueType type) {
   return type == ValueType::kInt64 || type == ValueType::kDouble;
 }
 
+/// The analyzer's passes. Each document node is built once, by its
+/// loader, which reports every single-field finding (IW100, IW303,
+/// IW402); the passes below walk a node's JSON, whose fields the loader
+/// has type-checked, beside the object built from it.
 class Analyzer {
  public:
   Analyzer(const AnalyzeOptions& options, Diagnostics* diags)
       : options_(options), diags_(diags) {}
 
   void AnalyzePipelineDoc(const Json& json) {
-    if (!json.is_object()) {
-      diags_->AddError("IW100", "/", "pipeline description is not a JSON object");
-      return;
-    }
-    CheckKeys(json, "", {"name", "polluters"});
-    if (!json.Has("polluters")) {
-      diags_->AddError("IW100", "/", "missing field 'polluters'",
-                       "a pipeline is {\"name\": ..., \"polluters\": [...]}");
-      return;
-    }
-    const Json& polluters = json.fields().at("polluters");
-    if (!polluters.is_array()) {
-      diags_->AddError("IW100", "/polluters", "'polluters' must be an array");
-      return;
-    }
-    for (size_t i = 0; i < polluters.items().size(); ++i) {
-      AnalyzePolluter(polluters.items()[i], PathOf("/polluters", i));
+    auto polluters = PollutersOf(json, diags_);
+    if (!polluters.ok()) return;
+    for (size_t i = 0; i < polluters.ValueOrDie()->size(); ++i) {
+      const Json& entry = (*polluters.ValueOrDie())[i];
+      const std::string path = PathOf("/polluters", i);
+      auto built = PolluterFromJson(entry, path, diags_);
+      if (built.ok()) AnalyzePolluter(entry, *built.ValueOrDie(), path);
     }
     ReportDuplicateLabels();
   }
 
+  /// Suite findings are rooted at `prefix`.
   void AnalyzeSuiteDoc(const Json& json, const std::string& prefix) {
-    if (!json.is_object()) {
-      diags_->AddError("IW100", prefix + "/",
-                       "suite description is not a JSON object");
-      return;
-    }
-    CheckKeys(json, prefix, {"name", "expectations"});
-    if (!json.Has("expectations")) {
-      diags_->AddError("IW100", prefix + "/", "missing field 'expectations'");
-      return;
-    }
-    const Json& expectations = json.fields().at("expectations");
-    if (!expectations.is_array()) {
-      diags_->AddError("IW100", prefix + "/expectations",
-                       "'expectations' must be an array");
-      return;
-    }
-    for (size_t i = 0; i < expectations.items().size(); ++i) {
-      AnalyzeExpectation(expectations.items()[i],
-                         PathOf(prefix + "/expectations", i));
+    Diagnostics shape;
+    auto expectations = dq::ExpectationsOf(json, &shape);
+    diags_->Merge(shape, prefix);
+    if (!expectations.ok()) return;
+    for (size_t i = 0; i < expectations.ValueOrDie()->size(); ++i) {
+      const Json& entry = (*expectations.ValueOrDie())[i];
+      const std::string path = PathOf(prefix + "/expectations", i);
+      if (dq::ExpectationFromJson(entry, path, diags_).ok()) {
+        AnalyzeExpectation(entry, path);
+      }
     }
   }
 
@@ -214,34 +117,6 @@ class Analyzer {
   }
 
  private:
-  // -- shared helpers -------------------------------------------------
-
-  void CheckKeys(const Json& json, const std::string& path,
-                 const std::set<std::string>& allowed) {
-    for (const auto& [key, value] : json.fields()) {
-      if (allowed.count(key) == 0) {
-        diags_->AddWarning("IW402", PathOf(path, key),
-                           "unknown config key '" + key + "' is ignored",
-                           "remove it or fix the spelling");
-      }
-    }
-  }
-
-  /// Timestamp field shaped like the loader accepts: epoch number or
-  /// "YYYY-MM-DD[ HH:MM:SS]" string. nullopt when absent or malformed
-  /// (the loader reports malformed ones as IW100 elsewhere).
-  std::optional<Timestamp> ReadTimestamp(const Json& json,
-                                         const std::string& key) {
-    if (!json.Has(key)) return std::nullopt;
-    const Json& field = json.fields().at(key);
-    if (field.is_number()) return field.AsInt64();
-    if (field.is_string()) {
-      auto parsed = ParseTimestamp(field.AsString());
-      if (parsed.ok()) return parsed.ValueOrDie();
-    }
-    return std::nullopt;
-  }
-
   std::optional<ValueType> SchemaTypeOf(const std::string& attribute) const {
     if (options_.schema == nullptr) return std::nullopt;
     auto index = options_.schema->IndexOf(attribute);
@@ -251,31 +126,21 @@ class Analyzer {
 
   // -- polluters ------------------------------------------------------
 
-  void AnalyzePolluter(const Json& json, const std::string& path) {
-    // Delegate shape validation to the real loader so lint and load
-    // never disagree about what parses.
-    auto built = PolluterFromJson(json, path);
-    if (!built.ok()) {
-      // The loader rejects a negative delay as well; lint names it IW303.
-      const bool named = json.is_object() && json.Has("error") &&
-                         json.fields().at("error").is_object() &&
-                         CheckDuration(json.fields().at("error"),
-                                       PathOf(path, "error"));
-      if (!named) {
-        diags_->AddError("IW100", path,
-                         "config does not load: " + built.status().message());
-      }
-      return;
-    }
+  /// Analyzes a loaded polluter; returns its condition's fold, which an
+  /// exclusive parent overlap-checks.
+  CondInfo AnalyzePolluter(const Json& json, const Polluter& polluter,
+                           const std::string& path) {
     const std::string type = json.GetString("type", "");
-    auto keys = PolluterKeys().find(type);
-    if (keys != PolluterKeys().end()) CheckKeys(json, path, keys->second);
-    const std::string label = json.GetString("label", type);
+    const std::string& label = polluter.label();
     labels_[label].push_back(path);
 
+    const bool standard = type == "standard";
+    const Condition& condition =
+        standard ? static_cast<const StandardPolluter&>(polluter).condition()
+                 : static_cast<const CompositePolluter&>(polluter).condition();
     CondInfo cond;
     if (json.Has("condition")) {
-      cond = AnalyzeCondition(json.fields().at("condition"),
+      cond = AnalyzeCondition(json.fields().at("condition"), condition,
                               PathOf(path, "condition"));
     } else {
       cond.truth = Truth::kAlways;
@@ -289,66 +154,43 @@ class Analyzer {
                        "intentional");
     }
 
-    if (type == "standard") {
-      AnalyzeStandardPolluter(json, path, label);
-    } else if (type == "sequential" || type == "exclusive") {
-      const Json& children = json.fields().at("children");
-      std::vector<CondInfo> child_conds;
-      for (size_t i = 0; i < children.items().size(); ++i) {
-        child_conds.push_back(AnalyzeChildPolluter(
-            children.items()[i], PathOf(PathOf(path, "children"), i)));
-      }
-      if (type == "exclusive") {
-        CheckExclusive(json, path, child_conds);
-      }
+    if (standard) {
+      AnalyzeStandardPolluter(
+          json, static_cast<const StandardPolluter&>(polluter), path, label);
+      return cond;
     }
-  }
-
-  /// Like AnalyzePolluter but additionally reports the child's firing
-  /// window so exclusive branches can be overlap-checked.
-  CondInfo AnalyzeChildPolluter(const Json& json, const std::string& path) {
-    AnalyzePolluter(json, path);
-    if (json.is_object() && json.Has("condition")) {
-      // Re-fold just the window; the full walk above already reported.
-      return FoldWindowOnly(json.fields().at("condition"));
+    const auto& children =
+        static_cast<const CompositePolluter&>(polluter).children();
+    const Json& children_json = json.fields().at("children");
+    std::vector<CondInfo> child_conds;
+    for (size_t i = 0; i < children.size(); ++i) {
+      child_conds.push_back(
+          AnalyzePolluter(children_json.items()[i], *children[i],
+                          PathOf(PathOf(path, "children"), i)));
     }
-    return {};
+    if (type == "exclusive") CheckExclusive(json, path, child_conds);
+    return cond;
   }
 
-  /// Window extraction without re-emitting diagnostics.
-  CondInfo FoldWindowOnly(const Json& json) {
-    Diagnostics scratch;
-    Diagnostics* saved = diags_;
-    diags_ = &scratch;
-    CondInfo info = AnalyzeCondition(json, "");
-    diags_ = saved;
-    return info;
-  }
-
-  void AnalyzeStandardPolluter(const Json& json, const std::string& path,
+  void AnalyzeStandardPolluter(const Json& json,
+                               const StandardPolluter& polluter,
+                               const std::string& path,
                                const std::string& label) {
-    std::vector<std::string> attributes;
-    if (json.Has("attributes")) {
-      const Json& attrs = json.fields().at("attributes");
-      if (attrs.is_array()) {
-        for (size_t i = 0; i < attrs.items().size(); ++i) {
-          const Json& a = attrs.items()[i];
-          if (!a.is_string()) continue;
-          attributes.push_back(a.AsString());
-          if (options_.schema != nullptr &&
-              !options_.schema->Contains(a.AsString())) {
-            diags_->AddError(
-                "IW101", PathOf(PathOf(path, "attributes"), i),
-                "unknown attribute '" + a.AsString() + "'",
-                "schema columns: " + JoinNames());
-          }
-        }
+    const std::vector<std::string>& attributes = polluter.attributes();
+    for (size_t i = 0; i < attributes.size(); ++i) {
+      if (options_.schema != nullptr &&
+          !options_.schema->Contains(attributes[i])) {
+        diags_->AddError("IW101", PathOf(PathOf(path, "attributes"), i),
+                         "unknown attribute '" + attributes[i] + "'",
+                         "schema columns: " + JoinNames());
       }
     }
 
     const Json& error_json = json.fields().at("error");
     const std::string error_path = PathOf(path, "error");
-    ErrorTraits traits = AnalyzeError(error_json, error_path);
+    AnalyzeError(error_json, error_path);
+    const ErrorTraits traits = polluter.error().Describe();
+    const std::string error_type = error_json.GetString("type", "");
 
     // Value-domain vs column-type compatibility (IW102) and
     // timestamp-target hygiene (IW105).
@@ -359,7 +201,7 @@ class Analyzer {
         if (traits.domain == ErrorDomain::kNumeric && !numeric) {
           diags_->AddError(
               "IW102", error_path,
-              "numeric error '" + error_json.GetString("type", "?") +
+              "numeric error '" + error_type +
                   "' targets non-numeric column '" + attr + "' (" +
                   ValueTypeName(*type) + ")",
               "pick a string-domain error or retarget the polluter");
@@ -368,7 +210,7 @@ class Analyzer {
             *type != ValueType::kString) {
           diags_->AddError(
               "IW102", error_path,
-              "string error '" + error_json.GetString("type", "?") +
+              "string error '" + error_type +
                   "' targets non-string column '" + attr + "' (" +
                   ValueTypeName(*type) + ")");
         }
@@ -385,7 +227,6 @@ class Analyzer {
     }
 
     // Arity constraints that would raise a runtime TypeError.
-    const std::string error_type = error_json.GetString("type", "");
     if (error_type == "swap_attributes" && attributes.size() != 2) {
       diags_->AddError(
           "IW106", PathOf(path, "attributes"),
@@ -398,31 +239,27 @@ class Analyzer {
 
   void CheckExclusive(const Json& json, const std::string& path,
                       const std::vector<CondInfo>& child_conds) {
-    const size_t n_children = json.fields().at("children").items().size();
     if (json.Has("weights")) {
       const Json& weights = json.fields().at("weights");
       const std::string wpath = PathOf(path, "weights");
-      if (weights.is_array()) {
-        if (weights.items().size() != n_children) {
-          diags_->AddError(
-              "IW403", wpath,
-              "weights count (" + std::to_string(weights.items().size()) +
-                  ") does not match children count (" +
-                  std::to_string(n_children) + ")");
+      if (weights.items().size() != child_conds.size()) {
+        diags_->AddError(
+            "IW403", wpath,
+            "weights count (" + std::to_string(weights.items().size()) +
+                ") does not match children count (" +
+                std::to_string(child_conds.size()) + ")");
+      }
+      double sum = 0.0;
+      for (const Json& w : weights.items()) {
+        if (w.AsDouble() < 0.0) {
+          diags_->AddError("IW403", wpath, "negative branch weight");
         }
-        double sum = 0.0;
-        for (const Json& w : weights.items()) {
-          if (!w.is_number()) continue;
-          if (w.AsDouble() < 0.0) {
-            diags_->AddError("IW403", wpath, "negative branch weight");
-          }
-          sum += w.AsDouble();
-        }
-        if (!weights.items().empty() && sum <= 0.0) {
-          diags_->AddError("IW403", wpath,
-                           "branch weights sum to zero; no branch can be "
-                           "selected");
-        }
+        sum += w.AsDouble();
+      }
+      if (!weights.items().empty() && sum <= 0.0) {
+        diags_->AddError("IW403", wpath,
+                         "branch weights sum to zero; no branch can be "
+                         "selected");
       }
     }
     // IW302: two exclusive branches whose firing windows overlap — both
@@ -448,96 +285,49 @@ class Analyzer {
 
   // -- error functions ------------------------------------------------
 
-  /// IW303/IW304 on a duration error's seconds; true when IW303 fired.
-  bool CheckDuration(const Json& json, const std::string& path) {
-    const std::string type = json.GetString("type", "");
-    if (type != "delay" && type != "frozen_value" &&
-        type != "timestamp_jitter") {
-      return false;
-    }
-    const char* key = type == "delay" ? "delay_seconds"
-                      : type == "frozen_value" ? "hold_seconds"
-                                               : "max_jitter_seconds";
+  /// IW304 when the seconds at `key` exceed one week in magnitude.
+  void CheckMagnitude(const Json& json, const std::string& path,
+                      const char* key, const char* what) {
     const int64_t seconds = json.GetInt(key, 0);
-    if (seconds < 0) {
-      diags_->AddError("IW303", PathOf(path, key),
-                       "negative duration (" + std::to_string(seconds) +
-                           "s)");
-      return true;
-    }
-    if (seconds > kShiftMagnitudeLimit) {
+    if (std::abs(seconds) > kShiftMagnitudeLimit) {
       diags_->AddWarning(
           "IW304", PathOf(path, key),
-          "duration of " + std::to_string(seconds) +
+          std::string(what) + " of " + std::to_string(seconds) +
               "s exceeds one week; check the unit (seconds expected)");
     }
-    return false;
   }
 
-  ErrorTraits AnalyzeError(const Json& json, const std::string& path) {
-    auto built = ErrorFunctionFromJson(json, path);
-    if (!built.ok()) {
-      diags_->AddError("IW100", path,
-                       "config does not load: " + built.status().message());
-      return {};
-    }
+  void AnalyzeError(const Json& json, const std::string& path) {
     const std::string type = json.GetString("type", "");
-    auto keys = ErrorKeys().find(type);
-    if (keys != ErrorKeys().end()) CheckKeys(json, path, keys->second);
-
     if (type == "incorrect_category") {
       const Json& cats = json.fields().at("categories");
-      if (cats.is_array() && cats.items().size() < 2) {
+      if (cats.items().size() < 2) {
         diags_->AddError(
             "IW107", PathOf(path, "categories"),
             "incorrect_category needs at least 2 categories, got " +
                 std::to_string(cats.items().size()),
             "with fewer than 2 there is no wrong category to pick");
       }
-    }
-    CheckDuration(json, path);
-    if (type == "timestamp_shift") {
-      const int64_t shift = json.GetInt("shift_seconds", 0);
-      if (std::abs(shift) > kShiftMagnitudeLimit) {
-        diags_->AddWarning(
-            "IW304", PathOf(path, "shift_seconds"),
-            "shift of " + std::to_string(shift) +
-                "s exceeds one week; check the unit (seconds expected)");
-      }
-    }
-    if (type == "derived") {
-      // Recurse for the base's own magnitude/arity checks; the traits of
-      // the whole node already come from DerivedTemporalError.
+    } else if (type == "delay") {
+      CheckMagnitude(json, path, "delay_seconds", "duration");
+    } else if (type == "frozen_value") {
+      CheckMagnitude(json, path, "hold_seconds", "duration");
+    } else if (type == "timestamp_jitter") {
+      CheckMagnitude(json, path, "max_jitter_seconds", "duration");
+    } else if (type == "timestamp_shift") {
+      CheckMagnitude(json, path, "shift_seconds", "shift");
+    } else if (type == "derived") {
+      // The base's own magnitude/arity checks; the traits of the whole
+      // node come from DerivedTemporalError.
       AnalyzeError(json.fields().at("base"), PathOf(path, "base"));
-      AnalyzeProfile(json.fields().at("profile"), PathOf(path, "profile"));
     }
-    return built.ValueOrDie()->Describe();
-  }
-
-  std::optional<ProfileBounds> AnalyzeProfile(const Json& json,
-                                              const std::string& path) {
-    auto built = TimeProfileFromJson(json, path);
-    if (!built.ok()) {
-      diags_->AddError("IW100", path,
-                       "config does not load: " + built.status().message());
-      return std::nullopt;
-    }
-    return built.ValueOrDie()->Bounds();
   }
 
   // -- conditions -----------------------------------------------------
 
-  CondInfo AnalyzeCondition(const Json& json, const std::string& path) {
-    auto built = ConditionFromJson(json, path);
-    if (!built.ok()) {
-      diags_->AddError("IW100", path,
-                       "config does not load: " + built.status().message());
-      return {};
-    }
-    const std::string type = json.GetString("type", "");
-    auto keys = ConditionKeys().find(type);
-    if (keys != ConditionKeys().end()) CheckKeys(json, path, keys->second);
-
+  CondInfo AnalyzeCondition(const Json& json, const Condition& condition,
+                            const std::string& path) {
+    const std::string type = condition.name();
     CondInfo info;
     if (type == "always") {
       info.truth = Truth::kAlways;
@@ -545,6 +335,7 @@ class Analyzer {
       info.truth = Truth::kNever;
       info.intentional_never = true;
     } else if (type == "random") {
+      // The JSON value: RandomCondition clamps its p into [0, 1].
       const double p = json.GetDouble("p", 0.0);
       if (p < 0.0 || p > 1.0) {
         diags_->AddError("IW203", PathOf(path, "p"),
@@ -565,42 +356,49 @@ class Analyzer {
     } else if (type == "value") {
       AnalyzeValueCondition(json, path);
     } else if (type == "time_window") {
-      info = AnalyzeTimeWindow(json, path);
+      info = AnalyzeTimeWindow(
+          static_cast<const TimeWindowCondition&>(condition), path);
     } else if (type == "daily_window") {
-      info = AnalyzeDailyWindow(json, path);
+      info = AnalyzeDailyWindow(
+          static_cast<const DailyWindowCondition&>(condition), path);
     } else if (type == "profile_probability") {
-      auto bounds = AnalyzeProfile(json.fields().at("profile"),
-                                   PathOf(path, "profile"));
-      if (bounds.has_value()) {
-        if (bounds->hi <= 0.0) {
-          info.truth = Truth::kNever;
-        } else if (bounds->lo >= 1.0) {
-          info.truth = Truth::kAlways;
-          diags_->AddWarning(
-              "IW202", PathOf(path, "profile"),
-              "profile probability is constantly 1; the condition always "
-              "fires",
-              "use {\"type\": \"always\"}, or lower the profile");
-        }
+      const ProfileBounds bounds =
+          static_cast<const ProfileProbabilityCondition&>(condition)
+              .profile()
+              .Bounds();
+      if (bounds.hi <= 0.0) {
+        info.truth = Truth::kNever;
+      } else if (bounds.lo >= 1.0) {
+        info.truth = Truth::kAlways;
+        diags_->AddWarning(
+            "IW202", PathOf(path, "profile"),
+            "profile probability is constantly 1; the condition always "
+            "fires",
+            "use {\"type\": \"always\"}, or lower the profile");
       }
-    } else if (type == "and" || type == "or") {
-      info = AnalyzeComposite(json, path, type == "and");
+    } else if (type == "and") {
+      info = AnalyzeComposite(
+          json, static_cast<const AndCondition&>(condition).children(), path,
+          true);
+    } else if (type == "or") {
+      info = AnalyzeComposite(
+          json, static_cast<const OrCondition&>(condition).children(), path,
+          false);
     } else if (type == "not") {
-      CondInfo child = AnalyzeCondition(json.fields().at("child"),
-                                        PathOf(path, "child"));
+      CondInfo child = AnalyzeCondition(
+          json.fields().at("child"),
+          static_cast<const NotCondition&>(condition).child(),
+          PathOf(path, "child"));
       info.reported = child.reported;
       if (child.truth == Truth::kAlways) info.truth = Truth::kNever;
       if (child.truth == Truth::kNever) info.truth = Truth::kAlways;
     } else if (type == "window_aggregate") {
       AnalyzeWindowAggregate(json, path);
     } else if (type == "hold") {
-      const int64_t hold = json.GetInt("hold_seconds", 0);
-      if (hold < 0) {
-        diags_->AddError("IW303", PathOf(path, "hold_seconds"),
-                         "negative duration (" + std::to_string(hold) + "s)");
-      }
-      CondInfo inner = AnalyzeCondition(json.fields().at("inner"),
-                                        PathOf(path, "inner"));
+      CondInfo inner = AnalyzeCondition(
+          json.fields().at("inner"),
+          static_cast<const HoldCondition&>(condition).inner(),
+          PathOf(path, "inner"));
       info.truth = inner.truth;
       info.intentional_never = inner.intentional_never;
       info.reported = inner.reported;
@@ -634,12 +432,11 @@ class Analyzer {
     }
   }
 
-  CondInfo AnalyzeTimeWindow(const Json& json, const std::string& path) {
+  CondInfo AnalyzeTimeWindow(const TimeWindowCondition& window,
+                             const std::string& path) {
     CondInfo info;
-    auto start = ReadTimestamp(json, "start");
-    auto end = ReadTimestamp(json, "end");
-    const Timestamp s = start.value_or(INT64_MIN);
-    const Timestamp e = end.value_or(INT64_MAX);
+    const Timestamp s = window.start();
+    const Timestamp e = window.end();
     if (s >= e) {
       diags_->AddError("IW204", path,
                        "empty time window: start >= end (the window is "
@@ -650,9 +447,7 @@ class Analyzer {
       return info;
     }
     info.window = {{s, e}};
-    if (!start.has_value() && !end.has_value()) {
-      info.truth = Truth::kAlways;
-    }
+    if (s == INT64_MIN && e == INT64_MAX) info.truth = Truth::kAlways;
     // Against the declared stream bounds (ProcessOptions).
     if ((options_.stream_end.has_value() && s >= *options_.stream_end) ||
         (options_.stream_start.has_value() && e <= *options_.stream_start)) {
@@ -663,10 +458,11 @@ class Analyzer {
     return info;
   }
 
-  CondInfo AnalyzeDailyWindow(const Json& json, const std::string& path) {
+  CondInfo AnalyzeDailyWindow(const DailyWindowCondition& window,
+                              const std::string& path) {
     CondInfo info;
-    const int64_t start = json.GetInt("start_minute", 0);
-    const int64_t end = json.GetInt("end_minute", 1439);
+    const int start = window.start_minute();
+    const int end = window.end_minute();
     if (start < 0 || start > 1439 || end < 0 || end > 1439) {
       diags_->AddError("IW205", path,
                        "daily window minutes must lie in [0, 1439], got [" +
@@ -678,12 +474,13 @@ class Analyzer {
     return info;
   }
 
-  CondInfo AnalyzeComposite(const Json& json, const std::string& path,
-                            bool conjunction) {
-    const Json& children = json.fields().at("children");
+  CondInfo AnalyzeComposite(const Json& json,
+                            const std::vector<ConditionPtr>& children,
+                            const std::string& path, bool conjunction) {
+    const Json& children_json = json.fields().at("children");
     std::vector<CondInfo> infos;
-    for (size_t i = 0; i < children.items().size(); ++i) {
-      infos.push_back(AnalyzeCondition(children.items()[i],
+    for (size_t i = 0; i < children.size(); ++i) {
+      infos.push_back(AnalyzeCondition(children_json.items()[i], *children[i],
                                        PathOf(PathOf(path, "children"), i)));
     }
     CondInfo info;
@@ -757,66 +554,46 @@ class Analyzer {
                        "condition references unknown attribute '" + attr +
                            "'",
                        "schema columns: " + JoinNames());
-    } else {
-      auto type = SchemaTypeOf(attr);
-      if (type.has_value() && !IsNumericType(*type)) {
-        diags_->AddError("IW104", PathOf(path, "attribute"),
-                         "window aggregate over non-numeric column '" +
-                             attr + "' (" + ValueTypeName(*type) + ")");
-      }
+      return;
     }
-    const int64_t window = json.GetInt("window_seconds", 0);
-    if (window <= 0) {
-      diags_->AddError("IW303", PathOf(path, "window_seconds"),
-                       "aggregation window must be positive, got " +
-                           std::to_string(window) + "s");
+    auto type = SchemaTypeOf(attr);
+    if (type.has_value() && !IsNumericType(*type)) {
+      diags_->AddError("IW104", PathOf(path, "attribute"),
+                       "window aggregate over non-numeric column '" + attr +
+                           "' (" + ValueTypeName(*type) + ")");
     }
   }
 
   // -- expectations ---------------------------------------------------
 
   void AnalyzeExpectation(const Json& json, const std::string& path) {
-    auto built = dq::ExpectationFromJson(json, path);
-    if (!built.ok()) {
-      diags_->AddError("IW100", path,
-                       "config does not load: " + built.status().message());
-      return;
-    }
     saw_suite_ = true;
-    const std::string type = json.GetString("type", "");
-    auto keys = ExpectationKeys().find(type);
-    if (keys != ExpectationKeys().end()) CheckKeys(json, path, keys->second);
-
     for (const char* key : {"column", "column_a", "column_b", "where_column"}) {
       if (!json.Has(key)) continue;
-      const Json& col = json.fields().at(key);
-      if (!col.is_string()) continue;
-      RecordSuiteColumn(col.AsString(), PathOf(path, key));
+      RecordSuiteColumn(json.fields().at(key).AsString(), PathOf(path, key));
     }
-    if (json.Has("columns") && json.fields().at("columns").is_array()) {
+    if (json.Has("columns")) {
       const Json& cols = json.fields().at("columns");
       for (size_t i = 0; i < cols.items().size(); ++i) {
-        if (cols.items()[i].is_string()) {
-          RecordSuiteColumn(cols.items()[i].AsString(),
-                            PathOf(PathOf(path, "columns"), i));
-        }
+        RecordSuiteColumn(cols.items()[i].AsString(),
+                          PathOf(PathOf(path, "columns"), i));
       }
     }
-    if (type == "expect_column_values_to_be_increasing") {
+    if (json.GetString("type", "") == "expect_column_values_to_be_increasing") {
       suite_has_increasing_ = true;
     }
 
     // IW503: ranges that no value (or length) can ever satisfy.
     const auto check_range = [&](const char* lo_key, const char* hi_key) {
       if (!json.Has(lo_key) || !json.Has(hi_key)) return;
-      const Json& lo = json.fields().at(lo_key);
-      const Json& hi = json.fields().at(hi_key);
-      if (lo.is_number() && hi.is_number() && lo.AsDouble() > hi.AsDouble()) {
+      const double lo = json.fields().at(lo_key).AsDouble();
+      const double hi = json.fields().at(hi_key).AsDouble();
+      if (lo > hi) {
         diags_->AddError(
             "IW503", path,
             std::string("empty range: ") + lo_key + " (" +
-                std::to_string(lo.AsDouble()) + ") > " + hi_key + " (" +
-                std::to_string(hi.AsDouble()) + "); the expectation can "
+                std::to_string(lo) + ") > " + hi_key + " (" +
+                std::to_string(hi) + "); the expectation can "
                 "never pass on non-empty data");
       }
     };
@@ -886,8 +663,6 @@ class Analyzer {
   bool suite_has_increasing_ = false;
   bool saw_suite_ = false;
 };
-
-AnalyzeOptions g_hook_options;
 
 }  // namespace
 
@@ -1136,22 +911,6 @@ Diagnostics AnalyzeAdminRequest(const Json& request_json,
   }
   return diags;
 }
-
-Status AnalyzeOrDie(const Json& pipeline_json, const AnalyzeOptions& options) {
-  Diagnostics diags = AnalyzePipeline(pipeline_json, options);
-  if (!diags.HasErrors()) return Status::OK();
-  return Status::InvalidArgument("pipeline rejected by static analysis:\n" +
-                                 diags.ToReport());
-}
-
-void InstallAnalyzeOrDieHook(AnalyzeOptions options) {
-  g_hook_options = std::move(options);
-  SetPipelineLoadHook([](const Json& pipeline_json) {
-    return AnalyzeOrDie(pipeline_json, g_hook_options);
-  });
-}
-
-void UninstallAnalyzeOrDieHook() { SetPipelineLoadHook(nullptr); }
 
 }  // namespace analysis
 }  // namespace icewafl

@@ -16,14 +16,19 @@ namespace analysis {
 
 /// \file
 /// icewafl-lint: static analysis of pollution pipelines and expectation
-/// suites *before* any tuple flows. The analyzer works on the raw JSON
-/// documents (so every finding carries an RFC 6901 pointer into the
-/// config) and borrows the library's own introspection surfaces —
-/// ErrorFunction::Describe() for value-domain compatibility and
-/// TimeProfile::Bounds() for activation-probability enclosures — instead
-/// of duplicating per-type knowledge.
+/// suites *before* any tuple flows. Every rule about a single field is
+/// the loaders' (PolluterFromJson, dq::ExpectationFromJson and their
+/// node loaders): the analyzer builds each top-level polluter and each
+/// expectation once through them, so their findings — IW100 at the
+/// failing field, IW303 negative durations, IW402 unknown keys — are
+/// lint's, and lint and load cannot disagree. The passes kept here need
+/// more than one field: the folded condition tree, the schema, the
+/// stream bounds, or both documents. They borrow the library's own
+/// introspection surfaces — ErrorFunction::Describe() for value-domain
+/// compatibility and TimeProfile::Bounds() for activation-probability
+/// enclosures — instead of duplicating per-type knowledge.
 ///
-/// Checks (full code table in DESIGN.md section 6):
+/// Passes (full code table in DESIGN.md section 6):
 ///  - schema consistency: polluted/conditioned attributes exist and the
 ///    error's value domain matches the column type (IW101..IW107);
 ///  - condition satisfiability: constant folding and interval analysis
@@ -31,16 +36,16 @@ namespace analysis {
 ///    "probabilistic" gates, contradictory window intersections
 ///    (IW201..IW205);
 ///  - temporal sanity: windows vs the stream bounds, overlapping
-///    exclusive branches, delay/shift magnitudes (IW301..IW304);
-///  - determinism and log hygiene: duplicate labels, unknown config keys,
-///    malformed weights (IW401..IW403);
+///    exclusive branches, delay/shift magnitudes (IW301, IW302, IW304);
+///  - determinism and log hygiene: duplicate labels, malformed weights
+///    (IW401, IW403);
 ///  - suite cross-checks: unknown columns, empty ranges, injected error
 ///    classes no expectation can detect (IW501..IW503).
 ///
 /// Serve configs (IW601..IW609, IW615) and cleaning documents
 /// (IW701..IW707) have no analyzer pass: their loaders,
 /// net::ServeConfig::FromJson and clean::RulesFromJson, report every
-/// finding as they parse, so lint and load cannot disagree.
+/// finding as they parse.
 ///
 /// A literal {"type": "never"} condition is the documented way to switch
 /// a polluter off in place, so it is deliberately *not* reported as
@@ -112,20 +117,6 @@ Diagnostics AnalyzeAdminRequest(const Json& request_json,
 /// but no polluters is a serve config, not a pipeline (used by the lint
 /// CLI to route documents).
 bool LooksLikeServeConfig(const Json& json);
-
-/// \brief Gate form: OK when the pipeline has no error-severity
-/// findings, otherwise InvalidArgument carrying the full report.
-/// Warnings never fail the gate.
-Status AnalyzeOrDie(const Json& pipeline_json,
-                    const AnalyzeOptions& options = {});
-
-/// \brief Installs AnalyzeOrDie as the core config loader's
-/// pipeline-load hook (SetPipelineLoadHook): every subsequent
-/// PipelineFromJson/PipelineFromConfigFile call is linted first and
-/// fails with the report if the config is statically broken. Opt-in;
-/// call Uninstall to restore unhooked loading.
-void InstallAnalyzeOrDieHook(AnalyzeOptions options = {});
-void UninstallAnalyzeOrDieHook();
 
 }  // namespace analysis
 }  // namespace icewafl

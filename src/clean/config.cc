@@ -23,30 +23,6 @@ std::string OneOf(E last, const char* (*name)(E)) {
   return "one of: " + Join(names, ", ");
 }
 
-/// The required field `key` of `json`; nullopt after reporting `code`
-/// at `at/key` when it is absent, of the wrong kind, or an empty string.
-std::optional<Json> Require(const Json& json, const std::string& key,
-                            const std::string& at, const char* code,
-                            bool want_string, Diagnostics* d) {
-  const std::string path = at + "/" + key;
-  const std::string name = "\"" + key + "\"";
-  if (!json.Has(key)) {
-    d->AddError(code, path, "missing " + name);
-    return std::nullopt;
-  }
-  Json value = json.Get(key).ValueOrDie();
-  if (want_string ? !value.is_string() : !value.is_number()) {
-    d->AddError(code, path,
-                name + " must be a " + (want_string ? "string" : "number"));
-    return std::nullopt;
-  }
-  if (want_string && value.AsString().empty()) {
-    d->AddError(code, path, name + " must not be empty");
-    return std::nullopt;
-  }
-  return value;
-}
-
 /// A name field mapped through its enum's FromName: absent or mistyped
 /// is `code`, an unknown name is IW704 with the vocabulary as the hint.
 template <typename E>
@@ -348,14 +324,11 @@ void LoadDocument(const Json& json, CleaningRules* rules, Diagnostics* d) {
                 "expected {\"name\": ..., \"rules\": [...]}");
     return;
   }
-  for (const auto& [key, value] : json.fields()) {
-    if (key == "name" || key == "key") {
-      if (!value.is_string()) {
-        d->AddError("IW701", "/" + key, "\"" + key + "\" must be a string");
-      } else {
-        (key == "name" ? rules->name : rules->key) = value.AsString();
-      }
-    } else if (key != "history" && key != "rules") {
+  ReadStringField(json, "name", "", "IW701", &rules->name, d);
+  ReadStringField(json, "key", "", "IW701", &rules->key, d);
+  for (const auto& field : json.fields()) {
+    const std::string& key = field.first;
+    if (key != "name" && key != "key" && key != "history" && key != "rules") {
       d->AddWarning("IW604", "/" + key,
                     "unknown cleaning document key '" + key + "'");
     }
@@ -408,12 +381,6 @@ Result<CleaningRules> RulesFromJson(const Json& json, SchemaPtr bind_schema,
                                    found.ToReport());
   }
   return rules;
-}
-
-Result<CleaningRules> RulesFromJsonString(const std::string& text,
-                                          SchemaPtr bind_schema) {
-  ICEWAFL_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
-  return RulesFromJson(json, std::move(bind_schema));
 }
 
 Status BindRules(CleaningRules* rules, const Schema& schema,

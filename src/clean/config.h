@@ -57,10 +57,6 @@ Result<CleaningRules> RulesFromJson(const Json& json,
                                     SchemaPtr bind_schema = nullptr,
                                     Diagnostics* diags = nullptr);
 
-/// \brief Parses JSON text and builds the rules.
-Result<CleaningRules> RulesFromJsonString(const std::string& text,
-                                          SchemaPtr bind_schema = nullptr);
-
 /// \brief Binds every rule of `rules` against `schema`, rooting paths
 /// at "/rules/<i>" (and "/key"). Each failure is also reported into
 /// `diags` (when non-null) as IW703; returns the first one.

@@ -24,6 +24,7 @@ class CompositePolluter : public Polluter {
   void Register(PolluterPtr child);
 
   size_t num_children() const { return children_.size(); }
+  const Condition& condition() const { return *condition_; }
   const std::vector<PolluterPtr>& children() const { return children_; }
 
   /// \brief Binds the gate condition (at "condition") and recurses into

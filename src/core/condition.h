@@ -144,6 +144,9 @@ class TimeWindowCondition : public Condition {
   Json ToJson() const override;
   ConditionPtr Clone() const override;
 
+  Timestamp start() const { return start_; }
+  Timestamp end() const { return end_; }
+
  private:
   Timestamp start_;
   Timestamp end_;
@@ -159,6 +162,9 @@ class DailyWindowCondition : public Condition {
   std::string name() const override { return "daily_window"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
+
+  int start_minute() const { return start_minute_; }
+  int end_minute() const { return end_minute_; }
 
  private:
   int start_minute_;
@@ -176,6 +182,8 @@ class ProfileProbabilityCondition : public Condition {
   Json ToJson() const override;
   ConditionPtr Clone() const override;
 
+  const TimeProfile& profile() const { return *profile_; }
+
  private:
   TimeProfilePtr profile_;
 };
@@ -191,6 +199,8 @@ class AndCondition : public Condition {
   Json ToJson() const override;
   ConditionPtr Clone() const override;
 
+  const std::vector<ConditionPtr>& children() const { return children_; }
+
  private:
   std::vector<ConditionPtr> children_;
 };
@@ -204,6 +214,8 @@ class OrCondition : public Condition {
   std::string name() const override { return "or"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
+
+  const std::vector<ConditionPtr>& children() const { return children_; }
 
  private:
   std::vector<ConditionPtr> children_;
@@ -276,6 +288,8 @@ class HoldCondition : public Condition {
   Json ToJson() const override;
   ConditionPtr Clone() const override;
 
+  const Condition& inner() const { return *inner_; }
+
  private:
   ConditionPtr inner_;
   int64_t hold_seconds_;
@@ -291,6 +305,8 @@ class NotCondition : public Condition {
   std::string name() const override { return "not"; }
   Json ToJson() const override;
   ConditionPtr Clone() const override;
+
+  const Condition& child() const { return *child_; }
 
  private:
   ConditionPtr child_;

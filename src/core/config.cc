@@ -15,221 +15,201 @@ namespace icewafl {
 
 namespace {
 
-PipelineLoadHook g_pipeline_load_hook;
-
-/// Renders a JSON pointer for error messages ("" is the document root).
-std::string AtPath(const std::string& path) {
-  return path.empty() ? std::string("/") : path;
-}
-
-/// Child pointer of an object member / array element.
-std::string Sub(const std::string& path, const std::string& key) {
-  return path + "/" + key;
-}
 std::string SubIdx(const std::string& path, size_t index) {
   return path + "/" + std::to_string(index);
 }
 
-Result<Json> GetField(const Json& json, const std::string& key,
-                      const std::string& path) {
-  if (!json.Has(key)) {
-    return Status::NotFound("missing field '" + key + "' at " + AtPath(path));
-  }
-  return json.Get(key);
-}
-
-/// Reads a timestamp field that is either an epoch-second number or a
+/// Reads a timestamp field that is either an epoch-second integer or a
 /// calendar string; `fallback` is returned when the key is absent.
-Result<Timestamp> GetTimestampField(const Json& json, const std::string& key,
-                                    Timestamp fallback,
-                                    const std::string& path) {
-  if (!json.Has(key)) return fallback;
-  ICEWAFL_ASSIGN_OR_RETURN(Json field, json.Get(key));
-  if (field.is_number()) return field.AsInt64();
-  if (field.is_string()) {
-    auto parsed = ParseTimestamp(field.AsString());
-    if (!parsed.ok()) {
-      return Status::ParseError("invalid timestamp at " + Sub(path, key) +
-                                ": " + parsed.status().message());
-    }
-    return parsed;
+Result<Timestamp> ReadTimestamp(FieldReader& r, const std::string& key,
+                                Timestamp fallback) {
+  if (!r.Has(key)) return fallback;
+  ICEWAFL_ASSIGN_OR_RETURN(const Json* field, r.Get(key));
+  if (field->is_number()) return r.Int<Timestamp>(key, fallback);
+  if (!field->is_string()) {
+    return r.Fail(StatusCode::kTypeError, key,
+                  "\"" + key + "\" must be an epoch-second number or a "
+                  "timestamp string");
   }
-  return Status::TypeError("field at " + Sub(path, key) +
-                           " must be a number or timestamp string");
+  auto parsed = ParseTimestamp(field->AsString());
+  if (!parsed.ok()) {
+    return r.Fail(StatusCode::kParseError, key,
+                  "invalid timestamp: " + parsed.status().message());
+  }
+  return parsed;
 }
 
-/// Reads a Value field; "<key>_type": "int64" forces integer values.
-Result<Value> GetValueField(const Json& json, const std::string& key,
-                            const std::string& path) {
-  ICEWAFL_ASSIGN_OR_RETURN(Json field, GetField(json, key, path));
-  switch (field.type()) {
+/// Reads a scalar Value field; "<key>_type": "int64" makes a number an
+/// integer.
+Result<Value> ReadValue(FieldReader& r, const std::string& key) {
+  ICEWAFL_ASSIGN_OR_RETURN(const Json* field, r.Get(key));
+  ICEWAFL_ASSIGN_OR_RETURN(std::string value_type,
+                           r.String(key + "_type", ""));
+  switch (field->type()) {
     case Json::Type::kNull:
       return Value::Null();
     case Json::Type::kBool:
-      return Value(field.AsBool());
+      return Value(field->AsBool());
     case Json::Type::kNumber:
-      if (json.GetString(key + "_type", "") == "int64") {
-        return Value(field.AsInt64());
+      if (value_type == "int64") {
+        ICEWAFL_ASSIGN_OR_RETURN(int64_t v, r.Int<int64_t>(key));
+        return Value(v);
       }
-      return Value(field.AsDouble());
+      return Value(field->AsDouble());
     case Json::Type::kString:
-      return Value(field.AsString());
+      return Value(field->AsString());
     default:
-      return Status::TypeError("field at " + Sub(path, key) +
-                               " must be a scalar");
+      return r.Fail(StatusCode::kTypeError, key,
+                    "\"" + key + "\" must be a scalar");
   }
 }
 
-Result<double> RequireDouble(const Json& json, const std::string& key,
-                             const std::string& path) {
-  ICEWAFL_ASSIGN_OR_RETURN(Json field, GetField(json, key, path));
-  if (!field.is_number()) {
-    return Status::TypeError("field at " + Sub(path, key) +
-                             " must be a number");
+/// A duration in seconds: an integer, IW303 when negative (or, for an
+/// aggregation window, not positive).
+Result<int64_t> ReadSeconds(FieldReader& r, const std::string& key,
+                            bool window = false) {
+  ICEWAFL_ASSIGN_OR_RETURN(int64_t seconds, r.Int<int64_t>(key, 0));
+  const std::string got = std::to_string(seconds) + "s";
+  if (window && seconds <= 0) {
+    return r.Fail(StatusCode::kInvalidArgument, key,
+                  "aggregation window must be positive, got " + got, "IW303");
   }
-  return field.AsDouble();
+  if (seconds < 0) {
+    return r.Fail(StatusCode::kInvalidArgument, key,
+                  "negative duration (" + got + ")", "IW303");
+  }
+  return seconds;
 }
 
-Result<std::string> RequireString(const Json& json, const std::string& key,
-                                  const std::string& path) {
-  ICEWAFL_ASSIGN_OR_RETURN(Json field, GetField(json, key, path));
-  if (!field.is_string()) {
-    return Status::TypeError("field at " + Sub(path, key) +
-                             " must be a string");
+Result<CompareOp> ReadOp(FieldReader& r) {
+  ICEWAFL_ASSIGN_OR_RETURN(std::string text, r.String("op"));
+  auto op = ParseCompareOp(text);
+  if (!op.ok()) {
+    return r.Fail(StatusCode::kParseError, "op",
+                  "invalid op: " + op.status().message());
   }
-  return field.AsString();
+  return op;
 }
 
-}  // namespace
-
-Result<TimeProfilePtr> TimeProfileFromJson(const Json& json,
-                                           const std::string& path) {
-  if (!json.is_object()) {
-    return Status::ParseError("profile description at " + AtPath(path) +
-                              " must be a JSON object");
+/// The optional "condition" of a polluter; always-true when absent.
+Result<ConditionPtr> ReadCondition(FieldReader& r) {
+  if (!r.Has("condition")) {
+    return ConditionPtr(std::make_unique<AlwaysCondition>());
   }
-  ICEWAFL_ASSIGN_OR_RETURN(std::string type,
-                           RequireString(json, "type", path));
+  ICEWAFL_ASSIGN_OR_RETURN(const Json* cond, r.Get("condition"));
+  return ConditionFromJson(*cond, r.At("condition"), r.diags());
+}
+
+Result<TimeProfilePtr> BuildProfile(FieldReader& r, const std::string& type) {
   if (type == "constant") {
-    ICEWAFL_ASSIGN_OR_RETURN(double value,
-                             RequireDouble(json, "value", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double value, r.Number("value"));
     return TimeProfilePtr(std::make_unique<ConstantProfile>(value));
   }
   if (type == "abrupt") {
     ICEWAFL_ASSIGN_OR_RETURN(Timestamp change,
-                             GetTimestampField(json, "change_time", 0, path));
-    return TimeProfilePtr(std::make_unique<AbruptProfile>(
-        change, json.GetDouble("before", 0.0), json.GetDouble("after", 1.0)));
+                             ReadTimestamp(r, "change_time", 0));
+    ICEWAFL_ASSIGN_OR_RETURN(double before, r.Number("before", 0.0));
+    ICEWAFL_ASSIGN_OR_RETURN(double after, r.Number("after", 1.0));
+    return TimeProfilePtr(
+        std::make_unique<AbruptProfile>(change, before, after));
   }
-  if (type == "incremental") {
+  if (type == "incremental" || type == "intermediate") {
     ICEWAFL_ASSIGN_OR_RETURN(Timestamp start,
-                             GetTimestampField(json, "ramp_start", 0, path));
+                             ReadTimestamp(r, "ramp_start", 0));
     ICEWAFL_ASSIGN_OR_RETURN(Timestamp end,
-                             GetTimestampField(json, "ramp_end", 0, path));
-    return TimeProfilePtr(std::make_unique<IncrementalProfile>(
-        start, end, json.GetDouble("from", 0.0), json.GetDouble("to", 1.0)));
-  }
-  if (type == "intermediate") {
-    ICEWAFL_ASSIGN_OR_RETURN(Timestamp start,
-                             GetTimestampField(json, "ramp_start", 0, path));
-    ICEWAFL_ASSIGN_OR_RETURN(Timestamp end,
-                             GetTimestampField(json, "ramp_end", 0, path));
-    return TimeProfilePtr(std::make_unique<IntermediateProfile>(
-        start, end, json.GetDouble("before", 0.0),
-        json.GetDouble("after", 1.0)));
+                             ReadTimestamp(r, "ramp_end", 0));
+    if (type == "incremental") {
+      ICEWAFL_ASSIGN_OR_RETURN(double from, r.Number("from", 0.0));
+      ICEWAFL_ASSIGN_OR_RETURN(double to, r.Number("to", 1.0));
+      return TimeProfilePtr(
+          std::make_unique<IncrementalProfile>(start, end, from, to));
+    }
+    ICEWAFL_ASSIGN_OR_RETURN(double before, r.Number("before", 0.0));
+    ICEWAFL_ASSIGN_OR_RETURN(double after, r.Number("after", 1.0));
+    return TimeProfilePtr(
+        std::make_unique<IntermediateProfile>(start, end, before, after));
   }
   if (type == "sinusoidal") {
+    ICEWAFL_ASSIGN_OR_RETURN(double period, r.Number("period_hours", 24.0));
+    ICEWAFL_ASSIGN_OR_RETURN(double amplitude, r.Number("amplitude", 0.5));
+    ICEWAFL_ASSIGN_OR_RETURN(double offset, r.Number("offset", 0.5));
+    ICEWAFL_ASSIGN_OR_RETURN(double phase, r.Number("phase", 0.0));
     return TimeProfilePtr(std::make_unique<SinusoidalProfile>(
-        json.GetDouble("period_hours", 24.0), json.GetDouble("amplitude", 0.5),
-        json.GetDouble("offset", 0.5), json.GetDouble("phase", 0.0)));
+        period, amplitude, offset, phase));
   }
   if (type == "stream_ramp") {
-    return TimeProfilePtr(
-        std::make_unique<StreamRampProfile>(json.GetDouble("scale", 1.0)));
+    ICEWAFL_ASSIGN_OR_RETURN(double scale, r.Number("scale", 1.0));
+    return TimeProfilePtr(std::make_unique<StreamRampProfile>(scale));
   }
   if (type == "reoccurring") {
-    return TimeProfilePtr(std::make_unique<ReoccurringProfile>(
-        json.GetDouble("period_hours", 24.0), json.GetDouble("low", 0.0),
-        json.GetDouble("high", 1.0), json.GetDouble("duty_cycle", 0.5)));
+    ICEWAFL_ASSIGN_OR_RETURN(double period, r.Number("period_hours", 24.0));
+    ICEWAFL_ASSIGN_OR_RETURN(double low, r.Number("low", 0.0));
+    ICEWAFL_ASSIGN_OR_RETURN(double high, r.Number("high", 1.0));
+    ICEWAFL_ASSIGN_OR_RETURN(double duty, r.Number("duty_cycle", 0.5));
+    return TimeProfilePtr(
+        std::make_unique<ReoccurringProfile>(period, low, high, duty));
   }
   if (type == "spike") {
     ICEWAFL_ASSIGN_OR_RETURN(Timestamp center,
-                             GetTimestampField(json, "center", 0, path));
-    return TimeProfilePtr(std::make_unique<SpikeProfile>(
-        center, json.GetInt("width_seconds", 1),
-        json.GetDouble("peak", 1.0)));
+                             ReadTimestamp(r, "center", 0));
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t width,
+                             r.Int<int64_t>("width_seconds", 1));
+    ICEWAFL_ASSIGN_OR_RETURN(double peak, r.Number("peak", 1.0));
+    return TimeProfilePtr(
+        std::make_unique<SpikeProfile>(center, width, peak));
   }
-  return Status::ParseError("unknown profile type '" + type + "' at " +
-                            AtPath(path));
+  return r.Fail(StatusCode::kParseError, "type",
+                "unknown profile type '" + type + "'");
 }
 
-Result<ErrorFunctionPtr> ErrorFunctionFromJson(const Json& json,
-                                               const std::string& path) {
-  if (!json.is_object()) {
-    return Status::ParseError("error description at " + AtPath(path) +
-                              " must be a JSON object");
-  }
-  ICEWAFL_ASSIGN_OR_RETURN(std::string type,
-                           RequireString(json, "type", path));
+Result<ErrorFunctionPtr> BuildError(FieldReader& r, const std::string& type) {
   if (type == "gaussian_noise") {
-    ICEWAFL_ASSIGN_OR_RETURN(double stddev,
-                             RequireDouble(json, "stddev", path));
-    return ErrorFunctionPtr(std::make_unique<GaussianNoiseError>(
-        stddev, json.GetBool("multiplicative", false)));
+    ICEWAFL_ASSIGN_OR_RETURN(double stddev, r.Number("stddev"));
+    ICEWAFL_ASSIGN_OR_RETURN(bool multiplicative,
+                             r.Bool("multiplicative", false));
+    return ErrorFunctionPtr(
+        std::make_unique<GaussianNoiseError>(stddev, multiplicative));
   }
   if (type == "uniform_noise") {
-    ICEWAFL_ASSIGN_OR_RETURN(double lo, RequireDouble(json, "lo", path));
-    ICEWAFL_ASSIGN_OR_RETURN(double hi, RequireDouble(json, "hi", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double lo, r.Number("lo"));
+    ICEWAFL_ASSIGN_OR_RETURN(double hi, r.Number("hi"));
     return ErrorFunctionPtr(std::make_unique<UniformNoiseError>(lo, hi));
   }
   if (type == "scale") {
-    ICEWAFL_ASSIGN_OR_RETURN(double factor,
-                             RequireDouble(json, "factor", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double factor, r.Number("factor"));
     return ErrorFunctionPtr(std::make_unique<ScaleError>(factor));
   }
   if (type == "offset") {
-    ICEWAFL_ASSIGN_OR_RETURN(double delta, RequireDouble(json, "delta", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double delta, r.Number("delta"));
     return ErrorFunctionPtr(std::make_unique<OffsetError>(delta));
   }
   if (type == "round") {
-    return ErrorFunctionPtr(std::make_unique<RoundError>(
-        static_cast<int>(json.GetInt("precision", 0))));
+    ICEWAFL_ASSIGN_OR_RETURN(int precision, r.Int<int>("precision", 0));
+    return ErrorFunctionPtr(std::make_unique<RoundError>(precision));
   }
   if (type == "unit_conversion") {
-    ICEWAFL_ASSIGN_OR_RETURN(double factor,
-                             RequireDouble(json, "factor", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double factor, r.Number("factor"));
+    ICEWAFL_ASSIGN_OR_RETURN(std::string from, r.String("from_unit", ""));
+    ICEWAFL_ASSIGN_OR_RETURN(std::string to, r.String("to_unit", ""));
     return ErrorFunctionPtr(std::make_unique<UnitConversionError>(
-        factor, json.GetString("from_unit", ""), json.GetString("to_unit", "")));
+        factor, std::move(from), std::move(to)));
   }
   if (type == "outlier") {
-    ICEWAFL_ASSIGN_OR_RETURN(double lo,
-                             RequireDouble(json, "min_factor", path));
-    ICEWAFL_ASSIGN_OR_RETURN(double hi,
-                             RequireDouble(json, "max_factor", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double lo, r.Number("min_factor"));
+    ICEWAFL_ASSIGN_OR_RETURN(double hi, r.Number("max_factor"));
     return ErrorFunctionPtr(std::make_unique<OutlierError>(lo, hi));
   }
   if (type == "missing_value") {
     return ErrorFunctionPtr(std::make_unique<MissingValueError>());
   }
   if (type == "set_constant") {
-    ICEWAFL_ASSIGN_OR_RETURN(Value value, GetValueField(json, "value", path));
+    ICEWAFL_ASSIGN_OR_RETURN(Value value, ReadValue(r, "value"));
     return ErrorFunctionPtr(
         std::make_unique<SetConstantError>(std::move(value)));
   }
   if (type == "incorrect_category") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json cats, GetField(json, "categories", path));
-    if (!cats.is_array()) {
-      return Status::TypeError("field at " + Sub(path, "categories") +
-                               " must be an array of strings");
-    }
-    std::vector<std::string> categories;
-    for (const Json& c : cats.items()) {
-      if (!c.is_string()) {
-        return Status::TypeError("field at " + Sub(path, "categories") +
-                                 " must contain only strings");
-      }
-      categories.push_back(c.AsString());
-    }
+    ICEWAFL_ASSIGN_OR_RETURN(std::vector<std::string> categories,
+                             r.Strings("categories"));
     return ErrorFunctionPtr(
         std::make_unique<IncorrectCategoryError>(std::move(categories)));
   }
@@ -243,302 +223,277 @@ Result<ErrorFunctionPtr> ErrorFunctionFromJson(const Json& json,
     return ErrorFunctionPtr(std::make_unique<SignFlipError>());
   }
   if (type == "case") {
-    return ErrorFunctionPtr(
-        std::make_unique<CaseError>(json.GetDouble("flip_probability", 0.5)));
+    ICEWAFL_ASSIGN_OR_RETURN(double p, r.Number("flip_probability", 0.5));
+    return ErrorFunctionPtr(std::make_unique<CaseError>(p));
   }
   if (type == "truncate") {
-    return ErrorFunctionPtr(std::make_unique<TruncateError>(
-        static_cast<size_t>(json.GetInt("max_length", 0))));
+    ICEWAFL_ASSIGN_OR_RETURN(size_t max_length,
+                             r.Int<size_t>("max_length", 0));
+    return ErrorFunctionPtr(std::make_unique<TruncateError>(max_length));
   }
   if (type == "swap_attributes") {
     return ErrorFunctionPtr(std::make_unique<SwapAttributesError>());
   }
   if (type == "delay") {
-    const int64_t delay = json.GetInt("delay_seconds", 0);
-    if (delay < 0) {
-      return Status::InvalidArgument("negative delay (" +
-                                     std::to_string(delay) + "s) at " +
-                                     Sub(path, "delay_seconds"));
-    }
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t delay, ReadSeconds(r, "delay_seconds"));
     return ErrorFunctionPtr(std::make_unique<DelayError>(delay));
   }
   if (type == "frozen_value") {
-    return ErrorFunctionPtr(
-        std::make_unique<FrozenValueError>(json.GetInt("hold_seconds", 0)));
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t hold, ReadSeconds(r, "hold_seconds"));
+    return ErrorFunctionPtr(std::make_unique<FrozenValueError>(hold));
   }
   if (type == "timestamp_shift") {
-    return ErrorFunctionPtr(
-        std::make_unique<TimestampShiftError>(json.GetInt("shift_seconds", 0)));
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t shift, r.Int<int64_t>("shift_seconds", 0));
+    return ErrorFunctionPtr(std::make_unique<TimestampShiftError>(shift));
   }
   if (type == "timestamp_jitter") {
-    return ErrorFunctionPtr(std::make_unique<TimestampJitterError>(
-        json.GetInt("max_jitter_seconds", 0)));
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t jitter,
+                             ReadSeconds(r, "max_jitter_seconds"));
+    return ErrorFunctionPtr(std::make_unique<TimestampJitterError>(jitter));
   }
   if (type == "derived") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json base_json, GetField(json, "base", path));
-    ICEWAFL_ASSIGN_OR_RETURN(Json profile_json,
-                             GetField(json, "profile", path));
+    ICEWAFL_ASSIGN_OR_RETURN(const Json* base_json, r.Get("base"));
+    ICEWAFL_ASSIGN_OR_RETURN(const Json* profile_json, r.Get("profile"));
     ICEWAFL_ASSIGN_OR_RETURN(
         ErrorFunctionPtr base,
-        ErrorFunctionFromJson(base_json, Sub(path, "base")));
+        ErrorFunctionFromJson(*base_json, r.At("base"), r.diags()));
     ICEWAFL_ASSIGN_OR_RETURN(
         TimeProfilePtr profile,
-        TimeProfileFromJson(profile_json, Sub(path, "profile")));
+        TimeProfileFromJson(*profile_json, r.At("profile"), r.diags()));
     return ErrorFunctionPtr(std::make_unique<DerivedTemporalError>(
         std::move(base), std::move(profile)));
   }
-  return Status::ParseError("unknown error type '" + type + "' at " +
-                            AtPath(path));
+  return r.Fail(StatusCode::kParseError, "type",
+                "unknown error type '" + type + "'");
 }
 
-Result<ConditionPtr> ConditionFromJson(const Json& json,
-                                       const std::string& path) {
-  if (!json.is_object()) {
-    return Status::ParseError("condition description at " + AtPath(path) +
-                              " must be a JSON object");
+/// The "children" conditions of an and/or node.
+Result<std::vector<ConditionPtr>> ReadChildren(FieldReader& r) {
+  ICEWAFL_ASSIGN_OR_RETURN(const Json::Array* items, r.Array("children"));
+  std::vector<ConditionPtr> children;
+  for (size_t i = 0; i < items->size(); ++i) {
+    ICEWAFL_ASSIGN_OR_RETURN(
+        ConditionPtr child,
+        ConditionFromJson((*items)[i], SubIdx(r.At("children"), i),
+                          r.diags()));
+    children.push_back(std::move(child));
   }
-  ICEWAFL_ASSIGN_OR_RETURN(std::string type,
-                           RequireString(json, "type", path));
+  return children;
+}
+
+Result<ConditionPtr> BuildCondition(FieldReader& r, const std::string& type) {
   if (type == "always") return ConditionPtr(std::make_unique<AlwaysCondition>());
   if (type == "never") return ConditionPtr(std::make_unique<NeverCondition>());
   if (type == "random") {
-    ICEWAFL_ASSIGN_OR_RETURN(double p, RequireDouble(json, "p", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double p, r.Number("p"));
     return ConditionPtr(std::make_unique<RandomCondition>(p));
   }
   if (type == "value") {
-    ICEWAFL_ASSIGN_OR_RETURN(std::string attr,
-                             RequireString(json, "attribute", path));
-    ICEWAFL_ASSIGN_OR_RETURN(std::string op_text,
-                             RequireString(json, "op", path));
-    auto op = ParseCompareOp(op_text);
-    if (!op.ok()) {
-      return Status::ParseError("invalid op at " + Sub(path, "op") + ": " +
-                                op.status().message());
-    }
+    ICEWAFL_ASSIGN_OR_RETURN(std::string attr, r.String("attribute"));
+    ICEWAFL_ASSIGN_OR_RETURN(CompareOp op, ReadOp(r));
     Value operand;
-    if (json.Has("operand")) {
-      ICEWAFL_ASSIGN_OR_RETURN(operand, GetValueField(json, "operand", path));
+    if (r.Has("operand")) {
+      ICEWAFL_ASSIGN_OR_RETURN(operand, ReadValue(r, "operand"));
     }
     return ConditionPtr(std::make_unique<ValueCondition>(
-        std::move(attr), op.ValueOrDie(), std::move(operand)));
+        std::move(attr), op, std::move(operand)));
   }
   if (type == "time_window") {
-    ICEWAFL_ASSIGN_OR_RETURN(
-        Timestamp start, GetTimestampField(json, "start", INT64_MIN, path));
-    ICEWAFL_ASSIGN_OR_RETURN(
-        Timestamp end, GetTimestampField(json, "end", INT64_MAX, path));
+    ICEWAFL_ASSIGN_OR_RETURN(Timestamp start,
+                             ReadTimestamp(r, "start", INT64_MIN));
+    ICEWAFL_ASSIGN_OR_RETURN(Timestamp end,
+                             ReadTimestamp(r, "end", INT64_MAX));
     return ConditionPtr(std::make_unique<TimeWindowCondition>(start, end));
   }
   if (type == "daily_window") {
-    return ConditionPtr(std::make_unique<DailyWindowCondition>(
-        static_cast<int>(json.GetInt("start_minute", 0)),
-        static_cast<int>(json.GetInt("end_minute", 1439))));
+    ICEWAFL_ASSIGN_OR_RETURN(int start, r.Int<int>("start_minute", 0));
+    ICEWAFL_ASSIGN_OR_RETURN(int end, r.Int<int>("end_minute", 1439));
+    return ConditionPtr(std::make_unique<DailyWindowCondition>(start, end));
   }
   if (type == "profile_probability") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json profile_json,
-                             GetField(json, "profile", path));
+    ICEWAFL_ASSIGN_OR_RETURN(const Json* profile_json, r.Get("profile"));
     ICEWAFL_ASSIGN_OR_RETURN(
         TimeProfilePtr profile,
-        TimeProfileFromJson(profile_json, Sub(path, "profile")));
+        TimeProfileFromJson(*profile_json, r.At("profile"), r.diags()));
     return ConditionPtr(
         std::make_unique<ProfileProbabilityCondition>(std::move(profile)));
   }
   if (type == "and" || type == "or") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json children_json,
-                             GetField(json, "children", path));
-    if (!children_json.is_array()) {
-      return Status::TypeError("field at " + Sub(path, "children") +
-                               " must be an array");
-    }
-    std::vector<ConditionPtr> children;
-    for (size_t i = 0; i < children_json.items().size(); ++i) {
-      ICEWAFL_ASSIGN_OR_RETURN(
-          ConditionPtr child,
-          ConditionFromJson(children_json.items()[i],
-                            SubIdx(Sub(path, "children"), i)));
-      children.push_back(std::move(child));
-    }
+    ICEWAFL_ASSIGN_OR_RETURN(std::vector<ConditionPtr> children,
+                             ReadChildren(r));
     if (type == "and") {
       return ConditionPtr(std::make_unique<AndCondition>(std::move(children)));
     }
     return ConditionPtr(std::make_unique<OrCondition>(std::move(children)));
   }
   if (type == "not") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json child_json, GetField(json, "child", path));
+    ICEWAFL_ASSIGN_OR_RETURN(const Json* child_json, r.Get("child"));
     ICEWAFL_ASSIGN_OR_RETURN(
         ConditionPtr child,
-        ConditionFromJson(child_json, Sub(path, "child")));
+        ConditionFromJson(*child_json, r.At("child"), r.diags()));
     return ConditionPtr(std::make_unique<NotCondition>(std::move(child)));
   }
   if (type == "window_aggregate") {
-    ICEWAFL_ASSIGN_OR_RETURN(std::string attr,
-                             RequireString(json, "attribute", path));
-    ICEWAFL_ASSIGN_OR_RETURN(std::string agg_text,
-                             RequireString(json, "agg", path));
+    ICEWAFL_ASSIGN_OR_RETURN(std::string attr, r.String("attribute"));
+    ICEWAFL_ASSIGN_OR_RETURN(std::string agg_text, r.String("agg"));
     auto agg = ParseWindowAgg(agg_text);
     if (!agg.ok()) {
-      return Status::ParseError("invalid agg at " + Sub(path, "agg") + ": " +
-                                agg.status().message());
+      return r.Fail(StatusCode::kParseError, "agg",
+                    "invalid agg: " + agg.status().message());
     }
-    ICEWAFL_ASSIGN_OR_RETURN(std::string op_text,
-                             RequireString(json, "op", path));
-    auto op = ParseCompareOp(op_text);
-    if (!op.ok()) {
-      return Status::ParseError("invalid op at " + Sub(path, "op") + ": " +
-                                op.status().message());
+    ICEWAFL_ASSIGN_OR_RETURN(CompareOp op, ReadOp(r));
+    if (op == CompareOp::kIsNull || op == CompareOp::kNotNull) {
+      return r.Fail(StatusCode::kParseError, "op",
+                    "window_aggregate does not support null comparison "
+                    "operator '" + std::string(CompareOpName(op)) + "'");
     }
-    if (op.ValueOrDie() == CompareOp::kIsNull ||
-        op.ValueOrDie() == CompareOp::kNotNull) {
-      return Status::ParseError(
-          "invalid op at " + Sub(path, "op") +
-          ": window_aggregate does not support null comparison operator '" +
-          op_text + "'");
-    }
-    ICEWAFL_ASSIGN_OR_RETURN(double threshold,
-                             RequireDouble(json, "threshold", path));
+    ICEWAFL_ASSIGN_OR_RETURN(double threshold, r.Number("threshold"));
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t window,
+                             ReadSeconds(r, "window_seconds", true));
     return ConditionPtr(std::make_unique<WindowAggregateCondition>(
-        std::move(attr), json.GetInt("window_seconds", 0), agg.ValueOrDie(),
-        op.ValueOrDie(), threshold));
+        std::move(attr), window, agg.ValueOrDie(), op, threshold));
   }
   if (type == "hold") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json inner_json, GetField(json, "inner", path));
+    ICEWAFL_ASSIGN_OR_RETURN(const Json* inner_json, r.Get("inner"));
+    ICEWAFL_ASSIGN_OR_RETURN(int64_t hold, ReadSeconds(r, "hold_seconds"));
     ICEWAFL_ASSIGN_OR_RETURN(
         ConditionPtr inner,
-        ConditionFromJson(inner_json, Sub(path, "inner")));
-    return ConditionPtr(std::make_unique<HoldCondition>(
-        std::move(inner), json.GetInt("hold_seconds", 0)));
+        ConditionFromJson(*inner_json, r.At("inner"), r.diags()));
+    return ConditionPtr(
+        std::make_unique<HoldCondition>(std::move(inner), hold));
   }
-  return Status::ParseError("unknown condition type '" + type + "' at " +
-                            AtPath(path));
+  return r.Fail(StatusCode::kParseError, "type",
+                "unknown condition type '" + type + "'");
 }
 
-Result<PolluterPtr> PolluterFromJson(const Json& json,
-                                     const std::string& path) {
-  if (!json.is_object()) {
-    return Status::ParseError("polluter description at " + AtPath(path) +
-                              " must be a JSON object");
-  }
-  ICEWAFL_ASSIGN_OR_RETURN(std::string type,
-                           RequireString(json, "type", path));
-  const std::string label = json.GetString("label", type);
+Result<PolluterPtr> BuildPolluter(FieldReader& r, const std::string& type) {
+  ICEWAFL_ASSIGN_OR_RETURN(std::string label, r.String("label", type));
   if (type == "standard") {
-    ICEWAFL_ASSIGN_OR_RETURN(Json error_json, GetField(json, "error", path));
+    ICEWAFL_ASSIGN_OR_RETURN(const Json* error_json, r.Get("error"));
     ICEWAFL_ASSIGN_OR_RETURN(
         ErrorFunctionPtr error,
-        ErrorFunctionFromJson(error_json, Sub(path, "error")));
-    ConditionPtr condition = std::make_unique<AlwaysCondition>();
-    if (json.Has("condition")) {
-      ICEWAFL_ASSIGN_OR_RETURN(Json cond_json, json.Get("condition"));
-      ICEWAFL_ASSIGN_OR_RETURN(
-          condition, ConditionFromJson(cond_json, Sub(path, "condition")));
-    }
+        ErrorFunctionFromJson(*error_json, r.At("error"), r.diags()));
+    ICEWAFL_ASSIGN_OR_RETURN(ConditionPtr condition,
+                             ReadCondition(r));
     std::vector<std::string> attributes;
-    if (json.Has("attributes")) {
-      ICEWAFL_ASSIGN_OR_RETURN(Json attrs, json.Get("attributes"));
-      if (!attrs.is_array()) {
-        return Status::TypeError("field at " + Sub(path, "attributes") +
-                                 " must be an array");
-      }
-      for (const Json& a : attrs.items()) {
-        if (!a.is_string()) {
-          return Status::TypeError("field at " + Sub(path, "attributes") +
-                                   " must contain only strings");
-        }
-        attributes.push_back(a.AsString());
-      }
+    if (r.Has("attributes")) {
+      ICEWAFL_ASSIGN_OR_RETURN(attributes, r.Strings("attributes"));
     }
     return PolluterPtr(std::make_unique<StandardPolluter>(
-        label, std::move(error), std::move(condition), std::move(attributes)));
+        std::move(label), std::move(error), std::move(condition),
+        std::move(attributes)));
   }
-  if (type == "sequential" || type == "exclusive") {
-    ConditionPtr condition = std::make_unique<AlwaysCondition>();
-    if (json.Has("condition")) {
-      ICEWAFL_ASSIGN_OR_RETURN(Json cond_json, json.Get("condition"));
-      ICEWAFL_ASSIGN_OR_RETURN(
-          condition, ConditionFromJson(cond_json, Sub(path, "condition")));
-    }
-    ICEWAFL_ASSIGN_OR_RETURN(Json children_json,
-                             GetField(json, "children", path));
-    if (!children_json.is_array()) {
-      return Status::TypeError("field at " + Sub(path, "children") +
-                               " must be an array");
-    }
-    const std::string children_path = Sub(path, "children");
-    if (type == "sequential") {
-      auto composite =
-          std::make_unique<SequentialPolluter>(label, std::move(condition));
-      for (size_t i = 0; i < children_json.items().size(); ++i) {
-        ICEWAFL_ASSIGN_OR_RETURN(
-            PolluterPtr child,
-            PolluterFromJson(children_json.items()[i],
-                             SubIdx(children_path, i)));
-        composite->Register(std::move(child));
-      }
-      return PolluterPtr(std::move(composite));
-    }
-    auto composite =
+  if (type != "sequential" && type != "exclusive") {
+    return r.Fail(StatusCode::kParseError, "type",
+                  "unknown polluter type '" + type + "'");
+  }
+  ICEWAFL_ASSIGN_OR_RETURN(ConditionPtr condition,
+                           ReadCondition(r));
+  ICEWAFL_ASSIGN_OR_RETURN(const Json::Array* items, r.Array("children"));
+  std::vector<double> weights;
+  if (type == "exclusive" && r.Has("weights")) {
+    ICEWAFL_ASSIGN_OR_RETURN(weights, r.Numbers("weights"));
+  }
+  std::unique_ptr<CompositePolluter> composite;
+  ExclusivePolluter* exclusive = nullptr;
+  if (type == "sequential") {
+    composite =
+        std::make_unique<SequentialPolluter>(label, std::move(condition));
+  } else {
+    auto owned =
         std::make_unique<ExclusivePolluter>(label, std::move(condition));
-    std::vector<double> weights;
-    if (json.Has("weights")) {
-      ICEWAFL_ASSIGN_OR_RETURN(Json w, json.Get("weights"));
-      if (!w.is_array()) {
-        return Status::TypeError("field at " + Sub(path, "weights") +
-                                 " must be an array");
-      }
-      for (const Json& x : w.items()) {
-        if (!x.is_number()) {
-          return Status::TypeError("field at " + Sub(path, "weights") +
-                                   " must contain only numbers");
-        }
-        weights.push_back(x.AsDouble());
-      }
-    }
-    for (size_t i = 0; i < children_json.items().size(); ++i) {
-      ICEWAFL_ASSIGN_OR_RETURN(
-          PolluterPtr child,
-          PolluterFromJson(children_json.items()[i], SubIdx(children_path, i)));
-      composite->RegisterWeighted(std::move(child),
+    exclusive = owned.get();
+    composite = std::move(owned);
+  }
+  for (size_t i = 0; i < items->size(); ++i) {
+    ICEWAFL_ASSIGN_OR_RETURN(
+        PolluterPtr child,
+        PolluterFromJson((*items)[i], SubIdx(r.At("children"), i),
+                         r.diags()));
+    if (exclusive == nullptr) {
+      composite->Register(std::move(child));
+    } else {
+      exclusive->RegisterWeighted(std::move(child),
                                   i < weights.size() ? weights[i] : 1.0);
     }
-    return PolluterPtr(std::move(composite));
   }
-  return Status::ParseError("unknown polluter type '" + type + "' at " +
-                            AtPath(path));
+  return PolluterPtr(std::move(composite));
+}
+
+/// Loads one node: checks it is an object, reads its "type", builds it
+/// with `build`, and reports the keys the build did not read.
+template <typename T>
+Result<T> LoadNode(const Json& json, const std::string& path,
+                   Diagnostics* diags, const char* what,
+                   Result<T> (*build)(FieldReader&, const std::string& type)) {
+  FieldReader r(json, path, diags);
+  ICEWAFL_RETURN_NOT_OK(r.ExpectObject(what));
+  ICEWAFL_ASSIGN_OR_RETURN(std::string type, r.String("type"));
+  ICEWAFL_ASSIGN_OR_RETURN(T node, build(r, type));
+  r.Done();
+  return node;
+}
+
+}  // namespace
+
+Result<TimeProfilePtr> TimeProfileFromJson(const Json& json,
+                                           const std::string& path,
+                                           Diagnostics* diags) {
+  return LoadNode(json, path, diags, "profile description", BuildProfile);
+}
+
+Result<ErrorFunctionPtr> ErrorFunctionFromJson(const Json& json,
+                                               const std::string& path,
+                                               Diagnostics* diags) {
+  return LoadNode(json, path, diags, "error description", BuildError);
+}
+
+Result<ConditionPtr> ConditionFromJson(const Json& json,
+                                       const std::string& path,
+                                       Diagnostics* diags) {
+  return LoadNode(json, path, diags, "condition description", BuildCondition);
+}
+
+Result<PolluterPtr> PolluterFromJson(const Json& json, const std::string& path,
+                                     Diagnostics* diags) {
+  return LoadNode(json, path, diags, "polluter description", BuildPolluter);
+}
+
+Result<const Json::Array*> PollutersOf(const Json& json, Diagnostics* diags,
+                                       std::string* name) {
+  FieldReader r(json, "", diags);
+  ICEWAFL_RETURN_NOT_OK(r.ExpectObject("pipeline description"));
+  ICEWAFL_ASSIGN_OR_RETURN(std::string read_name, r.String("name", "pipeline"));
+  ICEWAFL_ASSIGN_OR_RETURN(const Json::Array* polluters, r.Array("polluters"));
+  r.Done();
+  if (name != nullptr) *name = std::move(read_name);
+  return polluters;
 }
 
 Result<PollutionPipeline> PipelineFromJson(const Json& json,
-                                           SchemaPtr bind_schema) {
-  if (!json.is_object()) {
-    return Status::ParseError("pipeline description must be a JSON object");
+                                           SchemaPtr bind_schema,
+                                           Diagnostics* diags) {
+  std::string name;
+  ICEWAFL_ASSIGN_OR_RETURN(const Json::Array* polluters,
+                           PollutersOf(json, diags, &name));
+  PollutionPipeline pipeline(std::move(name));
+  // Every entry is loaded, so `diags` holds each one's findings; the
+  // first failure is the result.
+  Status first;
+  for (size_t i = 0; i < polluters->size(); ++i) {
+    auto polluter =
+        PolluterFromJson((*polluters)[i], SubIdx("/polluters", i), diags);
+    if (polluter.ok()) {
+      pipeline.Add(std::move(polluter).ValueOrDie());
+    } else if (first.ok()) {
+      first = polluter.status();
+    }
   }
-  if (g_pipeline_load_hook) {
-    ICEWAFL_RETURN_NOT_OK(g_pipeline_load_hook(json));
-  }
-  PollutionPipeline pipeline(json.GetString("name", "pipeline"));
-  ICEWAFL_ASSIGN_OR_RETURN(Json polluters, GetField(json, "polluters", ""));
-  if (!polluters.is_array()) {
-    return Status::TypeError("field at /polluters must be an array");
-  }
-  for (size_t i = 0; i < polluters.items().size(); ++i) {
-    ICEWAFL_ASSIGN_OR_RETURN(
-        PolluterPtr polluter,
-        PolluterFromJson(polluters.items()[i], SubIdx("/polluters", i)));
-    pipeline.Add(std::move(polluter));
-  }
+  ICEWAFL_RETURN_NOT_OK(first);
   if (bind_schema != nullptr) {
-    ICEWAFL_RETURN_NOT_OK(pipeline.Bind(std::move(bind_schema)));
+    ICEWAFL_RETURN_NOT_OK(pipeline.Bind(std::move(bind_schema), diags));
   }
   return pipeline;
-}
-
-void SetPipelineLoadHook(PipelineLoadHook hook) {
-  g_pipeline_load_hook = std::move(hook);
-}
-
-Result<PollutionPipeline> PipelineFromConfigString(const std::string& text,
-                                                   SchemaPtr bind_schema) {
-  ICEWAFL_ASSIGN_OR_RETURN(Json json, Json::Parse(text));
-  return PipelineFromJson(json, std::move(bind_schema));
 }
 
 Result<PollutionPipeline> PipelineFromConfigFile(const std::string& path,
@@ -547,7 +502,8 @@ Result<PollutionPipeline> PipelineFromConfigFile(const std::string& path,
   if (!in) return Status::IOError("cannot open config file: '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
-  return PipelineFromConfigString(buf.str(), std::move(bind_schema));
+  ICEWAFL_ASSIGN_OR_RETURN(Json json, Json::Parse(buf.str()));
+  return PipelineFromJson(json, std::move(bind_schema));
 }
 
 }  // namespace icewafl

@@ -81,14 +81,20 @@ void PollutionPipeline::Seed(uint64_t seed) {
   for (const PolluterPtr& p : polluters_) p->Seed(&master);
 }
 
-Status PollutionPipeline::Bind(SchemaPtr schema) {
+Status PollutionPipeline::Bind(SchemaPtr schema, Diagnostics* diags) {
   if (schema == nullptr) {
     return Status::InvalidArgument("pipeline '" + name_ +
                                    "': cannot bind to a null schema");
   }
   for (size_t i = 0; i < polluters_.size(); ++i) {
     BindContext ctx(*schema, "/polluters/" + std::to_string(i));
-    ICEWAFL_RETURN_NOT_OK(polluters_[i]->Bind(ctx));
+    Status status = polluters_[i]->Bind(ctx);
+    if (!status.ok()) {
+      if (diags != nullptr) {
+        diags->AddError("IW100", ctx.error_path(), ctx.error_message());
+      }
+      return status;
+    }
   }
   bound_schema_ = std::move(schema);
   return Status::OK();

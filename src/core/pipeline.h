@@ -6,6 +6,7 @@
 
 #include "core/polluter.h"
 #include "obs/metrics.h"
+#include "util/diag.h"
 #include "stream/schema.h"
 
 namespace icewafl {
@@ -41,8 +42,10 @@ class PollutionPipeline {
   /// once, and misconfiguration surfaces here as a Status whose message
   /// carries a JSON-pointer path ("at /polluters/0/condition/attribute:
   /// unknown attribute ..."). The pipeline keeps `schema` alive for its
-  /// bound polluters; clones share the same immutable bound plan.
-  Status Bind(SchemaPtr schema);
+  /// bound polluters; clones share the same immutable bound plan. A
+  /// failure is also reported into `diags` (when non-null) as IW100 at
+  /// its pointer.
+  Status Bind(SchemaPtr schema, Diagnostics* diags = nullptr);
 
   /// \brief The schema this pipeline was last successfully bound
   /// against, or nullptr.

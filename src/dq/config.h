@@ -4,6 +4,7 @@
 #include <string>
 
 #include "dq/suite.h"
+#include "util/diag.h"
 #include "util/json.h"
 
 namespace icewafl {
@@ -24,25 +25,36 @@ namespace dq {
 ///  ]}
 /// \endcode
 
-/// Loader errors carry the JSON pointer (RFC 6901) of the offending
-/// fragment, e.g. "at /expectations/2: missing field 'column'". The
-/// optional `path` argument is the pointer prefix of `json` within the
-/// enclosing document (empty for the root).
+/// The loaders check every single-field rule as they parse, as the
+/// pipeline loaders do (core/config.h): each finding goes into `diags`
+/// (when non-null) with its JSON pointer — IW100 for anything that does
+/// not load, IW402 for a key the expectation's type does not read — and
+/// a failed load returns the first error as its Status, e.g. "at
+/// /expectations/2/column: missing \"column\"". The `path` argument is
+/// the pointer of `json` within the enclosing document (empty for the
+/// root).
 
 /// \brief Builds one expectation from its JSON description.
 Result<ExpectationPtr> ExpectationFromJson(const Json& json,
-                                           const std::string& path = "");
+                                           const std::string& path = "",
+                                           Diagnostics* diags = nullptr);
+
+/// \brief The "expectations" array of a suite document, after checking
+/// the document's own fields (an object with an optional string "name",
+/// stored into `name` when non-null). SuiteFromJson loads each entry at
+/// "/expectations/<i>" through ExpectationFromJson; so does the analyzer.
+Result<const Json::Array*> ExpectationsOf(const Json& json,
+                                          Diagnostics* diags = nullptr,
+                                          std::string* name = nullptr);
 
 /// \brief Builds a whole suite from {"name": ..., "expectations": [...]}.
-/// When `bind_schema` is non-null the suite is additionally bound against
-/// it (DESIGN.md section 8): unknown columns and type mismatches are
+/// Every entry is loaded, so `diags` gets the findings of each. When
+/// `bind_schema` is non-null the suite is additionally bound against it
+/// (DESIGN.md section 8): unknown columns and type mismatches are
 /// rejected here, at load time, with their JSON-pointer path.
 Result<ExpectationSuite> SuiteFromJson(const Json& json,
-                                       SchemaPtr bind_schema = nullptr);
-
-/// \brief Parses JSON text and builds (and optionally binds) the suite.
-Result<ExpectationSuite> SuiteFromConfigString(const std::string& text,
-                                               SchemaPtr bind_schema = nullptr);
+                                       SchemaPtr bind_schema = nullptr,
+                                       Diagnostics* diags = nullptr);
 
 /// \brief Reads a JSON file and builds (and optionally binds) the suite.
 Result<ExpectationSuite> SuiteFromConfigFile(const std::string& path,

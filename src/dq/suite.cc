@@ -76,14 +76,20 @@ void PublishSuiteResult(const SuiteResult& result,
   }
 }
 
-Status ExpectationSuite::Bind(SchemaPtr schema) {
+Status ExpectationSuite::Bind(SchemaPtr schema, Diagnostics* diags) {
   if (schema == nullptr) {
     return Status::InvalidArgument("suite '" + name_ +
                                    "': cannot bind to a null schema");
   }
   for (size_t i = 0; i < expectations_.size(); ++i) {
     BindContext ctx(*schema, "/expectations/" + std::to_string(i));
-    ICEWAFL_RETURN_NOT_OK(expectations_[i]->Bind(ctx));
+    Status status = expectations_[i]->Bind(ctx);
+    if (!status.ok()) {
+      if (diags != nullptr) {
+        diags->AddError("IW100", ctx.error_path(), ctx.error_message());
+      }
+      return status;
+    }
   }
   bound_schema_ = std::move(schema);
   return Status::OK();

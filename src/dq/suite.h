@@ -6,6 +6,7 @@
 
 #include "dq/expectation.h"
 #include "obs/metrics.h"
+#include "util/diag.h"
 
 namespace icewafl {
 namespace dq {
@@ -67,7 +68,9 @@ class ExpectationSuite {
   /// 8). Errors carry the expectation's JSON-pointer path, e.g.
   /// "at /expectations/2/column: unknown attribute ...". After a
   /// successful Bind, Validate runs without per-call column resolution.
-  Status Bind(SchemaPtr schema);
+  /// A failure is also reported into `diags` (when non-null) as IW100 at
+  /// its pointer.
+  Status Bind(SchemaPtr schema, Diagnostics* diags = nullptr);
 
   /// \brief The schema this suite was bound against, or nullptr.
   const SchemaPtr& bound_schema() const { return bound_schema_; }

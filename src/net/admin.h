@@ -26,10 +26,10 @@ namespace net {
 /// speaking AdminRequest/AdminResponse frames over the same
 /// length-prefixed codec as the data plane. Every mutation is
 /// lint-gated: the request envelope through
-/// analysis::AnalyzeAdminRequest, swapped pipeline documents through
-/// the installed AnalyzeOrDie hook — a statically broken config is
-/// rejected with the full Diagnostics JSON before any session state
-/// changes.
+/// analysis::AnalyzeAdminRequest, swapped pipeline documents through the
+/// compile_swap hook, which the CLI backs with analysis::AnalyzePipeline
+/// — a statically broken config is rejected with the full Diagnostics
+/// JSON before any session state changes.
 
 /// \brief The admin method vocabulary, in documentation order:
 /// list_sessions, get_config, swap_pipeline, set_rate, stop_session,

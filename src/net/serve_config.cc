@@ -180,14 +180,7 @@ void LoadServeConfig(const Json& json,
       config->slow_consumer = parsed.ValueOrDie();
     }
   }
-  if (json.Has("host")) {
-    const Json host = json.Get("host").ValueOrDie();
-    if (host.is_string()) {
-      config->host = host.AsString();
-    } else {
-      d->AddError("IW606", "/host", "host must be a string");
-    }
-  }
+  ReadStringField(json, "host", "", "IW606", &config->host, d);
   // IW604: unknown keys are likely typos — including the per-session
   // knobs, which belong inside the entries.
   for (const auto& field : json.fields()) {

@@ -390,9 +390,9 @@ Result<std::shared_ptr<PlanSnapshot>> BuildScenarioPlan(
 
 Result<std::shared_ptr<PlanSnapshot>> BuildPlanFromPipelineJson(
     const PlanSnapshot& base, const Json& pipeline_json) {
-  // PipelineFromJson runs the installed AnalyzeOrDie hook and binds
-  // against the session schema, so every rejection carries JSON-pointer
-  // diagnostics and happens before a snapshot exists.
+  // PipelineFromJson checks every field and binds against the session
+  // schema, so every rejection carries its JSON pointer and happens
+  // before a snapshot exists.
   ICEWAFL_ASSIGN_OR_RETURN(PollutionPipeline pipeline,
                            PipelineFromJson(pipeline_json, base.schema));
   return MakePlanSnapshot("custom", pipeline_json, base.schema, base.clean,

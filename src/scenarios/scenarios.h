@@ -164,9 +164,10 @@ Result<std::shared_ptr<PlanSnapshot>> BuildScenarioPlan(
 /// \brief Compiles a raw pipeline document into an unpublished snapshot
 /// that inherits everything else — schema, clean stream, seed,
 /// parallelism, bounds, rate — from `base` (the session's current
-/// plan). The document passes through PipelineFromJson, so the
-/// installed AnalyzeOrDie hook lint-gates it against the schema before
-/// a snapshot exists to publish; the new plan's scenario is "custom".
+/// plan). The document is loaded and bound against the schema by
+/// PipelineFromJson before a snapshot exists to publish; callers that
+/// want the full lint gate run analysis::AnalyzePipeline first (the
+/// CLI's admin hooks do). The new plan's scenario is "custom".
 Result<std::shared_ptr<PlanSnapshot>> BuildPlanFromPipelineJson(
     const PlanSnapshot& base, const Json& pipeline_json);
 

@@ -6,6 +6,7 @@
 #include "clean/config.h"
 #include "io/csv.h"
 #include "util/rng.h"
+#include "../support/config_text.h"
 
 namespace icewafl {
 namespace clean {
@@ -31,7 +32,7 @@ Tuple Row(const SchemaPtr& schema, int64_t t, Value bpm, int64_t steps,
 }
 
 CleaningRules LoadRules(const std::string& text, const SchemaPtr& schema) {
-  Result<CleaningRules> rules = RulesFromJsonString(text, schema);
+  Result<CleaningRules> rules = RulesFromText(text, schema);
   EXPECT_TRUE(rules.ok()) << rules.status().message();
   return std::move(rules).ValueOrDie();
 }

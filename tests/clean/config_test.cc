@@ -1,4 +1,5 @@
 #include "clean/config.h"
+#include "../support/config_text.h"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,7 @@ SchemaPtr WearableLikeSchema() {
 }
 
 Result<CleaningRules> Load(const std::string& text) {
-  return RulesFromJsonString(text);
+  return RulesFromText(text);
 }
 
 TEST(CleanConfigTest, LoadsEveryDetectTypeAndRepair) {
@@ -148,14 +149,14 @@ TEST(CleanConfigTest, DocumentShapeErrors) {
 
 TEST(CleanConfigTest, BindSchemaValidatesColumns) {
   SchemaPtr schema = WearableLikeSchema();
-  Result<CleaningRules> good = RulesFromJsonString(
+  Result<CleaningRules> good = RulesFromText(
       R"({"rules": [{"label": "a", "column": "BPM",
           "detect": {"type": "range", "min": 20, "max": 250},
           "repair": "set_null"}]})",
       schema);
   EXPECT_TRUE(good.ok()) << good.status().message();
 
-  Result<CleaningRules> bad = RulesFromJsonString(
+  Result<CleaningRules> bad = RulesFromText(
       R"({"rules": [{"label": "a", "column": "Heartrate",
           "detect": {"type": "range", "min": 20, "max": 250},
           "repair": "set_null"}]})",
@@ -165,7 +166,7 @@ TEST(CleanConfigTest, BindSchemaValidatesColumns) {
       << bad.status().message();
 
   // Unknown key column is also a bind error, at /key.
-  Result<CleaningRules> bad_key = RulesFromJsonString(
+  Result<CleaningRules> bad_key = RulesFromText(
       R"({"key": "Sensor", "rules": []})", schema);
   ASSERT_FALSE(bad_key.ok());
   EXPECT_NE(bad_key.status().message().find("/key"), std::string::npos)

@@ -14,6 +14,7 @@
 #include "core/errors_value.h"
 #include "dq/config.h"
 #include "test_helpers.h"
+#include "../support/config_text.h"
 
 namespace icewafl {
 namespace {
@@ -35,17 +36,17 @@ testing::AssertionResult MessageContains(const Status& status,
 // Loads the pipeline and binds it against the sensor schema
 // (ts int64 | temp double | count int64 | label string).
 Status BindPipeline(const std::string& text) {
-  auto pipeline = PipelineFromConfigString(text, SensorSchema());
+  auto pipeline = PipelineFromText(text, SensorSchema());
   return pipeline.status();
 }
 
 Status BindSuite(const std::string& text) {
-  auto suite = dq::SuiteFromConfigString(text, SensorSchema());
+  auto suite = SuiteFromText(text, SensorSchema());
   return suite.status();
 }
 
 TEST(BindErrorsTest, ValidPipelineBindsAndRecordsSchema) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "p", "attributes": ["temp"],
            "error": {"type": "gaussian_noise", "stddev": 1.0}}]})",
@@ -261,7 +262,7 @@ TEST(BindErrorsTest, SuitePairExpectationNamesTheSide) {
 }
 
 TEST(BindErrorsTest, ValidSuiteBindsAndRecordsSchema) {
-  auto suite = dq::SuiteFromConfigString(
+  auto suite = SuiteFromText(
       R"({"name": "s", "expectations": [
           {"type": "expect_column_values_to_be_between",
            "column": "temp", "min": -50, "max": 60},
@@ -275,7 +276,7 @@ TEST(BindErrorsTest, ValidSuiteBindsAndRecordsSchema) {
 TEST(BindErrorsTest, UnboundLoadStillSucceeds) {
   // Without a bind schema the loaders keep their permissive two-arg
   // behavior: configuration errors surface at first use instead.
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "p", "attributes": ["nonexistent"],
            "error": {"type": "missing_value"}}]})");

@@ -7,6 +7,7 @@
 
 #include "core/config.h"
 #include "dq/config.h"
+#include "../support/config_text.h"
 
 namespace icewafl {
 namespace {
@@ -24,19 +25,19 @@ testing::AssertionResult MessageContains(const Status& status,
 }
 
 TEST(ConfigErrorsTest, MalformedJsonRejected) {
-  auto pipeline = PipelineFromConfigString("{not json at all");
+  auto pipeline = PipelineFromText("{not json at all");
   EXPECT_FALSE(pipeline.ok());
 }
 
 TEST(ConfigErrorsTest, TruncatedJsonRejected) {
   // A document cut off mid-structure, as from a partial write.
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [{"type": "standard", "label")");
   EXPECT_FALSE(pipeline.ok());
 }
 
 TEST(ConfigErrorsTest, UnknownPolluterKindNamesThePath) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "ok", "error":
            {"type": "missing_value"}},
@@ -47,7 +48,7 @@ TEST(ConfigErrorsTest, UnknownPolluterKindNamesThePath) {
 }
 
 TEST(ConfigErrorsTest, UnknownErrorTypeNamesThePath) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "p",
            "error": {"type": "gaussian_typo"}}]})");
@@ -56,7 +57,7 @@ TEST(ConfigErrorsTest, UnknownErrorTypeNamesThePath) {
 }
 
 TEST(ConfigErrorsTest, MissingFieldNamesThePath) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "p",
            "error": {"type": "gaussian_noise"}}]})");
@@ -67,7 +68,7 @@ TEST(ConfigErrorsTest, MissingFieldNamesThePath) {
 }
 
 TEST(ConfigErrorsTest, WrongTypedFieldNamesThePath) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "p",
            "error": {"type": "gaussian_noise", "stddev": "big"}}]})");
@@ -78,7 +79,7 @@ TEST(ConfigErrorsTest, WrongTypedFieldNamesThePath) {
 }
 
 TEST(ConfigErrorsTest, NestedConditionErrorNamesTheFullPath) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "p",
            "error": {"type": "missing_value"},
@@ -91,7 +92,7 @@ TEST(ConfigErrorsTest, NestedConditionErrorNamesTheFullPath) {
 }
 
 TEST(ConfigErrorsTest, CompositeChildErrorNamesTheFullPath) {
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "sequential", "label": "seq", "children": [
             {"type": "standard", "label": "c",
@@ -125,7 +126,7 @@ TEST(ConfigErrorsTest, WrongTypedArrayRejected) {
 TEST(ConfigErrorsTest, NegativeDelayNamesItsField) {
   // Arrival may only move later; Algorithm 1's lateness bound depends on
   // it, so the loader refuses what lint reports as IW303.
-  auto pipeline = PipelineFromConfigString(
+  auto pipeline = PipelineFromText(
       R"({"name": "t", "polluters": [
           {"type": "standard", "label": "late",
            "error": {"type": "delay", "delay_seconds": -7200}}]})");
@@ -136,7 +137,7 @@ TEST(ConfigErrorsTest, NegativeDelayNamesItsField) {
 }
 
 TEST(ConfigErrorsTest, SuiteErrorsNameThePath) {
-  auto suite = dq::SuiteFromConfigString(
+  auto suite = SuiteFromText(
       R"({"name": "s", "expectations": [
           {"type": "expect_column_values_to_not_be_null", "column": "A"},
           {"type": "expect_column_values_to_be_between", "column": "B",
@@ -146,7 +147,7 @@ TEST(ConfigErrorsTest, SuiteErrorsNameThePath) {
 }
 
 TEST(ConfigErrorsTest, SuiteUnknownTypeNamesThePath) {
-  auto suite = dq::SuiteFromConfigString(
+  auto suite = SuiteFromText(
       R"({"name": "s", "expectations": [{"type": "expect_magic"}]})");
   ASSERT_FALSE(suite.ok());
   EXPECT_TRUE(MessageContains(suite.status(), "/expectations/0"));

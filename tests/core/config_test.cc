@@ -9,6 +9,7 @@
 #include "core/errors_value.h"
 #include "core/process.h"
 #include "test_helpers.h"
+#include "../support/config_text.h"
 
 namespace icewafl {
 namespace {
@@ -195,7 +196,7 @@ TEST(ConfigTest, ConfiguredPipelineActuallyPollutes) {
        "error": {"type": "missing_value"}}
     ]
   })";
-  auto pipeline = PipelineFromConfigString(config);
+  auto pipeline = PipelineFromText(config);
   ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
   SchemaPtr schema = SensorSchema();
   TupleVector tuples;
@@ -248,7 +249,7 @@ TEST(ConfigTest, MissingFileIsIOError) {
 }
 
 TEST(ConfigTest, MalformedJsonIsParseError) {
-  EXPECT_EQ(PipelineFromConfigString("{not json").status().code(),
+  EXPECT_EQ(PipelineFromText("{not json").status().code(),
             StatusCode::kParseError);
 }
 

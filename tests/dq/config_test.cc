@@ -1,4 +1,5 @@
 #include "dq/config.h"
+#include "../support/config_text.h"
 
 #include <gtest/gtest.h>
 
@@ -49,7 +50,7 @@ TEST(DqConfigTest, UnknownTypeAndMissingFieldsRejected) {
 }
 
 TEST(DqConfigTest, SuiteParsesAndValidates) {
-  auto suite = SuiteFromConfigString(R"({
+  auto suite = SuiteFromText(R"({
     "name": "checks",
     "expectations": [
       {"type": "expect_column_values_to_not_be_null", "column": "v"},
@@ -78,7 +79,7 @@ TEST(DqConfigTest, SuiteParsesAndValidates) {
 }
 
 TEST(DqConfigTest, WhereClauseApplied) {
-  auto suite = SuiteFromConfigString(R"({
+  auto suite = SuiteFromText(R"({
     "expectations": [
       {"type": "expect_multicolumn_sum_to_equal", "columns": ["v"],
        "total": 0, "where_column": "flag", "where_value": 1}
@@ -131,7 +132,7 @@ TEST(DqConfigTest, EveryExpectationRoundTripsThroughJson) {
 }
 
 TEST(DqConfigTest, SuiteRoundTripsThroughJson) {
-  auto suite = SuiteFromConfigString(R"({
+  auto suite = SuiteFromText(R"({
     "name": "roundtrip",
     "expectations": [
       {"type": "expect_column_values_to_not_be_null", "column": "v"},
@@ -146,9 +147,9 @@ TEST(DqConfigTest, SuiteRoundTripsThroughJson) {
 }
 
 TEST(DqConfigTest, MalformedSuiteRejected) {
-  EXPECT_FALSE(SuiteFromConfigString("{oops").ok());
-  EXPECT_FALSE(SuiteFromConfigString(R"({"expectations": 5})").ok());
-  EXPECT_FALSE(SuiteFromConfigString("{}").ok());
+  EXPECT_FALSE(SuiteFromText("{oops").ok());
+  EXPECT_FALSE(SuiteFromText(R"({"expectations": 5})").ok());
+  EXPECT_FALSE(SuiteFromText("{}").ok());
   EXPECT_FALSE(SuiteFromConfigFile("/no/such/suite.json").ok());
 }
 

@@ -1,9 +1,10 @@
-// The config-rule fixture set: one table of serve and cleaning
-// documents, each with the exact (code, JSON pointer) findings its
-// loader must report and whether it loads. The loaders
-// (net::ServeConfig::FromJson, clean::RulesFromJson) are the only
-// checkers of these rules, so `icewafl_cli lint`, `serve`, `clean`, and
-// the admin hooks all see exactly these findings. Each TEST below runs
+// The config-rule fixture set: one table of serve, cleaning, pipeline
+// and suite documents, each with the exact (code, JSON pointer) findings
+// its loader must report and whether it loads. The loaders
+// (net::ServeConfig::FromJson, clean::RulesFromJson, PipelineFromJson,
+// dq::SuiteFromJson) are the only checkers of these rules, so
+// `icewafl_cli lint`, `serve`, `clean`, `pollute`, and the admin hooks
+// all see exactly these findings. Each TEST below runs
 // the rows tagged with its own name; EveryRowBelongsToATest keeps the
 // tags honest.
 //
@@ -26,7 +27,9 @@
 #include "analysis/analyzer.h"
 #include "clean/cleaner.h"
 #include "clean/config.h"
+#include "core/config.h"
 #include "data/wearable.h"
+#include "dq/config.h"
 #include "net/serve_config.h"
 #include "scenarios/scenarios.h"
 #include "stream/sink.h"
@@ -38,6 +41,8 @@ enum class Loader {
   kServe,         // net::ServeConfig::FromJson, stock scenario names known
   kCleaner,       // clean::RulesFromJson, schemaless
   kBoundCleaner,  // clean::RulesFromJson bound to the wearable schema
+  kPipeline,      // PipelineFromJson bound to the wearable schema
+  kSuite,         // dq::SuiteFromJson bound to the wearable schema
 };
 
 struct Finding {
@@ -77,6 +82,10 @@ bool Load(Loader loader, const Json& json, Diagnostics* diags) {
       return clean::RulesFromJson(json, nullptr, diags).ok();
     case Loader::kBoundCleaner:
       return clean::RulesFromJson(json, data::WearableSchema(), diags).ok();
+    case Loader::kPipeline:
+      return PipelineFromJson(json, data::WearableSchema(), diags).ok();
+    case Loader::kSuite:
+      return dq::SuiteFromJson(json, data::WearableSchema(), diags).ok();
   }
   return false;
 }
@@ -85,6 +94,8 @@ bool Load(Loader loader, const Json& json, Diagnostics* diags) {
 constexpr Loader kServe = Loader::kServe;
 constexpr Loader kClean = Loader::kCleaner;
 constexpr Loader kBound = Loader::kBoundCleaner;
+constexpr Loader kPipe = Loader::kPipeline;
+constexpr Loader kSuite = Loader::kSuite;
 constexpr bool kLoads = true;
 constexpr bool kFails = false;
 
@@ -104,6 +115,23 @@ std::string Session(const std::string& entry_keys) {
 std::string Rule(const std::string& rest, const std::string& doc_keys = "") {
   return "{" + doc_keys + R"("rules": [{"label": "a", "column": "BPM", )" +
          rest + "}]}";
+}
+
+/// One standard polluter over BPM with `error` and, when given,
+/// `condition`; `doc_keys` go before "polluters".
+std::string Pipeline(const std::string& error,
+                     const std::string& condition = "",
+                     const std::string& doc_keys = "") {
+  return "{" + doc_keys +
+         R"("polluters": [{"type": "standard", "label": "p", )"
+         R"("attributes": ["BPM"], "error": )" +
+         error + (condition.empty() ? "" : R"(, "condition": )" + condition) +
+         "}]}";
+}
+
+/// A suite of the one expectation `expectation`.
+std::string Suite(const std::string& expectation) {
+  return R"({"name": "s", "expectations": [)" + expectation + "]}";
 }
 
 const std::vector<Row>& Rows() {
@@ -312,6 +340,99 @@ const std::vector<Row>& Rows() {
        {{"IW704", "/rules/0/detect/min_repeats"}}, kFails},
       {"ConfigFixtures.IntegerKeysNeverTruncate", kServe,
        Session(R"("parallelism": 4, "seed": 0, "max_runs": 3)"), {}, kLoads},
+
+      // --- pipeline documents --------------------------------------
+      {"PipelineLintTest.CleanDocumentsLoad", kPipe,
+       Pipeline(R"({"type": "delay", "delay_seconds": 3600})"), {}, kLoads},
+      {"PipelineLintTest.CleanDocumentsLoad", kPipe,
+       Pipeline(R"({"type": "gaussian_noise", "stddev": 2})",
+                R"({"type": "daily_window", "start_minute": 780,
+                    "end_minute": 899})",
+                R"("name": "ok", )"),
+       {}, kLoads},
+
+      // Wrong-typed and fractional fields used to load as the field's
+      // default; bind failures name the field the schema rejects.
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       Pipeline(R"({"type": "delay", "delay_seconds": "3600"})"),
+       {{"IW100", "/polluters/0/error/delay_seconds"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       Pipeline(R"({"type": "delay", "delay_seconds": 1.5})"),
+       {{"IW100", "/polluters/0/error/delay_seconds"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       Pipeline(R"({"type": "round", "precision": "two"})"),
+       {{"IW100", "/polluters/0/error/precision"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "daily_window", "start_minute": "780"})"),
+       {{"IW100", "/polluters/0/condition/start_minute"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       Pipeline(R"({"type": "gaussian_noise", "stddev": 2,
+                    "multiplicative": "yes"})"),
+       {{"IW100", "/polluters/0/error/multiplicative"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       Pipeline(R"({"type": "gaussian_noise"})"),
+       {{"IW100", "/polluters/0/error/stddev"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       R"({"polluters": [{"type": "standard", "attributes": ["Heartrate"],
+                          "error": {"type": "missing_value"}}]})",
+       {{"IW100", "/polluters/0/attributes/0"}}, kFails},
+      {"PipelineLintTest.IW100WrongTypedOrFractionalFields", kPipe,
+       R"({"name": 7, "polluters": []})", {{"IW100", "/name"}}, kFails},
+
+      {"PipelineLintTest.IW303NegativeDurations", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "hold", "hold_seconds": -60,
+                    "inner": {"type": "random", "p": 0.1}})"),
+       {{"IW303", "/polluters/0/condition/hold_seconds"}}, kFails},
+      {"PipelineLintTest.IW303NegativeDurations", kPipe,
+       Pipeline(R"({"type": "frozen_value", "hold_seconds": -60})"),
+       {{"IW303", "/polluters/0/error/hold_seconds"}}, kFails},
+      {"PipelineLintTest.IW303NegativeDurations", kPipe,
+       Pipeline(R"({"type": "timestamp_jitter", "max_jitter_seconds": -1})"),
+       {{"IW303", "/polluters/0/error/max_jitter_seconds"}}, kFails},
+      {"PipelineLintTest.IW303NegativeDurations", kPipe,
+       Pipeline(R"({"type": "delay", "delay_seconds": -5})"),
+       {{"IW303", "/polluters/0/error/delay_seconds"}}, kFails},
+      {"PipelineLintTest.IW303NegativeDurations", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "window_aggregate", "attribute": "BPM",
+                    "agg": "mean", "op": ">", "threshold": 100,
+                    "window_seconds": 0})"),
+       {{"IW303", "/polluters/0/condition/window_seconds"}}, kFails},
+
+      {"PipelineLintTest.IW402UnknownKeysAreWarnings", kPipe,
+       Pipeline(R"({"type": "gaussian_noise", "stddev": 1, "sttdev": 2})"),
+       {{"IW402", "/polluters/0/error/sttdev"}}, kLoads},
+      {"PipelineLintTest.IW402UnknownKeysAreWarnings", kPipe,
+       Pipeline(R"({"type": "missing_value"})", "",
+                R"("substreams": 2, )"),
+       {{"IW402", "/substreams"}}, kLoads},
+
+      // --- suite documents -----------------------------------------
+      {"SuiteLintTest.CleanDocumentsLoad", kSuite,
+       Suite(R"({"type": "expect_column_values_to_be_increasing",
+                 "column": "Time", "strictly": false})"),
+       {}, kLoads},
+
+      {"SuiteLintTest.IW100WrongTypedFields", kSuite,
+       Suite(R"({"type": "expect_column_values_to_be_increasing",
+                 "column": "Time", "strictly": "yes"})"),
+       {{"IW100", "/expectations/0/strictly"}}, kFails},
+      {"SuiteLintTest.IW100WrongTypedFields", kSuite,
+       Suite(R"({"type": "expect_multicolumn_sum_to_equal",
+                 "columns": ["Steps", "Distance"], "total": 0,
+                 "tolerance": "small"})"),
+       {{"IW100", "/expectations/0/tolerance"}}, kFails},
+      {"SuiteLintTest.IW100WrongTypedFields", kSuite,
+       Suite(R"({"type": "expect_column_values_to_not_be_null",
+                 "column": "Heartrate"})"),
+       {{"IW100", "/expectations/0/column"}}, kFails},
+
+      {"SuiteLintTest.IW402UnknownKeysAreWarnings", kSuite,
+       Suite(R"({"type": "expect_column_values_to_not_be_null",
+                 "column": "BPM", "mostly": 0.9})"),
+       {{"IW402", "/expectations/0/mostly"}}, kLoads},
 
       // --- cleaning documents --------------------------------------
       {"CleanerLintTest.CleanDocumentPassesWithSchema", kBound,
@@ -541,6 +662,17 @@ TEST(AdminCleanerLintTest, SessionEntryCleanerAnalyzedInServeConfig) {
   ExpectRowsOfThisTest();
 }
 TEST(ConfigFixtures, IntegerKeysNeverTruncate) { ExpectRowsOfThisTest(); }
+TEST(PipelineLintTest, CleanDocumentsLoad) { ExpectRowsOfThisTest(); }
+TEST(PipelineLintTest, IW100WrongTypedOrFractionalFields) {
+  ExpectRowsOfThisTest();
+}
+TEST(PipelineLintTest, IW303NegativeDurations) { ExpectRowsOfThisTest(); }
+TEST(PipelineLintTest, IW402UnknownKeysAreWarnings) {
+  ExpectRowsOfThisTest();
+}
+TEST(SuiteLintTest, CleanDocumentsLoad) { ExpectRowsOfThisTest(); }
+TEST(SuiteLintTest, IW100WrongTypedFields) { ExpectRowsOfThisTest(); }
+TEST(SuiteLintTest, IW402UnknownKeysAreWarnings) { ExpectRowsOfThisTest(); }
 TEST(CleanerLintTest, CleanDocumentPassesWithSchema) {
   ExpectRowsOfThisTest();
 }
@@ -870,9 +1002,20 @@ Json ReadShippedConfig(const std::string& name) {
   return json.ok() ? json.ValueOrDie() : Json();
 }
 
-/// Loads one mutated document and checks the robustness contract;
-/// returns whether it loaded.
-bool CheckMutant(Loader loader, const Json& mutant, const std::string& what) {
+/// True when `a` is `b`, or one of the two lies inside the other.
+bool OnOnePath(const std::string& a, const std::string& b) {
+  const auto inside = [](const std::string& inner, const std::string& outer) {
+    return inner.compare(0, outer.size() + 1, outer + "/") == 0;
+  };
+  return a == b || inside(a, b) || inside(b, a);
+}
+
+/// Loads one mutated document and checks the robustness contract: it
+/// loads, or an error names a node of it — and, when `mutated` is
+/// given, a node on the mutated node's own path. Returns whether it
+/// loaded.
+bool CheckMutant(Loader loader, const Json& mutant, const std::string& what,
+                 const std::optional<std::string>& mutated = std::nullopt) {
   Diagnostics diags;
   const bool loaded = Load(loader, mutant, &diags);
   EXPECT_EQ(loaded, !diags.HasErrors()) << what << "\n" << diags.ToReport();
@@ -880,7 +1023,8 @@ bool CheckMutant(Loader loader, const Json& mutant, const std::string& what) {
     const bool attributable = std::any_of(
         diags.items().begin(), diags.items().end(), [&](const Diagnostic& d) {
           return d.severity == DiagSeverity::kError &&
-                 Attributable(mutant, d.path);
+                 Attributable(mutant, d.path) &&
+                 (!mutated || d.path.empty() || OnOnePath(d.path, *mutated));
         });
     EXPECT_TRUE(attributable) << what << "\n" << diags.ToReport() << "\n"
                               << mutant.Dump();
@@ -892,6 +1036,10 @@ TEST(ConfigMutationTest, ShippedDocumentsNeverCrashTheLoaders) {
   const std::pair<const char*, Loader> documents[] = {
       {"software_update_clean.json", Loader::kBoundCleaner},
       {"serve_sessions.json", Loader::kServe},
+      {"random_temporal.json", Loader::kPipeline},
+      {"software_update.json", Loader::kPipeline},
+      {"network_delay.json", Loader::kPipeline},
+      {"wearable_suite.json", Loader::kSuite},
   };
   for (const auto& [name, loader] : documents) {
     SCOPED_TRACE(name);
@@ -899,6 +1047,11 @@ TEST(ConfigMutationTest, ShippedDocumentsNeverCrashTheLoaders) {
     Diagnostics clean_diags;
     ASSERT_TRUE(Load(loader, doc, &clean_diags)) << clean_diags.ToReport();
 
+    // Pipeline and suite loaders check single fields only, so a single
+    // mutation is refused on the mutated node's own path; the cleaner's
+    // range rule reports a mutated "max" at its "min".
+    const bool on_path =
+        loader == Loader::kPipeline || loader == Loader::kSuite;
     std::vector<Pointer> pointers;
     Pointer at;
     CollectPointers(doc, &at, &pointers);
@@ -908,7 +1061,12 @@ TEST(ConfigMutationTest, ShippedDocumentsNeverCrashTheLoaders) {
       for (const std::optional<Json>& mutation : MutationsOf(doc, pointer)) {
         const Json mutant = Rewrite(doc, pointer, 0, mutation);
         ++total;
-        if (!CheckMutant(loader, mutant, PointerText(pointer))) ++rejected;
+        if (!CheckMutant(loader, mutant, PointerText(pointer),
+                         on_path ? std::optional<std::string>(
+                                       PointerText(pointer))
+                                 : std::nullopt)) {
+          ++rejected;
+        }
       }
     }
     EXPECT_GT(rejected, total / 4) << "mutations should mostly break a "

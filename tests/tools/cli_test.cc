@@ -216,6 +216,32 @@ TEST(CliRun, ScenarioRunWritesThePolluteBytes) {
   std::remove(clean.c_str());
 }
 
+// A wrong-typed field is refused at load with its JSON pointer; it
+// used to load as the field's default and pollute nothing.
+TEST(CliPollute, WrongTypedFieldFailsNamingItsPointer) {
+  const std::string configs = ICEWAFL_CONFIG_DIR;
+  const std::string clean = UniqueTempPath("wearable7.csv");
+  ASSERT_EQ(RunCli("generate --dataset wearable --seed 7 --output " + clean)
+                .exit_code,
+            0);
+  const std::string config = WriteTempConfig("string_delay.json", R"({
+    "name": "late",
+    "polluters": [{"type": "standard", "label": "late",
+                   "error": {"type": "delay", "delay_seconds": "3600"}}]
+  })");
+  const std::string polluted = UniqueTempPath("pollute.csv");
+  CliRun run = RunCli("pollute --schema " + configs +
+                      "/wearable_schema.json --config " + config +
+                      " --input " + clean + " --output " + polluted);
+  EXPECT_NE(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("/polluters/0/error/delay_seconds"),
+            std::string::npos)
+      << run.output;
+  std::remove(clean.c_str());
+  std::remove(config.c_str());
+  std::remove(polluted.c_str());
+}
+
 TEST(CliClean, MissingInputsAreUsageErrors) {
   // File mode needs all three of --rules/--schema/--input.
   EXPECT_EQ(RunCli("clean").exit_code, 2);

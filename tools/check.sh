@@ -141,22 +141,31 @@ run_lint() {
   cmake --build --preset default -j "${jobs}" --target icewafl_cli
   local cli=build/tools/icewafl_cli
   echo "=== lint: configs/*.json ==="
+  # Every shipped document must lint without a finding: a new warning
+  # fails this mode as an error does.
   local status=0
+  lint_clean() {
+    local report
+    report="$("${cli}" lint "$@")" || true
+    echo "${report}"
+    if [ "$(echo "${report}" | tail -n 1)" != "0 errors, 0 warnings" ]; then
+      echo "lint: want '0 errors, 0 warnings' for: $*"
+      status=1
+    fi
+  }
   for config in configs/random_temporal.json configs/software_update.json \
                 configs/network_delay.json; do
     echo "--- ${config}"
-    "${cli}" lint "${config}" --schema configs/wearable_schema.json ||
-      status=$?
+    lint_clean "${config}" --schema configs/wearable_schema.json
+    echo "--- ${config} + wearable_suite.json"
+    lint_clean "${config}" --schema configs/wearable_schema.json \
+      --suite configs/wearable_suite.json
   done
-  echo "--- configs/software_update.json + wearable_suite.json"
-  "${cli}" lint configs/software_update.json \
-    --schema configs/wearable_schema.json \
-    --suite configs/wearable_suite.json || status=$?
   echo "--- configs/software_update_clean.json (IW70x cleaner surface)"
-  "${cli}" lint configs/software_update_clean.json \
-    --schema configs/wearable_schema.json || status=$?
+  lint_clean configs/software_update_clean.json \
+    --schema configs/wearable_schema.json
   echo "--- configs/serve_sessions.json (IW6xx serve surface)"
-  "${cli}" lint configs/serve_sessions.json || status=$?
+  lint_clean configs/serve_sessions.json
   if [ "${status}" -ne 0 ]; then
     echo "=== lint: FAILED ==="
     return "${status}"
