@@ -335,13 +335,9 @@ class Analyzer {
       info.truth = Truth::kNever;
       info.intentional_never = true;
     } else if (type == "random") {
-      // The JSON value: RandomCondition clamps its p into [0, 1].
-      const double p = json.GetDouble("p", 0.0);
-      if (p < 0.0 || p > 1.0) {
-        diags_->AddError("IW203", PathOf(path, "p"),
-                         "probability " + std::to_string(p) +
-                             " outside [0, 1]");
-      }
+      // The loader holds p in [0, 1] (IW203).
+      const double p =
+          static_cast<const RandomCondition&>(condition).probability();
       if (p <= 0.0) {
         info.truth = Truth::kNever;
       } else if (p >= 1.0) {
@@ -359,8 +355,11 @@ class Analyzer {
       info = AnalyzeTimeWindow(
           static_cast<const TimeWindowCondition&>(condition), path);
     } else if (type == "daily_window") {
-      info = AnalyzeDailyWindow(
-          static_cast<const DailyWindowCondition&>(condition), path);
+      // The loader holds both minutes in [0, 1439] (IW205).
+      const auto& window = static_cast<const DailyWindowCondition&>(condition);
+      if (window.start_minute() == 0 && window.end_minute() == 1439) {
+        info.truth = Truth::kAlways;
+      }
     } else if (type == "profile_probability") {
       const ProfileBounds bounds =
           static_cast<const ProfileProbabilityCondition&>(condition)
@@ -455,22 +454,6 @@ class Analyzer {
                          "time window lies entirely outside the stream "
                          "bounds; the condition never fires on this stream");
     }
-    return info;
-  }
-
-  CondInfo AnalyzeDailyWindow(const DailyWindowCondition& window,
-                              const std::string& path) {
-    CondInfo info;
-    const int start = window.start_minute();
-    const int end = window.end_minute();
-    if (start < 0 || start > 1439 || end < 0 || end > 1439) {
-      diags_->AddError("IW205", path,
-                       "daily window minutes must lie in [0, 1439], got [" +
-                           std::to_string(start) + ", " +
-                           std::to_string(end) + "]",
-                       "minutes since midnight; 1439 = 23:59");
-    }
-    if (start == 0 && end >= 1439) info.truth = Truth::kAlways;
     return info;
   }
 

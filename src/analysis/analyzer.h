@@ -34,7 +34,7 @@ namespace analysis {
 ///  - condition satisfiability: constant folding and interval analysis
 ///    over the condition tree — dead polluters, always-true
 ///    "probabilistic" gates, contradictory window intersections
-///    (IW201..IW205);
+///    (IW201, IW202, IW204; the loaders report IW203 and IW205);
 ///  - temporal sanity: windows vs the stream bounds, overlapping
 ///    exclusive branches, delay/shift magnitudes (IW301, IW302, IW304);
 ///  - determinism and log hygiene: duplicate labels, malformed weights

@@ -49,14 +49,6 @@ Json RepairLogEntry::ToJson() const {
   return j;
 }
 
-size_t RepairLog::DistinctTupleCount() const {
-  std::vector<TupleId> ids;
-  ids.reserve(entries_.size());
-  for (const RepairLogEntry& e : entries_) ids.push_back(e.tuple_id);
-  std::sort(ids.begin(), ids.end());
-  return std::unique(ids.begin(), ids.end()) - ids.begin();
-}
-
 void RepairLog::SortByTuple() {
   std::stable_sort(entries_.begin(), entries_.end(),
                    [](const RepairLogEntry& a, const RepairLogEntry& b) {
@@ -287,26 +279,32 @@ Status CleanerOperator::Process(Tuple tuple, Emitter* out) {
   return out->Emit(std::move(tuple));
 }
 
-Status CleanerOperator::ProcessBatch(TupleVector* batch, Emitter* out) {
-  if (tuples_seen_ != nullptr) tuples_seen_->Increment(batch->size());
-  for (Tuple& tuple : *batch) {
+Status CleanerOperator::CleanBatch(TupleVector* rows) {
+  if (tuples_seen_ != nullptr) tuples_seen_->Increment(rows->size());
+  size_t kept = 0;
+  for (size_t i = 0; i < rows->size(); ++i) {
+    Tuple& tuple = (*rows)[i];
     ICEWAFL_RETURN_NOT_OK(Prepare(&tuple));
     ++stats_.tuples_in;
-    Partition* partition = PartitionFor(tuple);
-    if (!Clean(&tuple, partition)) continue;
+    if (!Clean(&tuple, PartitionFor(tuple))) continue;
     ++stats_.tuples_out;
-    ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
+    if (kept != i) std::swap((*rows)[kept], tuple);
+    ++kept;
   }
+  rows->erase(rows->begin() + static_cast<ptrdiff_t>(kept), rows->end());
+  return Status::OK();
+}
+
+Status CleanerOperator::ProcessBatch(TupleVector* batch, Emitter* out) {
+  ICEWAFL_RETURN_NOT_OK(CleanBatch(batch));
+  for (Tuple& tuple : *batch) ICEWAFL_RETURN_NOT_OK(out->Emit(std::move(tuple)));
   batch->clear();
   return Status::OK();
 }
 
 Status CleaningSink::WriteBatch(TupleVector* rows) {
-  VectorEmitter collect(&survivors_);
-  Status status = op_.ProcessBatch(rows, &collect);
-  if (status.ok()) status = emitter_.sink()->WriteBatch(&survivors_);
-  survivors_.clear();
-  return status;
+  ICEWAFL_RETURN_NOT_OK(op_.CleanBatch(rows));
+  return emitter_.sink()->WriteBatch(rows);
 }
 
 Status CleaningSink::Flush() { return emitter_.sink()->Flush(); }

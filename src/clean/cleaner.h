@@ -52,9 +52,6 @@ class RepairLog {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  /// \brief Number of distinct tuples with at least one firing.
-  size_t DistinctTupleCount() const;
-
   /// \brief Stable-sorts entries by tuple id (rule order within one
   /// tuple is preserved), so a stream that arrives out of id order
   /// still logs in id order.
@@ -101,7 +98,12 @@ class CleanerOperator : public Operator {
   void BindMetrics(obs::MetricRegistry* registry);
 
   Status Process(Tuple tuple, Emitter* out) override;
+  /// \brief CleanBatch, then emits the survivors.
   Status ProcessBatch(TupleVector* batch, Emitter* out) override;
+
+  /// \brief Cleans `*rows` in place: the survivors move to the front
+  /// in order and the dropped rows are cut off.
+  Status CleanBatch(TupleVector* rows);
 
   const CleanStats& stats() const { return stats_; }
   const CleaningRules& rules() const { return rules_; }
@@ -148,8 +150,8 @@ class CleanerOperator : public Operator {
 
 /// \brief Sink decorator running one sequential CleanerOperator over
 /// every tuple written and forwarding the survivors to `inner`: a
-/// written row's survivor row by row, a batch's survivors as one batch.
-/// Flush flushes `inner`.
+/// written row's survivor row by row, a batch cleaned in place and
+/// passed on as one batch. Flush flushes `inner`.
 class CleaningSink : public Sink {
  public:
   CleaningSink(const CleaningRules& rules, Sink* inner,
@@ -180,8 +182,6 @@ class CleaningSink : public Sink {
 
   CleanerOperator op_;
   SinkEmitter emitter_;
-  /// Survivors of the batch being cleaned; empty between batches.
-  TupleVector survivors_;
 };
 
 /// \brief Offline cleaning runner: writes `input` through one

@@ -1,7 +1,6 @@
 #include "clean/config.h"
 
 #include <optional>
-#include <regex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -90,16 +89,17 @@ std::unique_ptr<CleanRule> ParseRegex(const Json& detect,
   std::optional<Json> pattern =
       Require(detect, "pattern", at, "IW704", true, d);
   if (!pattern) return nullptr;
-  try {
-    return std::make_unique<RegexRule>(std::move(head.label),
-                                       std::move(head.column),
-                                       pattern->AsString(), head.repair);
-  } catch (const std::regex_error& e) {
+  Result<Regex> regex = Regex::Compile(pattern->AsString());
+  if (!regex.ok()) {
     d->AddError("IW704", at + "/pattern",
-                "invalid regex pattern '" + pattern->AsString() +
-                    "': " + e.what());
+                "regex pattern '" + pattern->AsString() +
+                    "' does not compile: " + regex.status().message());
     return nullptr;
   }
+  return std::make_unique<RegexRule>(std::move(head.label),
+                                     std::move(head.column),
+                                     std::move(regex).ValueOrDie(),
+                                     head.repair);
 }
 
 std::unique_ptr<CleanRule> ParseType(const Json& detect,

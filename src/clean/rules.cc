@@ -227,15 +227,15 @@ std::unique_ptr<CleanRule> NotNullRule::Clone() const {
 bool RegexRule::Violates(const Tuple& tuple, const ValueHistory*) const {
   const Value& v = accessor_.at(tuple);
   if (v.is_null()) return false;
-  if (v.is_string()) return !std::regex_match(v.AsString(), regex_);
+  if (v.is_string()) return !regex_.FullMatch(v.AsString());
   v.RenderTo(&storage_);
-  return !std::regex_match(storage_, regex_);
+  return !regex_.FullMatch(storage_);
 }
 
 Json RegexRule::DetectJson() const {
   Json j = Json::MakeObject();
   j.Set("type", type());
-  j.Set("pattern", pattern_);
+  j.Set("pattern", pattern());
   return j;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "stream/schema.h"
 #include "stream/tuple.h"
 #include "util/json.h"
+#include "util/regex.h"
 #include "util/result.h"
 
 namespace icewafl {
@@ -229,30 +229,28 @@ class NotNullRule : public CleanRule {
 /// \brief Rendered value must match the anchored pattern (same
 /// rendering as CSV/suite output, so the pattern vocabulary carries
 /// over from ExpectColumnValuesToMatchRegex). NULLs are skipped. The
-/// pattern compiles once, in the constructor, which throws
-/// std::regex_error for an invalid one (the loader reports it as
-/// IW704); clones copy the compiled form.
+/// rule takes its pattern compiled (util/regex.h): the loader compiles
+/// it once and reports a refused or invalid one as IW704, and clones
+/// copy the compiled form.
 class RegexRule : public CleanRule {
  public:
-  RegexRule(std::string label, std::string column, std::string pattern,
+  RegexRule(std::string label, std::string column, Regex regex,
             RepairAction repair)
       : CleanRule(std::move(label), std::move(column), repair),
-        pattern_(std::move(pattern)),
-        regex_(pattern_, std::regex::ECMAScript) {}
+        regex_(std::move(regex)) {}
 
   const char* type() const override { return "regex"; }
   bool reads_any_type() const override { return true; }
   bool Violates(const Tuple& tuple, const ValueHistory*) const override;
   std::unique_ptr<CleanRule> Clone() const override;
 
-  const std::string& pattern() const { return pattern_; }
+  const std::string& pattern() const { return regex_.pattern(); }
 
  protected:
   Json DetectJson() const override;
 
  private:
-  std::string pattern_;
-  std::regex regex_;
+  Regex regex_;
   /// Reused render buffer — no per-tuple allocation for short values.
   mutable std::string storage_;
 };

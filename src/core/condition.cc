@@ -32,8 +32,7 @@ ConditionPtr NeverCondition::Clone() const {
   return std::make_unique<NeverCondition>();
 }
 
-RandomCondition::RandomCondition(double p)
-    : p_(std::min(1.0, std::max(0.0, p))) {}
+RandomCondition::RandomCondition(double p) : p_(p) {}
 
 bool RandomCondition::Evaluate(const Tuple&, PollutionContext* ctx) noexcept {
   // Polluters install their private stream before evaluating; without

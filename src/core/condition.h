@@ -72,7 +72,8 @@ class NeverCondition : public Condition {
   ConditionPtr Clone() const override;
 };
 
-/// \brief Completely-at-random condition: fires with probability p.
+/// \brief Completely-at-random condition: fires with probability p
+/// (the loader refuses a p outside [0, 1] as IW203).
 class RandomCondition : public Condition {
  public:
   explicit RandomCondition(double p);

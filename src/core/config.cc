@@ -81,6 +81,18 @@ Result<int64_t> ReadSeconds(FieldReader& r, const std::string& key,
   return seconds;
 }
 
+/// A minute of the day: an integer in [0, 1439], IW205 outside it.
+Result<int> ReadMinute(FieldReader& r, const std::string& key, int fallback) {
+  ICEWAFL_ASSIGN_OR_RETURN(int minute, r.Int<int>(key, fallback));
+  if (minute < 0 || minute > 1439) {
+    return r.Fail(StatusCode::kInvalidArgument, key,
+                  "daily window minute " + std::to_string(minute) +
+                      " outside [0, 1439] (1439 = 23:59)",
+                  "IW205");
+  }
+  return minute;
+}
+
 Result<CompareOp> ReadOp(FieldReader& r) {
   ICEWAFL_ASSIGN_OR_RETURN(std::string text, r.String("op"));
   auto op = ParseCompareOp(text);
@@ -286,6 +298,11 @@ Result<ConditionPtr> BuildCondition(FieldReader& r, const std::string& type) {
   if (type == "never") return ConditionPtr(std::make_unique<NeverCondition>());
   if (type == "random") {
     ICEWAFL_ASSIGN_OR_RETURN(double p, r.Number("p"));
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return r.Fail(StatusCode::kInvalidArgument, "p",
+                    "probability " + std::to_string(p) + " outside [0, 1]",
+                    "IW203");
+    }
     return ConditionPtr(std::make_unique<RandomCondition>(p));
   }
   if (type == "value") {
@@ -306,8 +323,8 @@ Result<ConditionPtr> BuildCondition(FieldReader& r, const std::string& type) {
     return ConditionPtr(std::make_unique<TimeWindowCondition>(start, end));
   }
   if (type == "daily_window") {
-    ICEWAFL_ASSIGN_OR_RETURN(int start, r.Int<int>("start_minute", 0));
-    ICEWAFL_ASSIGN_OR_RETURN(int end, r.Int<int>("end_minute", 1439));
+    ICEWAFL_ASSIGN_OR_RETURN(int start, ReadMinute(r, "start_minute", 0));
+    ICEWAFL_ASSIGN_OR_RETURN(int end, ReadMinute(r, "end_minute", 1439));
     return ConditionPtr(std::make_unique<DailyWindowCondition>(start, end));
   }
   if (type == "profile_probability") {

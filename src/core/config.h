@@ -39,6 +39,8 @@ namespace icewafl {
 ///  - IW100 (error): anything that does not load — a missing, mistyped,
 ///    fractional or out-of-range field, an unknown type name, and, for
 ///    PipelineFromJson with a schema, a bind failure;
+///  - IW203 (error): a random condition's p outside [0, 1];
+///  - IW205 (error): a daily_window minute outside [0, 1439];
 ///  - IW303 (error): a negative delay, frozen-value hold, jitter or hold
 ///    duration, or a window_aggregate window that is not positive;
 ///  - IW402 (warning): a key the node's type does not read.

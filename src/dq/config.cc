@@ -31,8 +31,14 @@ Result<ExpectationPtr> BuildExpectation(FieldReader& r,
   if (type == "expect_column_values_to_match_regex") {
     ICEWAFL_ASSIGN_OR_RETURN(std::string column, r.String("column"));
     ICEWAFL_ASSIGN_OR_RETURN(std::string pattern, r.String("regex"));
+    Result<Regex> regex = Regex::Compile(pattern);
+    if (!regex.ok()) {
+      return r.Fail(StatusCode::kInvalidArgument, "regex",
+                    "regex '" + pattern + "' does not compile: " +
+                        regex.status().message());
+    }
     return ExpectationPtr(std::make_unique<ExpectColumnValuesToMatchRegex>(
-        std::move(column), std::move(pattern)));
+        std::move(column), std::move(regex).ValueOrDie()));
   }
   if (type == "expect_column_values_to_be_increasing") {
     ICEWAFL_ASSIGN_OR_RETURN(std::string column, r.String("column"));

@@ -143,10 +143,8 @@ Result<ExpectationResult> ExpectColumnValuesToBeBetween::Validate(
 }
 
 ExpectColumnValuesToMatchRegex::ExpectColumnValuesToMatchRegex(
-    std::string column, std::string pattern)
-    : column_(std::move(column)),
-      pattern_(std::move(pattern)),
-      regex_(pattern_) {}
+    std::string column, Regex regex)
+    : column_(std::move(column)), regex_(std::move(regex)) {}
 
 Result<ExpectationResult> ExpectColumnValuesToMatchRegex::Validate(
     const TupleVector& tuples) {
@@ -167,10 +165,10 @@ Result<ExpectationResult> ExpectColumnValuesToMatchRegex::Validate(
     ++result.evaluated;
     bool matched;
     if (v.is_string()) {
-      matched = std::regex_match(v.AsString(), regex_);
+      matched = regex_.FullMatch(v.AsString());
     } else {
       v.RenderTo(&storage);
-      matched = std::regex_match(storage, regex_);
+      matched = regex_.FullMatch(storage);
     }
     if (!matched) AddFailure(&result, t);
   }
@@ -552,7 +550,7 @@ Json ExpectColumnValuesToBeBetween::ToJson() const {
 Json ExpectColumnValuesToMatchRegex::ToJson() const {
   Json j = Base(name());
   j.Set("column", column_);
-  j.Set("regex", pattern_);
+  j.Set("regex", regex_.pattern());
   return j;
 }
 

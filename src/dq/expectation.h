@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <memory>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "stream/bind.h"
 #include "stream/tuple.h"
 #include "util/json.h"
+#include "util/regex.h"
 #include "util/result.h"
 
 namespace icewafl {
@@ -168,9 +168,9 @@ class ExpectColumnValuesToBeBetween : public Expectation {
 /// the CaloriesBurned regex of Experiment 3.1.2 work).
 class ExpectColumnValuesToMatchRegex : public Expectation {
  public:
-  /// \param pattern ECMAScript regular expression; must match the whole
-  ///   rendered value.
-  ExpectColumnValuesToMatchRegex(std::string column, std::string pattern);
+  /// \param regex the compiled pattern (util/regex.h); must match the
+  ///   whole rendered value.
+  ExpectColumnValuesToMatchRegex(std::string column, Regex regex);
   Result<ExpectationResult> Validate(const TupleVector& tuples) override;
   std::string name() const override {
     return "expect_column_values_to_match_regex";
@@ -183,8 +183,7 @@ class ExpectColumnValuesToMatchRegex : public Expectation {
 
  private:
   std::string column_;
-  std::string pattern_;
-  std::regex regex_;
+  Regex regex_;
 };
 
 /// \brief expect_column_values_to_be_increasing. Flags every element

@@ -120,6 +120,10 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
     inputs.push_back(std::make_unique<BatchChannel>(capacity));
     outputs.push_back(std::make_unique<BatchChannel>(capacity));
   }
+  // Written rows on their way back to the source; non-blocking at both
+  // ends, and taken under no other lock. It holds as many batches as
+  // the input channels, and a batch that does not fit is freed.
+  BatchChannel returned(capacity * workers);
 
   // Registry handles per stage, resolved once up front so the stage
   // loops pay only a pointer-null check (metrics off) or a relaxed
@@ -268,8 +272,17 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
     };
     bool aborted = false;
     Tuple tuple;
+    // Rows the sink has written and handed back; each is reused as the
+    // next `tuple`, so Next assigns into a row's buffers rather than
+    // allocating them.
+    TupleVector spare;
     uint64_t index = 0;
     while (true) {
+      if (spare.empty()) returned.TryPop(&spare);
+      if (!spare.empty()) {
+        tuple = std::move(spare.back());
+        spare.pop_back();
+      }
       auto more = source->Next(&tuple);
       if (!more.ok()) {
         source_status = more.status();
@@ -346,6 +359,14 @@ Status PipelineRuntime::Run(Source* source, const ChainFactory& chain_factory,
       const size_t n = rows->size();
       if (n == 0) return;
       Status st = sink->WriteBatch(rows);
+      // Return the rows unless the sink moved them out (a moved-from
+      // row holds no values to reuse). Above P=1 the merge refills
+      // `merged`, so it gets a new buffer.
+      if (st.ok() && !rows->empty() && rows->front().num_values() > 0 &&
+          rows->back().num_values() > 0) {
+        returned.TryPush(std::move(*rows));
+        if (workers > 1) rows->reserve(batch_size);
+      }
       rows->clear();
       if (!st.ok()) {
         sink_status = st;

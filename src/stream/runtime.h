@@ -103,7 +103,12 @@ struct RuntimeStats {
 ///  - the *sink stage* (caller thread) pops output batches in a
 ///    deterministic worker rotation; above parallelism 1 it merges them
 ///    k-way by `ArrivesBefore`, writing what the merge has settled before
-///    its next pop.
+///    its next pop;
+///  - written rows go back to the source stage through one bounded
+///    channel (`channel_capacity * parallelism` batches), non-blocking at
+///    both ends: the sink drops a batch the channel cannot take, and the
+///    source passes each returned row to `Source::Next` before it
+///    allocates one. Rows that the sink moved out are not returned.
 ///
 /// No stage ever holds the whole stream: peak buffering is bounded by
 /// the channel capacities (plus the rows that a delay may still reorder),

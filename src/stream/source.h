@@ -22,7 +22,10 @@ class Source {
   virtual SchemaPtr schema() const = 0;
 
   /// \brief Produces the next tuple into `*out`. Returns false at end of
-  /// stream (bounded sources only), true otherwise.
+  /// stream (bounded sources only), true otherwise. `*out` may hold a
+  /// row already written downstream (PipelineRuntime hands written rows
+  /// back), so Next overwrites all of it: values, schema and metadata.
+  /// Copy-assigning a whole row does, and reuses its buffers.
   virtual Result<bool> Next(Tuple* out) = 0;
 };
 

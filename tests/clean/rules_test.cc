@@ -143,7 +143,8 @@ TEST(RegexRuleTest, FiresWhenRenderedValueFailsToMatch) {
   SchemaPtr schema = WearableLikeSchema();
   // The pattern describes what a HEALTHY value looks like (full
   // precision); a truncated rendering fails the anchored match.
-  RegexRule rule("precision", "Distance", "\\d+\\.\\d{3,}",
+  RegexRule rule("precision", "Distance",
+                 Regex::Compile("\\d+\\.\\d{3,}").ValueOrDie(),
                  RepairAction::kSetNull);
   ASSERT_TRUE(BindRule(&rule, schema).ok());
   EXPECT_FALSE(
@@ -256,7 +257,8 @@ TEST(BindErrorsTest, StringColumnRejectedForNumericRule) {
 
 TEST(CloneTest, CloneOfBoundRuleIsBound) {
   SchemaPtr schema = WearableLikeSchema();
-  RegexRule rule("precision", "Distance", "\\d+\\.\\d{3,}",
+  RegexRule rule("precision", "Distance",
+                 Regex::Compile("\\d+\\.\\d{3,}").ValueOrDie(),
                  RepairAction::kSetNull);
   ASSERT_TRUE(BindRule(&rule, schema).ok());
   std::unique_ptr<CleanRule> clone = rule.Clone();

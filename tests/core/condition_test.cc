@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config.h"
 #include "test_helpers.h"
 
 namespace icewafl {
@@ -41,9 +42,17 @@ TEST(RandomConditionTest, FiresWithConfiguredProbability) {
   EXPECT_NEAR(static_cast<double>(fired) / n, 0.2, 0.01);
 }
 
-TEST(RandomConditionTest, ClampsProbability) {
-  EXPECT_DOUBLE_EQ(RandomCondition(1.7).probability(), 1.0);
-  EXPECT_DOUBLE_EQ(RandomCondition(-0.3).probability(), 0.0);
+// p is checked where it loads (IW203), not clamped by the condition.
+TEST(RandomConditionTest, LoaderRefusesProbabilityOutsideUnitInterval) {
+  for (const char* text :
+       {R"({"type": "random", "p": 1.7})", R"({"type": "random", "p": -0.3})"}) {
+    Diagnostics diags;
+    EXPECT_FALSE(
+        ConditionFromJson(Json::Parse(text).ValueOrDie(), "/c", &diags).ok())
+        << text;
+    EXPECT_TRUE(diags.HasCode("IW203")) << diags.ToReport();
+  }
+  EXPECT_DOUBLE_EQ(RandomCondition(0.25).probability(), 0.25);
 }
 
 TEST(RandomConditionTest, NeverFiresWithoutRng) {

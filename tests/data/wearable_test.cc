@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
+#include "util/regex.h"
 
 namespace icewafl {
 namespace data {
@@ -77,14 +77,13 @@ TEST(WearableTest, SpansPaperDuration) {
 TEST(WearableTest, WornTuplesHaveThreeDecimalCalories) {
   const TupleVector tuples = GenerateWearable().ValueOrDie();
   const Columns c = Cols(tuples.front().schema());
-  const std::regex three_decimals(R"(\d+\.\d{3})");
+  const Regex three_decimals = Regex::Compile(R"(\d+\.\d{3})").ValueOrDie();
   int checked = 0;
   for (const Tuple& t : tuples) {
     const double calories = t.value(c.calories).AsDouble();
     if (calories == 0.0) continue;
     const std::string rendered = t.value(c.calories).ToString();
-    ASSERT_TRUE(std::regex_match(rendered, three_decimals))
-        << rendered;
+    ASSERT_TRUE(three_decimals.FullMatch(rendered)) << rendered;
     ++checked;
   }
   // 1059 tuples minus 96 not-worn ones have calories with precision 3.

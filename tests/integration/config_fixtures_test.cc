@@ -401,6 +401,36 @@ const std::vector<Row>& Rows() {
                     "window_seconds": 0})"),
        {{"IW303", "/polluters/0/condition/window_seconds"}}, kFails},
 
+      // A random condition's p and a daily window's minutes are
+      // checked where they load, not only by lint.
+      {"PipelineLintTest.IW203IW205ConditionRanges", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "random", "p": 1.5})"),
+       {{"IW203", "/polluters/0/condition/p"}}, kFails},
+      {"PipelineLintTest.IW203IW205ConditionRanges", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "and", "children": [
+                    {"type": "random", "p": -0.25}]})"),
+       {{"IW203", "/polluters/0/condition/children/0/p"}}, kFails},
+      {"PipelineLintTest.IW203IW205ConditionRanges", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "random", "p": 1})"),
+       {}, kLoads},
+      {"PipelineLintTest.IW203IW205ConditionRanges", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "daily_window", "start_minute": 0,
+                    "end_minute": 2000})"),
+       {{"IW205", "/polluters/0/condition/end_minute"}}, kFails},
+      {"PipelineLintTest.IW203IW205ConditionRanges", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "daily_window", "start_minute": -1})"),
+       {{"IW205", "/polluters/0/condition/start_minute"}}, kFails},
+      {"PipelineLintTest.IW203IW205ConditionRanges", kPipe,
+       Pipeline(R"({"type": "missing_value"})",
+                R"({"type": "daily_window", "start_minute": 0,
+                    "end_minute": 1439})"),
+       {}, kLoads},
+
       {"PipelineLintTest.IW402UnknownKeysAreWarnings", kPipe,
        Pipeline(R"({"type": "gaussian_noise", "stddev": 1, "sttdev": 2})"),
        {{"IW402", "/polluters/0/error/sttdev"}}, kLoads},
@@ -428,6 +458,21 @@ const std::vector<Row>& Rows() {
        Suite(R"({"type": "expect_column_values_to_not_be_null",
                  "column": "Heartrate"})"),
        {{"IW100", "/expectations/0/column"}}, kFails},
+
+      // An invalid pattern, or one outside the matcher's subset, is a
+      // finding at its pointer (std::regex used to throw and abort).
+      {"SuiteLintTest.IW100InvalidOrRefusedRegex", kSuite,
+       Suite(R"({"type": "expect_column_values_to_match_regex",
+                 "column": "CaloriesBurned", "regex": "(unclosed"})"),
+       {{"IW100", "/expectations/0/regex"}}, kFails},
+      {"SuiteLintTest.IW100InvalidOrRefusedRegex", kSuite,
+       Suite(R"({"type": "expect_column_values_to_match_regex",
+                 "column": "CaloriesBurned", "regex": "(\\d)\\1"})"),
+       {{"IW100", "/expectations/0/regex"}}, kFails},
+      {"SuiteLintTest.IW100InvalidOrRefusedRegex", kSuite,
+       Suite(R"({"type": "expect_column_values_to_match_regex",
+                 "column": "CaloriesBurned", "regex": "0|\\d+\\.\\d{3,}"})"),
+       {}, kLoads},
 
       {"SuiteLintTest.IW402UnknownKeysAreWarnings", kSuite,
        Suite(R"({"type": "expect_column_values_to_not_be_null",
@@ -525,6 +570,10 @@ const std::vector<Row>& Rows() {
        {{"IW704", "/rules/0/detect/max"}}, kFails},
       {"CleanerLintTest.IW704BadParams", kClean,
        Rule(R"("detect": {"type": "regex", "pattern": "(unclosed"},
+               "repair": "drop")"),
+       {{"IW704", "/rules/0/detect/pattern"}}, kFails},
+      {"CleanerLintTest.IW704BadParams", kClean,
+       Rule(R"("detect": {"type": "regex", "pattern": "\\bword"},
                "repair": "drop")"),
        {{"IW704", "/rules/0/detect/pattern"}}, kFails},
       {"CleanerLintTest.IW704BadParams", kClean,
@@ -666,12 +715,14 @@ TEST(PipelineLintTest, CleanDocumentsLoad) { ExpectRowsOfThisTest(); }
 TEST(PipelineLintTest, IW100WrongTypedOrFractionalFields) {
   ExpectRowsOfThisTest();
 }
+TEST(PipelineLintTest, IW203IW205ConditionRanges) { ExpectRowsOfThisTest(); }
 TEST(PipelineLintTest, IW303NegativeDurations) { ExpectRowsOfThisTest(); }
 TEST(PipelineLintTest, IW402UnknownKeysAreWarnings) {
   ExpectRowsOfThisTest();
 }
 TEST(SuiteLintTest, CleanDocumentsLoad) { ExpectRowsOfThisTest(); }
 TEST(SuiteLintTest, IW100WrongTypedFields) { ExpectRowsOfThisTest(); }
+TEST(SuiteLintTest, IW100InvalidOrRefusedRegex) { ExpectRowsOfThisTest(); }
 TEST(SuiteLintTest, IW402UnknownKeysAreWarnings) { ExpectRowsOfThisTest(); }
 TEST(CleanerLintTest, CleanDocumentPassesWithSchema) {
   ExpectRowsOfThisTest();

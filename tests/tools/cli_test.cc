@@ -242,6 +242,64 @@ TEST(CliPollute, WrongTypedFieldFailsNamingItsPointer) {
   std::remove(polluted.c_str());
 }
 
+// A random condition's p outside [0, 1] is refused at load (IW203):
+// it used to be clamped to 1 and pollute every row.
+TEST(CliPollute, OutOfRangeProbabilityFailsNamingItsPointer) {
+  const std::string configs = ICEWAFL_CONFIG_DIR;
+  const std::string clean = UniqueTempPath("wearable7.csv");
+  ASSERT_EQ(RunCli("generate --dataset wearable --seed 7 --output " + clean)
+                .exit_code,
+            0);
+  const std::string config = WriteTempConfig("p_over_one.json", R"({
+    "name": "always",
+    "polluters": [{"type": "standard", "label": "gone",
+                   "attributes": ["BPM"],
+                   "error": {"type": "missing_value"},
+                   "condition": {"type": "random", "p": 1.5}}]
+  })");
+  const std::string polluted = UniqueTempPath("pollute.csv");
+  CliRun run = RunCli("pollute --schema " + configs +
+                      "/wearable_schema.json --config " + config +
+                      " --input " + clean + " --output " + polluted);
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("/polluters/0/condition/p"), std::string::npos)
+      << run.output;
+  std::remove(clean.c_str());
+  std::remove(config.c_str());
+  std::remove(polluted.c_str());
+}
+
+// An invalid regex in a suite ends as a finding at its pointer, in
+// lint and in validate: std::regex used to throw out of the loader and
+// abort the process (exit 134).
+TEST(CliSuite, InvalidRegexExitsOneNamingItsPointer) {
+  const std::string configs = ICEWAFL_CONFIG_DIR;
+  const std::string suite = WriteTempConfig("bad_regex_suite.json", R"({
+    "name": "s",
+    "expectations": [{"type": "expect_column_values_to_match_regex",
+                      "column": "CaloriesBurned", "regex": "(unclosed"}]
+  })");
+  CliRun lint = RunCli("lint " + configs + "/random_temporal.json --schema " +
+                       configs + "/wearable_schema.json --suite " + suite);
+  EXPECT_EQ(lint.exit_code, 1) << lint.output;
+  EXPECT_NE(lint.output.find("IW100"), std::string::npos) << lint.output;
+  EXPECT_NE(lint.output.find("/expectations/0/regex"), std::string::npos)
+      << lint.output;
+
+  const std::string clean = UniqueTempPath("wearable7.csv");
+  ASSERT_EQ(RunCli("generate --dataset wearable --seed 7 --output " + clean)
+                .exit_code,
+            0);
+  CliRun validate = RunCli("validate --schema " + configs +
+                           "/wearable_schema.json --suite " + suite +
+                           " --input " + clean);
+  EXPECT_EQ(validate.exit_code, 1) << validate.output;
+  EXPECT_NE(validate.output.find("/expectations/0/regex"), std::string::npos)
+      << validate.output;
+  std::remove(clean.c_str());
+  std::remove(suite.c_str());
+}
+
 TEST(CliClean, MissingInputsAreUsageErrors) {
   // File mode needs all three of --rules/--schema/--input.
   EXPECT_EQ(RunCli("clean").exit_code, 2);

@@ -12,7 +12,8 @@
 #                             # analysis rejects a seeded GUARDED_BY
 #                             # violation; skips when clang is absent
 #   tools/check.sh lint       # icewafl_cli lint over configs/*.json
-#                             # (pipelines, cleaner, serve sessions)
+#                             # (pipelines, cleaner, serve sessions), and
+#                             # two broken documents that must exit 1
 #   tools/check.sh obs        # end-to-end observability smoke: run a
 #                             # scenario with --metrics-out/--trace-out
 #                             # and validate both exports parse
@@ -166,6 +167,39 @@ run_lint() {
     --schema configs/wearable_schema.json
   echo "--- configs/serve_sessions.json (IW6xx serve surface)"
   lint_clean configs/serve_sessions.json
+  # Broken documents must exit 1 naming their code: not 0, and not a
+  # signal (an invalid regex used to abort the process).
+  lint_refused() {
+    local code="$1" report rc=0
+    shift
+    report="$("${cli}" lint "$@" 2>&1)" || rc=$?
+    echo "${report}"
+    if [ "${rc}" -ne 1 ] || ! echo "${report}" | grep -q "${code}"; then
+      echo "lint: want exit 1 naming ${code}, got exit ${rc} for: $*"
+      status=1
+    fi
+  }
+  local bad
+  bad=$(mktemp -d)
+  cat > "${bad}/unclosed_regex_suite.json" <<'JSON'
+{"name": "s", "expectations": [
+  {"type": "expect_column_values_to_match_regex",
+   "column": "CaloriesBurned", "regex": "(unclosed"}]}
+JSON
+  cat > "${bad}/p_over_one.json" <<'JSON'
+{"name": "p", "polluters": [
+  {"type": "standard", "label": "p", "attributes": ["BPM"],
+   "error": {"type": "missing_value"},
+   "condition": {"type": "random", "p": 1.5}}]}
+JSON
+  echo "--- suite with regex '(unclosed' (must exit 1 with IW100)"
+  lint_refused IW100 configs/random_temporal.json \
+    --schema configs/wearable_schema.json \
+    --suite "${bad}/unclosed_regex_suite.json"
+  echo "--- pipeline with random p 1.5 (must exit 1 with IW203)"
+  lint_refused IW203 "${bad}/p_over_one.json" \
+    --schema configs/wearable_schema.json
+  rm -rf "${bad}"
   if [ "${status}" -ne 0 ]; then
     echo "=== lint: FAILED ==="
     return "${status}"
